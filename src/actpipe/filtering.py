@@ -2,7 +2,10 @@
 
 A proposal's foreground score is the mean of binary motion-mask values over
 the integer pixel cells fully inside its box, across the mask frames
-sampled within its window. Per object class, the filter threshold is
+sampled within its window. Each box sum slices the decoded raster directly.
+:func:`score_foreground` scores many cubes in one pass over a mask stream;
+:func:`foreground_score` is its per-cube reference, and the two return
+exactly equal scores. Per object class, the filter threshold is
 calibrated so that at most a ``p_pos`` fraction of true (positively
 labeled) proposals falls at or below it.
 """
@@ -80,7 +83,16 @@ def _box_pixel_stats(raster: np.ndarray, bbox: BBox) -> Tuple[float, int]:
     if x0 >= x1 or y0 >= y1:
         return 0.0, 0
     patch = raster[y0:y1, x0:x1]
-    return float(patch.sum()), patch.size
+    # decoded rasters hold only 0 and 1, so the set-cell count is the sum
+    return float(np.count_nonzero(patch)), patch.size
+
+
+def _mean_score(cube: Cube, total: float, count: int, used: int) -> float:
+    if used == 0:
+        raise ValueError(
+            f"no masks inside [{cube.t0}, {cube.t1}) for video {cube.video_id!r}"
+        )
+    return total / count if count else 0.0
 
 
 def foreground_score(cube: Cube, masks: Sequence[MaskFrame]) -> float:
@@ -99,11 +111,7 @@ def foreground_score(cube: Cube, masks: Sequence[MaskFrame]) -> float:
         total += s
         count += n
         used += 1
-    if used == 0:
-        raise ValueError(
-            f"no masks inside [{cube.t0}, {cube.t1}) for video {cube.video_id!r}"
-        )
-    return total / count if count else 0.0
+    return _mean_score(cube, total, count, used)
 
 
 def score_foreground(cubes: Sequence[Cube],
@@ -111,9 +119,10 @@ def score_foreground(cubes: Sequence[Cube],
     """Foreground scores for many cubes with one pass over the mask stream.
 
     The mask stream must be frame-ordered with contiguous videos, as record
-    files are. Each mask is decoded once and summed via an integral image;
-    the cubes covering its frame read their box sums in O(1). Equivalent to
-    calling :func:`foreground_score` per cube.
+    files are. Each mask is decoded once, and every cube whose window covers
+    its frame adds its box sum there. Each score equals
+    ``foreground_score(cube, masks)`` exactly: both add the same integer box
+    sums, in the same frame order, into float accumulators.
     """
     order = list(cubes)
     pending: Dict[str, List[int]] = {}
@@ -122,9 +131,9 @@ def score_foreground(cubes: Sequence[Cube],
     for ids in pending.values():
         ids.sort(key=lambda i: order[i].t0)
 
-    sums = np.zeros(len(order))
-    counts = np.zeros(len(order), dtype=np.int64)
-    seen = np.zeros(len(order), dtype=np.int64)
+    sums = [0.0] * len(order)
+    counts = [0] * len(order)
+    seen = [0] * len(order)
 
     done_videos: set = set()
     video = None
@@ -159,33 +168,18 @@ def score_foreground(cubes: Sequence[Cube],
             continue
 
         raster = mask.decode()
-        integral = np.zeros((mask.height + 1, mask.width + 1), dtype=np.int64)
-        np.cumsum(np.cumsum(raster, axis=0, dtype=np.int64), axis=1,
-                  out=integral[1:, 1:])
         for _, i in active:
-            cube = order[i]
-            x0, x1 = _cell_range(cube.bbox.x0, cube.bbox.x1, mask.width)
-            y0, y1 = _cell_range(cube.bbox.y0, cube.bbox.y1, mask.height)
+            s, n = _box_pixel_stats(raster, order[i].bbox)
+            sums[i] += s
+            counts[i] += n
             seen[i] += 1
-            if x0 >= x1 or y0 >= y1:
-                continue
-            sums[i] += (integral[y1, x1] - integral[y0, x1]
-                        - integral[y1, x0] + integral[y0, x0])
-            counts[i] += (x1 - x0) * (y1 - y0)
 
-    out: List[Cube] = []
-    for i, cube in enumerate(order):
-        if seen[i] == 0:
-            raise ValueError(
-                f"no masks inside [{cube.t0}, {cube.t1}) for video "
-                f"{cube.video_id!r}"
-            )
-        score = sums[i] / counts[i] if counts[i] else 0.0
-        out.append(
-            Cube(cube.video_id, cube.bbox, cube.t0, cube.t1, cube.seed_track,
-                 cube.object_class, float(score), cube.labels)
-        )
-    return out
+    return [
+        Cube(cube.video_id, cube.bbox, cube.t0, cube.t1, cube.seed_track,
+             cube.object_class, _mean_score(cube, sums[i], counts[i], seen[i]),
+             cube.labels)
+        for i, cube in enumerate(order)
+    ]
 
 
 def collect_positive_scores(cubes: Iterable[Cube]) -> Dict[str, List[float]]:

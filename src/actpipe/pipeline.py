@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -135,16 +136,22 @@ def infer_video_lengths(inputs: PipelineInputs) -> Dict[str, int]:
 
 def _frame_sizes(inputs: PipelineInputs,
                  video_ids: Sequence[str]) -> Dict[str, Tuple[int, int]]:
+    """Explicit sizes, else each video's first mask (read no further)."""
     sizes = dict(inputs.frame_sizes)
-    missing = [v for v in video_ids if v not in sizes]
+    missing = {v for v in video_ids if v not in sizes}
     if missing and inputs.masks and Path(inputs.masks).exists():
-        for mask in read_records(inputs.masks, "masks"):
-            sizes.setdefault(mask.video_id, (mask.width, mask.height))
-        missing = [v for v in video_ids if v not in sizes]
-    for video_id in missing:
-        logger.warning("no frame size for %r; assuming %s", video_id,
-                       DEFAULT_FRAME_SIZE)
-        sizes[video_id] = DEFAULT_FRAME_SIZE
+        with closing(read_records(inputs.masks, "masks")) as masks:
+            for mask in masks:
+                if mask.video_id in missing:
+                    missing.discard(mask.video_id)
+                    sizes[mask.video_id] = (mask.width, mask.height)
+                    if not missing:
+                        break
+    for video_id in video_ids:
+        if video_id not in sizes:
+            logger.warning("no frame size for %r; assuming %s", video_id,
+                           DEFAULT_FRAME_SIZE)
+            sizes[video_id] = DEFAULT_FRAME_SIZE
     return sizes
 
 

@@ -131,6 +131,8 @@ class MaskFrame:
             raise ValueError(f"negative frame {self.frame}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("non-positive mask dimensions")
+        if min(self.rle, default=0) < 0:
+            raise ValueError("negative run length")
         if sum(self.rle) != self.width * self.height:
             raise ValueError(
                 f"rle covers {sum(self.rle)} cells, expected {self.width * self.height}"

@@ -20,6 +20,38 @@ def cube(t0=0, t1=64, box=BBox(0, 10, 0, 10), video="v", cls="person",
                 fg_score=fg, labels=labels)
 
 
+@st.composite
+def scoring_inputs(draw):
+    """Cubes and a frame-ordered mask stream over 1-3 videos.
+
+    Each video has its own mask size. Box edges are fractional and may lie
+    partly or wholly outside the frame or be thinner than one cell; mask
+    frames reach past the windows, so some masks fall in none of them.
+    """
+    cubes, masks = [], []
+    for v in range(draw(st.integers(1, 3))):
+        video = f"v{v}"
+        w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+        frames = draw(st.lists(st.integers(0, 100), min_size=1, max_size=6,
+                               unique=True))
+        for f in sorted(frames):
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            density = draw(st.sampled_from([0.1, 0.5, 0.9]))
+            masks.append(mask(f, rng.random((h, w)) < density, video))
+        side = max(w, h)
+        edge = st.floats(-side / 2, side + 2, allow_nan=False)
+        extent = st.floats(0.01, side, allow_nan=False)
+        for _ in range(draw(st.integers(0, 4))):
+            # every window holds at least one mask frame
+            anchor = draw(st.sampled_from(frames))
+            t0 = draw(st.integers(max(0, anchor - 30), anchor))
+            t1 = draw(st.integers(anchor + 1, anchor + 30))
+            x0, y0 = draw(edge), draw(edge)
+            box = BBox(x0, x0 + draw(extent), y0, y0 + draw(extent))
+            cubes.append(cube(t0, t1, box, video=video, seed=len(cubes)))
+    return cubes, masks
+
+
 class TestFrameDiff:
     def test_constant_video_all_background(self):
         frames = [(f, np.full((8, 8), 100.0)) for f in range(0, 40, 8)]
@@ -100,12 +132,30 @@ class TestForegroundScore:
                  cube(32, 64, BBox(10, 11.5, 10, 11.5))]
         batched = score_foreground(cubes, masks)
         for original, scored in zip(cubes, batched):
-            assert scored.fg_score == pytest.approx(
-                foreground_score(original, masks))
+            assert scored.fg_score == foreground_score(original, masks)
+
+    @given(scoring_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_batched_equals_single_on_random_inputs(self, inputs):
+        cubes, masks = inputs
+        batched = score_foreground(cubes, masks)
+        assert [c.fg_score for c in batched] == \
+            [foreground_score(c, masks) for c in cubes]
 
     def test_batched_missing_masks_rejected(self):
         with pytest.raises(ValueError, match="no masks"):
             score_foreground([cube(0, 8)], [mask(0, np.ones((4, 4)), video="w")])
+
+    def test_batched_rejects_revisited_video(self):
+        masks = [mask(0, np.ones((4, 4))), mask(0, np.ones((4, 4)), video="w"),
+                 mask(8, np.ones((4, 4)))]
+        with pytest.raises(ValueError, match="revisits video 'v'"):
+            score_foreground([cube(0, 16)], masks)
+
+    def test_batched_rejects_frames_out_of_order(self):
+        masks = [mask(8, np.ones((4, 4))), mask(0, np.ones((4, 4)))]
+        with pytest.raises(ValueError, match="out of frame order in 'v'"):
+            score_foreground([cube(0, 16)], masks)
 
 
 class TestCalibration:

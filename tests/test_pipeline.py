@@ -1,12 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
+from actpipe import pipeline
 from actpipe.cli import main
 from actpipe.config import PipelineConfig
 from actpipe.evaluation import QUALITY_LEVELS
-from actpipe.pipeline import PipelineInputs, run_pipeline
-from actpipe.records import read_records, write_records
+from actpipe.pipeline import (DEFAULT_FRAME_SIZE, PipelineInputs, _frame_sizes,
+                              run_pipeline)
+from actpipe.records import MaskFrame, read_records, write_records
 from actpipe.synth import generate_corpus
 from helpers import closure_scenes
 
@@ -94,6 +97,42 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="'propose'"):
             run_pipeline(CONFIG, PipelineInputs(), tmp_path / "out",
                          stages=("propose",))
+
+
+class TestFrameSizes:
+    @pytest.fixture
+    def masks_path(self, tmp_path):
+        shapes = {"a": (6, 4), "b": (9, 5), "c": (3, 7)}
+        masks = [MaskFrame.from_array(v, f, np.zeros((h, w), dtype=np.uint8))
+                 for v, (w, h) in shapes.items() for f in (0, 8, 16)]
+        path = tmp_path / "masks.jsonl"
+        write_records(masks, path, "masks")
+        return path
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """Masks parsed by ``_frame_sizes``, in order."""
+        seen = []
+
+        def counting_read(path, kind):
+            for record in read_records(path, kind):
+                seen.append(record)
+                yield record
+
+        monkeypatch.setattr(pipeline, "read_records", counting_read)
+        return seen
+
+    def test_first_mask_per_video_and_stops_early(self, masks_path, parsed):
+        inputs = PipelineInputs(masks=masks_path, frame_sizes={"c": (64, 48)})
+        sizes = _frame_sizes(inputs, ["b", "a", "c"])
+        assert sizes == {"a": (6, 4), "b": (9, 5), "c": (64, 48)}
+        # b's first mask is the fourth record; nothing after it is parsed
+        assert len(parsed) == 4
+
+    def test_video_without_masks_gets_default(self, masks_path, parsed):
+        sizes = _frame_sizes(PipelineInputs(masks=masks_path), ["c", "zz"])
+        assert (sizes["c"], sizes["zz"]) == ((3, 7), DEFAULT_FRAME_SIZE)
+        assert len(parsed) == 9
 
 
 class TestCli:

@@ -132,6 +132,18 @@ class TestReaderErrors:
         with pytest.raises(RecordError, match=r":2"):
             list(read_records(path, "detections"))
 
+    def test_negative_mask_run_names_line(self, tmp_path):
+        # the runs total 16 cells, as a 4x4 mask needs, but one is negative
+        path = tmp_path / "neg.jsonl"
+        path.write_text(
+            "#actpipe/masks/v1\n"
+            '{"video_id":"v","frame":0,"width":4,"height":4,"rle":[16]}\n'
+            '{"video_id":"v","frame":8,"width":4,"height":4,"rle":[18,-2]}\n'
+        )
+        with pytest.raises(RecordError,
+                           match=r"neg\.jsonl:3: negative run length"):
+            list(read_records(path, "masks"))
+
     def test_out_of_order_frames_rejected(self, tmp_path):
         b = BBox(0, 1, 0, 1)
         records = [DetectionRecord("v", 5, "p", b, 0.5),
