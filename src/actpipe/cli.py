@@ -18,9 +18,7 @@ import numpy as np
 from .config import ConfigError, PipelineConfig, parse_config, parse_overrides
 from .dedup import deduplicate, merge_adjacent
 from .evaluation import evaluation_report, proposal_quality
-from .filtering import (SENTINEL_THRESHOLD, calibrate_threshold,
-                        collect_positive_scores, filter_proposals,
-                        score_foreground)
+from .filtering import SENTINEL_THRESHOLD, filter_stage
 from .labeling import apply_assignments, assign_labels, gt_to_cubes, \
     proposal_stats
 from .pipeline import (CANONICAL_STAGES, PipelineInputs, bench,
@@ -109,7 +107,7 @@ def _cmd_propose(args) -> None:
     tracks = tracks_from_records(read_records(args.input, "detections"))
     inputs = PipelineInputs(detections=args.input,
                             video_lengths=_parse_video_lengths(args.video_frames))
-    lengths = infer_video_lengths(inputs)
+    lengths = infer_video_lengths(inputs, tracks)
     size = _parse_frame_size(args.frame_size)
     sizes = {video_id: size for video_id in tracks}
     proposals = generate_proposals(tracks, lengths, sizes, config)
@@ -138,34 +136,19 @@ def _cmd_assign_labels(args) -> None:
 def _cmd_filter(args) -> None:
     config = _load_config(args)
     proposals = list(read_records(args.input, "proposals"))
-    scored = score_foreground(proposals, read_records(args.masks, "masks"))
-    thresholds: Dict[str, float] = {c.object_class: SENTINEL_THRESHOLD
-                                    for c in scored}
-    for cls in config.object_classes:
-        thresholds.setdefault(cls, SENTINEL_THRESHOLD)
+    thresholds = None
     if args.thresholds_in:
-        for record in read_records(args.thresholds_in, "reports"):
-            if record.section == "filter_thresholds":
-                for cls, value in record.data["thresholds"].items():
-                    thresholds[cls] = (SENTINEL_THRESHOLD if value is None
-                                       else float(value))
-    else:
-        thresholds.update(
-            calibrate_threshold(collect_positive_scores(scored), config.p_pos)
-        )
-    kept = filter_proposals(scored, thresholds)
+        thresholds = {cls: SENTINEL_THRESHOLD if value is None else float(value)
+                      for record in read_records(args.thresholds_in, "reports")
+                      if record.section == "filter_thresholds"
+                      for cls, value in record.data["thresholds"].items()}
+    kept, report = filter_stage(proposals, read_records(args.masks, "masks"),
+                                config, thresholds)
     write_records(kept, args.output, "proposals")
     if args.thresholds:
-        report = {
-            "thresholds": {cls: (None if v == SENTINEL_THRESHOLD else v)
-                           for cls, v in sorted(thresholds.items())},
-            "p_pos": config.p_pos,
-            "kept": len(kept),
-            "removed": len(scored) - len(kept),
-        }
         write_records([ReportRecord("filter_thresholds", report)],
                       args.thresholds, "reports")
-    print(f"kept {len(kept)} of {len(scored)} proposals")
+    print(f"kept {len(kept)} of {len(proposals)} proposals")
 
 
 def _cmd_score(args) -> None:
@@ -216,7 +199,8 @@ def _cmd_evaluate(args) -> None:
     annotations = list(read_records(args.annotations, "annotations"))
     inputs = PipelineInputs(annotations=args.annotations,
                             video_lengths=_parse_video_lengths(args.video_frames))
-    lengths = infer_video_lengths(inputs)
+    lengths = infer_video_lengths(inputs, {a.video_id for a in annotations},
+                                  lambda: annotations)
     for pred in predictions:
         lengths[pred.video_id] = max(lengths.get(pred.video_id, 0), pred.t1)
     curves, summary = evaluation_report(predictions, annotations, config,

@@ -17,8 +17,8 @@ import numpy as np
 
 from .config import PipelineConfig
 from .dedup import deduplicate
-from .geometry import Cube, bbox_iou, coverage as box_coverage, tube_iou_3d
-from .labeling import SAME_WINDOW_TIOU, GtCube, gt_to_cubes, temporal_iou
+from .geometry import Cube, tube_iou_3d
+from .labeling import gt_to_cubes, same_window_blocks
 from .records import ActivityAnnotation, ActivityInstance
 from .scoring import oracle_scores
 
@@ -202,13 +202,17 @@ def map_3diou(predictions: Sequence[ActivityInstance],
     threshold, otherwise it is a false positive (duplicates included).
     """
     gt_classes = sorted({a.activity_class for a in annotations})
+    # per class: annotations and their per-frame tubes, built once
+    by_class = {c: [a for a in annotations if a.activity_class == c]
+                for c in gt_classes}
+    tubes = {c: [g.tube_dict() for g in gts] for c, gts in by_class.items()}
     ap: Dict[float, Dict[str, float]] = {}
     map_at: Dict[float, float] = {}
     for threshold in thresholds:
         ap[threshold] = {}
         for activity_class in gt_classes:
-            gts = [a for a in annotations if a.activity_class == activity_class]
-            gt_tubes = [g.tube_dict() for g in gts]
+            gts = by_class[activity_class]
+            gt_tubes = tubes[activity_class]
             preds = sorted(
                 (p for p in predictions if p.activity_class == activity_class),
                 key=lambda p: (-p.score, p.video_id, p.t0, p.t1),
@@ -302,18 +306,11 @@ def proposal_quality(proposals: Sequence[Cube],
     classes = _classes_for(annotations, config)
     gt_cubes = [gt for a in annotations
                 for gt in gt_to_cubes(a, config.d_prop, config.s_prop)]
-    by_video: Dict[str, List[GtCube]] = {}
-    for gt in gt_cubes:
-        by_video.setdefault(gt.video_id, []).append(gt)
-
     best_iou = np.zeros(len(proposals))
     best_cov = np.zeros(len(proposals))
-    for i, prop in enumerate(proposals):
-        for gt in by_video.get(prop.video_id, ()):
-            if temporal_iou((prop.t0, prop.t1), (gt.t0, gt.t1)) < SAME_WINDOW_TIOU:
-                continue
-            best_iou[i] = max(best_iou[i], bbox_iou(prop.bbox, gt.bbox))
-            best_cov[i] = max(best_cov[i], box_coverage(prop.bbox, gt.bbox))
+    for p_idx, _, iou, cov in same_window_blocks(proposals, gt_cubes):
+        best_iou[p_idx] = np.maximum(best_iou[p_idx], iou.max(axis=1))
+        best_cov[p_idx] = np.maximum(best_cov[p_idx], cov.max(axis=1))
 
     def sweep(values: np.ndarray) -> Dict[float, float]:
         out = {}

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import PipelineConfig
 from .geometry import BBox, Cube
 from .records import MaskFrame
 
@@ -29,6 +30,7 @@ __all__ = [
     "collect_positive_scores",
     "calibrate_threshold",
     "filter_proposals",
+    "filter_stage",
 ]
 
 # below-domain sentinel: every score is strictly above it, so nothing filters
@@ -226,3 +228,26 @@ def filter_proposals(cubes: Iterable[Cube],
         if cube.fg_score > thresholds[cube.object_class]:
             out.append(cube)
     return out
+
+
+def filter_stage(proposals: Sequence[Cube], masks: Iterable[MaskFrame],
+                 config: PipelineConfig,
+                 thresholds: Optional[Mapping[str, float]] = None
+                 ) -> Tuple[List[Cube], dict]:
+    """The filter stage: kept cubes and thresholds report. Thresholds are
+    calibrated on the positives unless given; other classes keep the sentinel.
+    """
+    scored = score_foreground(proposals, masks)
+    table = {c.object_class: SENTINEL_THRESHOLD for c in scored}
+    for cls in config.object_classes:
+        table.setdefault(cls, SENTINEL_THRESHOLD)
+    table.update(calibrate_threshold(collect_positive_scores(scored), config.p_pos)
+                 if thresholds is None else thresholds)
+    kept = filter_proposals(scored, table)
+    return kept, {
+        "thresholds": {cls: (None if value == SENTINEL_THRESHOLD else value)
+                       for cls, value in sorted(table.items())},
+        "p_pos": config.p_pos,
+        "kept": len(kept),
+        "removed": len(scored) - len(kept),
+    }

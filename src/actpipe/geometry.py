@@ -2,13 +2,16 @@
 
 Coordinates are real-valued and half-open: a box occupies [x0, x1) x [y0, y1)
 pixels, a cube additionally spans the integer frame window [t0, t1).
-Degenerate (zero-area) boxes cannot be constructed.
+Degenerate (zero-area) boxes cannot be constructed. Tracks and tubes hold
+sorted int64 frames plus an (N, 4) float64 array of x0, x1, y0, y1 rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "BBox",
@@ -19,6 +22,8 @@ __all__ = [
     "bbox_enlarge",
     "coverage",
     "tube_iou_3d",
+    "tube_arrays",
+    "window_unions",
 ]
 
 
@@ -165,3 +170,38 @@ def tube_iou_3d(a: TubeLike, b: TubeLike) -> float:
         else:
             union += box_b.area
     return inter / union
+
+
+def tube_arrays(frames: Sequence, boxes: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """Int64 frames and (N, 4) float64 box rows, sorted by frame; raises on
+    a non-finite value, a non-integer or repeated frame, a degenerate box."""
+    raw = np.asarray(frames, dtype=np.float64)
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    if not (np.isfinite(raw).all() and np.isfinite(boxes).all()):
+        raise ValueError("non-finite value in tube")
+    frames = raw.astype(np.int64)
+    if (frames != raw).any():
+        raise ValueError("non-integer tube frame")
+    order = np.argsort(frames, kind="stable")
+    frames, boxes = frames[order], boxes[order]
+    repeated = np.flatnonzero(np.diff(frames) == 0)
+    if repeated.size:
+        raise ValueError(f"duplicate frame {frames[repeated[0]]} in tube")
+    bad = ~((boxes[:, 0] < boxes[:, 1]) & (boxes[:, 2] < boxes[:, 3]))
+    if bad.any():
+        raise ValueError(f"degenerate box {tuple(boxes[bad.argmax()].tolist())}")
+    return frames, boxes
+
+
+def window_unions(boxes: np.ndarray, lo: Sequence[int],
+                  hi: Sequence[int]) -> np.ndarray:
+    """Union box row of each non-empty slice ``boxes[lo[i]:hi[i]]``; min and
+    max are exact, so it equals folding :func:`bbox_union` over the slice."""
+    # reduceat reduces [idx[j], idx[j + 1]): even positions are the slices;
+    # the padding row keeps an end bound of len(boxes) a valid index
+    padded = np.vstack((boxes, boxes[-1:]))
+    idx = np.column_stack((lo, hi)).ravel()
+    out = np.empty((len(idx) // 2, 4))
+    out[:, 0::2] = np.minimum.reduceat(padded[:, 0::2], idx)[::2]
+    out[:, 1::2] = np.maximum.reduceat(padded[:, 1::2], idx)[::2]
+    return out

@@ -10,10 +10,12 @@ used for region-proposal training.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .geometry import BBox, Cube, bbox_iou, bbox_union
+import numpy as np
+
+from .geometry import BBox, Cube, window_unions
 from .proposals import sample_windows
 from .records import ActivityAnnotation
 
@@ -23,6 +25,7 @@ __all__ = [
     "ProposalStats",
     "temporal_iou",
     "gt_to_cubes",
+    "same_window_blocks",
     "assign_labels",
     "apply_assignments",
     "proposal_stats",
@@ -75,26 +78,65 @@ def gt_to_cubes(annotation: ActivityAnnotation, d_prop: int,
 
     Windows follow the same rule as proposal sampling, applied within the
     instance; each cube's box is the union of the tube's boxes inside its
-    window (nearest tube frame as fallback for sparse tubes).
+    window (nearest tube frame as fallback for sparse tubes, the earlier
+    one on a tie).
     """
-    tube = annotation.tube
-    frames = [f for f, _ in tube]
-    cubes = []
-    for w0, w1 in sample_windows(annotation.t1 - annotation.t0, d_prop, s_prop):
-        t0, t1 = annotation.t0 + w0, annotation.t0 + w1
-        lo = bisect.bisect_left(frames, t0)
-        hi = bisect.bisect_left(frames, t1)
-        boxes = [b for _, b in tube[lo:hi]]
-        if not boxes:
-            center = (t0 + t1) / 2.0
-            _, nearest = min(tube, key=lambda fb: (abs(fb[0] - center), fb[0]))
-            boxes = [nearest]
-        bbox = boxes[0]
-        for box in boxes[1:]:
-            bbox = bbox_union(bbox, box)
-        cubes.append(GtCube(annotation.video_id, annotation.activity_class,
-                            t0, t1, bbox))
-    return cubes
+    frames, n = annotation.frames, len(annotation.frames)
+    windows = annotation.t0 + np.array(
+        sample_windows(annotation.t1 - annotation.t0, d_prop, s_prop))
+    lo, hi = np.searchsorted(frames, windows.T)
+    # an empty window lies between frames[lo - 1] and frames[lo]
+    center = windows.sum(axis=1) / 2.0
+    before, after = np.maximum(lo - 1, 0), np.minimum(lo, n - 1)
+    nearest = np.where((lo > 0) & ((lo == n) | (center - frames[before]
+                                                <= frames[after] - center)),
+                       before, after)
+    empty = lo == hi
+    lo, hi = np.where(empty, nearest, lo), np.where(empty, nearest + 1, hi)
+    unions = window_unions(annotation.boxes, lo, hi).tolist()
+    return [GtCube(annotation.video_id, annotation.activity_class, t0, t1, BBox(*box))
+            for (t0, t1), box in zip(windows.tolist(), unions)]
+
+
+def _box_rows(items) -> np.ndarray:
+    return np.array([(c.bbox.x0, c.bbox.x1, c.bbox.y0, c.bbox.y1) for c in items],
+                    dtype=np.float64).reshape(-1, 4)
+
+
+def same_window_blocks(proposals: Sequence[Cube], gt_cubes: Sequence[GtCube]
+                       ) -> Iterator[Tuple[np.ndarray, ...]]:
+    """Per distinct GT-cube window, the proposals of the same video at
+    temporal IoU >= 0.5: proposal indices (ascending), GT indices, and the
+    IoU and GT-coverage matrices, computed in the operation order of
+    :func:`bbox_iou` and :func:`coverage`, so bit-identical to them.
+    """
+    windows: Dict[str, Dict[Tuple[int, int], List[int]]] = {}
+    for i, p in enumerate(proposals):
+        windows.setdefault(p.video_id, {}).setdefault((p.t0, p.t1), []).append(i)
+    keys = {video_id: sorted(ws) for video_id, ws in windows.items()}
+    # a window starting the longest duration before another cannot overlap it
+    max_dur = max((p.t1 - p.t0 for p in proposals), default=0)
+    gt_groups: Dict[Tuple[str, int, int], List[int]] = {}
+    for g, gt in enumerate(gt_cubes):
+        gt_groups.setdefault((gt.video_id, gt.t0, gt.t1), []).append(g)
+    prop_boxes, gt_boxes = _box_rows(proposals), _box_rows(gt_cubes)
+    for (video_id, t0, t1), g_idx in gt_groups.items():
+        near = keys.get(video_id, [])
+        near = near[bisect.bisect_left(near, (t0 - max_dur,)):
+                    bisect.bisect_left(near, (t1,))]
+        p_idx = np.array(sorted(i for w in near
+                                if temporal_iou(w, (t0, t1)) >= SAME_WINDOW_TIOU
+                                for i in windows[video_id][w]), dtype=np.int64)
+        if not p_idx.size:
+            continue
+        px0, px1, py0, py1 = prop_boxes[p_idx].T[..., None]
+        gx0, gx1, gy0, gy1 = gt_boxes[g_idx].T[:, None]
+        iw = np.minimum(px1, gx1) - np.maximum(px0, gx0)
+        ih = np.minimum(py1, gy1) - np.maximum(py0, gy0)
+        inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+        g_area = (gx1 - gx0) * (gy1 - gy0)
+        yield (p_idx, np.array(g_idx),
+               inter / ((px1 - px0) * (py1 - py0) + g_area - inter), inter / g_area)
 
 
 def assign_labels(proposals: Sequence[Cube], gt_cubes: Sequence[GtCube],
@@ -109,54 +151,20 @@ def assign_labels(proposals: Sequence[Cube], gt_cubes: Sequence[GtCube],
     are negative, the rest stay unassigned.
     """
     labels: List[set] = [set() for _ in proposals]
-    best_iou = [0.0] * len(proposals)
+    best_iou = np.zeros(len(proposals))
+    classes = [gt.activity_class for gt in gt_cubes]
+    for p_idx, g_idx, iou, _ in same_window_blocks(proposals, gt_cubes):
+        best_iou[p_idx] = np.maximum(best_iou[p_idx], iou.max(axis=1))
+        for r, c in zip(*np.nonzero(iou > s_high)):
+            labels[p_idx[r]].add(classes[g_idx[c]])
+        # argmax takes the first maximum: the lowest proposal index
+        best = iou.argmax(axis=0)
+        above = iou[best, np.arange(len(g_idx))] > s_low
+        for r, g in zip(best[above], g_idx[above]):
+            labels[p_idx[r]].add(classes[g])
 
-    # per video, proposals ordered by t0 so only temporally close pairs are
-    # visited; anything further than the longest proposal cannot overlap
-    by_video: Dict[str, List[int]] = {}
-    for i, prop in enumerate(proposals):
-        by_video.setdefault(prop.video_id, []).append(i)
-    index: Dict[str, Tuple[List[int], List[int], int]] = {}
-    for video_id, ids in by_video.items():
-        ids.sort(key=lambda i: (proposals[i].t0, i))
-        t0s = [proposals[i].t0 for i in ids]
-        max_dur = max(proposals[i].t1 - proposals[i].t0 for i in ids)
-        index[video_id] = (ids, t0s, max_dur)
-
-    for gt in gt_cubes:
-        if gt.video_id not in index:
-            continue
-        ids, t0s, max_dur = index[gt.video_id]
-        best_index = -1
-        best_score = s_low
-        lo = bisect.bisect_left(t0s, gt.t0 - max_dur)
-        hi = bisect.bisect_left(t0s, gt.t1)
-        for i in ids[lo:hi]:
-            prop = proposals[i]
-            if temporal_iou((prop.t0, prop.t1), (gt.t0, gt.t1)) < SAME_WINDOW_TIOU:
-                continue
-            iou = bbox_iou(prop.bbox, gt.bbox)
-            if iou > best_iou[i]:
-                best_iou[i] = iou
-            if iou > s_high:
-                labels[i].add(gt.activity_class)
-            # ties go to the lower proposal index
-            if iou > best_score or (iou == best_score and -1 < best_index
-                                    and i < best_index and iou > s_low):
-                best_score = iou
-                best_index = i
-        if best_index >= 0:
-            labels[best_index].add(gt.activity_class)
-
-    out = []
-    for i in range(len(proposals)):
-        if labels[i]:
-            out.append(LabelAssignment(i, frozenset(labels[i]), False))
-        elif best_iou[i] <= s_low:
-            out.append(LabelAssignment(i, frozenset(), True))
-        else:
-            out.append(LabelAssignment(i, frozenset(), False))
-    return out
+    return [LabelAssignment(i, frozenset(found), not found and best <= s_low)
+            for i, (found, best) in enumerate(zip(labels, best_iou.tolist()))]
 
 
 def apply_assignments(proposals: Sequence[Cube],
@@ -166,10 +174,7 @@ def apply_assignments(proposals: Sequence[Cube],
         raise ValueError("assignment count does not match proposals")
     out = []
     for cube, assignment in zip(proposals, assignments):
-        if assignment.outcome == "unassigned":
-            labels = None
-        else:
-            labels = assignment.labels
+        labels = None if assignment.outcome == "unassigned" else assignment.labels
         out.append(Cube(cube.video_id, cube.bbox, cube.t0, cube.t1,
                         cube.seed_track, cube.object_class, cube.fg_score,
                         labels))
@@ -188,16 +193,7 @@ class ProposalStats:
     many_label_rate: float
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "positive": self.positive,
-            "negative": self.negative,
-            "unassigned": self.unassigned,
-            "positive_rate": self.positive_rate,
-            "single_label_rate": self.single_label_rate,
-            "two_label_rate": self.two_label_rate,
-            "many_label_rate": self.many_label_rate,
-        }
+        return asdict(self)
 
 
 def proposal_stats(assignments: Iterable[LabelAssignment]) -> ProposalStats:

@@ -14,26 +14,26 @@ consume assigned labels.
 
 from __future__ import annotations
 
+import functools
+import json
 import logging
 import time
-from contextlib import closing
-from dataclasses import dataclass, field
+from contextlib import ExitStack, closing
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import PipelineConfig
 from .dedup import deduplicate, merge_adjacent
 from .evaluation import evaluation_report
-from .filtering import (SENTINEL_THRESHOLD, calibrate_threshold,
-                        collect_positive_scores, filter_proposals,
-                        score_foreground)
+from .filtering import filter_stage
 from .geometry import BBox
 from .labeling import apply_assignments, assign_labels, gt_to_cubes, \
     proposal_stats
 from .proposals import generate_proposals
-from .records import ReportRecord, read_records, write_records
+from .records import RECORD_KINDS, ReportRecord, read_records, write_records
 from .scoring import fuse_scores, load_external_scores, oracle_scores
 from .synth import ActivitySpec, ObjectSpec, SceneSpec, generate_scene
 from .tracking import greedy_iou_track, tracks_from_records
@@ -105,19 +105,26 @@ class PipelineResult:
         }
 
 
-def infer_video_lengths(inputs: PipelineInputs) -> Dict[str, int]:
-    """Best-effort per-video frame counts from whatever files exist.
+def infer_video_lengths(inputs: PipelineInputs,
+                        videos: Optional[Iterable[str]] = None,
+                        annotations: Optional[Callable[[], list]] = None
+                        ) -> Dict[str, int]:
+    """Per-video frame counts: explicit lengths, the rest from record files.
 
-    Explicit lengths win; otherwise the maximum frame index seen plus one.
-    Inferred lengths can undercount trailing activity-free frames, which
-    shifts false-alarm denominators, so explicit lengths are preferred.
+    Videos without an explicit length get the maximum frame index seen plus
+    one (annotation ends count too) and are logged; this can undercount
+    trailing activity-free frames and so shift false-alarm denominators.
+    No file is read when each of ``videos`` has an explicit length.
+    ``annotations``, when given, returns the already parsed annotations.
     """
     lengths: Dict[str, int] = dict(inputs.video_lengths)
-    if lengths:
+    if lengths and videos is not None and all(v in lengths for v in videos):
         return lengths
+    inferred: Dict[str, int] = {}
 
     def bump(video_id: str, bound: int) -> None:
-        lengths[video_id] = max(lengths.get(video_id, 0), bound)
+        if video_id not in lengths:
+            inferred[video_id] = max(inferred.get(video_id, 0), bound)
 
     if inputs.detections and Path(inputs.detections).exists():
         for det in read_records(inputs.detections, "detections"):
@@ -126,11 +133,14 @@ def infer_video_lengths(inputs: PipelineInputs) -> Dict[str, int]:
         for mask in read_records(inputs.masks, "masks"):
             bump(mask.video_id, mask.frame + 1)
     if inputs.annotations and Path(inputs.annotations).exists():
-        for ann in read_records(inputs.annotations, "annotations"):
+        for ann in (annotations() if annotations
+                    else read_records(inputs.annotations, "annotations")):
             bump(ann.video_id, ann.t1)
-    if lengths:
-        logger.warning("video lengths inferred from record files; "
-                       "pass explicit lengths for exact false-alarm rates")
+    if inferred:
+        logger.warning("video lengths inferred from record files for %s; pass "
+                       "explicit lengths for exact false-alarm rates",
+                       ", ".join(sorted(inferred)))
+    lengths.update(inferred)
     return lengths
 
 
@@ -153,18 +163,6 @@ def _frame_sizes(inputs: PipelineInputs,
                            DEFAULT_FRAME_SIZE)
             sizes[video_id] = DEFAULT_FRAME_SIZE
     return sizes
-
-
-def _resolve_classes(config: PipelineConfig,
-                     inputs: PipelineInputs) -> PipelineConfig:
-    if config.activity_classes:
-        return config
-    if inputs.annotations and Path(inputs.annotations).exists():
-        classes = sorted({a.activity_class
-                          for a in read_records(inputs.annotations, "annotations")})
-        if classes:
-            return config.with_classes(activity_classes=classes)
-    return config
 
 
 def run_pipeline(config: PipelineConfig, inputs: PipelineInputs,
@@ -192,13 +190,27 @@ def run_pipeline(config: PipelineConfig, inputs: PipelineInputs,
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = _resolve_classes(config, inputs)
-    video_lengths = infer_video_lengths(inputs)
-    total_frames = sum(video_lengths.values())
 
-    state: Dict[str, Path] = {}
-    if inputs.detections:
-        state["detections"] = Path(inputs.detections)
+    @functools.cache
+    def annotations_list() -> list:
+        """The annotations file, parsed at most once per run."""
+        if not inputs.annotations:
+            raise ValueError("annotations input required")
+        return list(read_records(inputs.annotations, "annotations"))
+
+    def lengths_for(videos: Iterable[str]) -> Dict[str, int]:
+        known = replace(inputs, video_lengths=video_lengths)
+        return infer_video_lengths(known, videos, annotations_list)
+
+    if (not config.activity_classes and inputs.annotations
+            and Path(inputs.annotations).exists()):
+        classes = sorted({a.activity_class for a in annotations_list()})
+        if classes:
+            config = config.with_classes(activity_classes=classes)
+    video_lengths = infer_video_lengths(inputs, (), annotations_list)
+
+    state = {key: Path(path) for key, path in (("detections", inputs.detections),
+                                               ("masks", inputs.masks)) if path}
     outputs: Dict[str, Path] = {}
     timings: List[StageTiming] = []
     summary: Optional[dict] = None
@@ -208,10 +220,13 @@ def run_pipeline(config: PipelineConfig, inputs: PipelineInputs,
             raise ValueError(f"stage {stage!r} needs a {key} input")
         return state[key]
 
-    def annotations_list():
-        if not inputs.annotations:
-            raise ValueError("annotations input required")
-        return list(read_records(inputs.annotations, "annotations"))
+    def emit(output: str, records, name: str, kind: str,
+             key: Optional[str] = None) -> int:
+        """Write one output file; ``key`` hands it on to later stages."""
+        outputs[output] = out_dir / name
+        if key:
+            state[key] = outputs[output]
+        return write_records(records, outputs[output], kind)
 
     for stage in stage_list:
         start = time.perf_counter()
@@ -221,74 +236,41 @@ def run_pipeline(config: PipelineConfig, inputs: PipelineInputs,
             detections = list(read_records(need("detections", stage), "detections"))
             records_in = len(detections)
             tracked = greedy_iou_track(detections, max_gap=config.s_det)
-            records_out = len(tracked)
-            path = out_dir / "detections_tracked.jsonl"
-            write_records(tracked, path, "detections")
-            state["detections"] = path
-            outputs["track"] = path
+            records_out = emit("track", tracked, "detections_tracked.jsonl",
+                               "detections", "detections")
 
         elif stage == "propose":
             detections = read_records(need("detections", stage), "detections")
             tracks = tracks_from_records(detections)
             records_in = sum(len(t.boxes) for ts in tracks.values() for t in ts)
             sizes = _frame_sizes(inputs, list(tracks))
+            video_lengths = lengths_for(tracks)
             proposals = generate_proposals(tracks, video_lengths, sizes, config)
-            records_out = len(proposals)
-            path = out_dir / "proposals.jsonl"
-            write_records(proposals, path, "proposals")
-            state["proposals"] = path
-            outputs["propose"] = path
+            records_out = emit("propose", proposals, "proposals.jsonl",
+                               "proposals", "proposals")
 
         elif stage == "assign-labels":
             proposals = list(read_records(need("proposals", stage), "proposals"))
             records_in = len(proposals)
-            annotations = annotations_list()
-            gt_cubes = [gt for a in annotations
+            gt_cubes = [gt for a in annotations_list()
                         for gt in gt_to_cubes(a, config.d_prop, config.s_prop)]
             assignments = assign_labels(proposals, gt_cubes,
                                         config.s_high, config.s_low)
-            labeled = apply_assignments(proposals, assignments)
-            records_out = len(labeled)
-            path = out_dir / "proposals_labeled.jsonl"
-            write_records(labeled, path, "proposals")
+            records_out = emit("assign-labels", apply_assignments(proposals, assignments),
+                               "proposals_labeled.jsonl", "proposals", "proposals")
             stats = proposal_stats(assignments)
-            stats_path = out_dir / "label_stats.jsonl"
-            write_records([ReportRecord("proposal_stats", stats.to_dict())],
-                          stats_path, "reports")
-            state["proposals"] = path
-            outputs["assign-labels"] = path
-            outputs["label-stats"] = stats_path
+            emit("label-stats", [ReportRecord("proposal_stats", stats.to_dict())],
+                 "label_stats.jsonl", "reports")
 
         elif stage == "filter":
             proposals = list(read_records(need("proposals", stage), "proposals"))
             records_in = len(proposals)
-            masks = read_records(need_masks(inputs, stage), "masks")
-            scored = score_foreground(proposals, masks)
-            thresholds = {c.object_class: SENTINEL_THRESHOLD for c in scored}
-            for cls in config.object_classes:
-                thresholds.setdefault(cls, SENTINEL_THRESHOLD)
-            thresholds.update(
-                calibrate_threshold(collect_positive_scores(scored), config.p_pos)
-            )
-            kept = filter_proposals(scored, thresholds)
-            records_out = len(kept)
-            path = out_dir / "proposals_filtered.jsonl"
-            write_records(kept, path, "proposals")
-            report = {
-                "thresholds": {
-                    cls: (None if value == SENTINEL_THRESHOLD else value)
-                    for cls, value in sorted(thresholds.items())
-                },
-                "p_pos": config.p_pos,
-                "kept": len(kept),
-                "removed": len(scored) - len(kept),
-            }
-            thr_path = out_dir / "filter_thresholds.jsonl"
-            write_records([ReportRecord("filter_thresholds", report)],
-                          thr_path, "reports")
-            state["proposals"] = path
-            outputs["filter"] = path
-            outputs["filter-thresholds"] = thr_path
+            masks = read_records(need("masks", stage), "masks")
+            kept, report = filter_stage(proposals, masks, config)
+            records_out = emit("filter", kept, "proposals_filtered.jsonl",
+                               "proposals", "proposals")
+            emit("filter-thresholds", [ReportRecord("filter_thresholds", report)],
+                 "filter_thresholds.jsonl", "reports")
 
         elif stage == "score":
             proposals = list(read_records(need("proposals", stage), "proposals"))
@@ -303,66 +285,44 @@ def run_pipeline(config: PipelineConfig, inputs: PipelineInputs,
                 scored = sets[0] if len(sets) == 1 else fuse_scores(sets, fuse_weights)
             else:
                 raise ValueError(f"unknown score mode {score_mode!r}")
-            records_out = len(scored)
-            path = out_dir / "proposals_scored.jsonl"
-            write_records(scored, path, "scored-proposals")
-            state["scored"] = path
-            outputs["score"] = path
+            records_out = emit("score", scored, "proposals_scored.jsonl",
+                               "scored-proposals", "scored")
 
         elif stage == "dedup":
             scored = list(read_records(need("scored", stage), "scored-proposals"))
             records_in = len(scored)
-            instances = deduplicate(scored, config)
-            records_out = len(instances)
-            path = out_dir / "instances.jsonl"
-            write_records(instances, path, "instances")
-            state["instances"] = path
-            outputs["dedup"] = path
+            records_out = emit("dedup", deduplicate(scored, config), "instances.jsonl",
+                               "instances", "instances")
 
         elif stage == "merge-adjacent":
             instances = list(read_records(need("instances", stage), "instances"))
             records_in = len(instances)
             merged = merge_adjacent(instances, config.s_merg, config.l_merg)
-            records_out = len(merged)
-            path = out_dir / "instances_merged.jsonl"
-            write_records(merged, path, "instances")
-            state["instances"] = path
-            outputs["merge-adjacent"] = path
+            records_out = emit("merge-adjacent", merged, "instances_merged.jsonl",
+                               "instances", "instances")
 
         elif stage == "evaluate":
             instances = list(read_records(need("instances", stage), "instances"))
             records_in = len(instances)
             annotations = annotations_list()
+            video_lengths = lengths_for({i.video_id for i in instances}
+                                        | {a.video_id for a in annotations})
             use_strict = strict if strict is not None else "merge-adjacent" in stage_list
             curves, summary = evaluation_report(instances, annotations, config,
                                                 video_lengths, strict=use_strict)
-            curve_path = out_dir / "det_curves.jsonl"
-            write_records(
-                [curves[c] for c in sorted(curves)], curve_path, "det-curves"
-            )
-            report_path = out_dir / "evaluation.jsonl"
-            write_records([ReportRecord("evaluation", summary)],
-                          report_path, "reports")
-            records_out = len(curves)
-            outputs["evaluate"] = report_path
-            outputs["det-curves"] = curve_path
+            records_out = emit("det-curves", [curves[c] for c in sorted(curves)],
+                               "det_curves.jsonl", "det-curves")
+            emit("evaluate", [ReportRecord("evaluation", summary)],
+                 "evaluation.jsonl", "reports")
 
         timings.append(StageTiming(stage, time.perf_counter() - start,
                                    records_in, records_out))
 
-    result = PipelineResult(out_dir, timings, outputs, summary, total_frames,
-                            config.video_fps)
-    timing_path = out_dir / "timing.jsonl"
-    write_records([ReportRecord("timing", result.timing_report())],
-                  timing_path, "reports")
-    result.outputs["timing"] = timing_path
+    result = PipelineResult(out_dir, timings, outputs, summary,
+                            sum(video_lengths.values()), config.video_fps)
+    emit("timing", [ReportRecord("timing", result.timing_report())],
+         "timing.jsonl", "reports")
     return result
-
-
-def need_masks(inputs: PipelineInputs, stage: str) -> Path:
-    if not inputs.masks:
-        raise ValueError(f"stage {stage!r} needs a masks input")
-    return Path(inputs.masks)
 
 
 BENCH_STAGES = ("propose", "assign-labels", "filter", "score", "dedup",
@@ -432,22 +392,15 @@ def bench(config: PipelineConfig, n_detections: int, out_dir: Path,
                                  activity_classes=BENCH_CLASSES)
     specs = _bench_specs(config, n_detections, seed)
 
-    det_path = out_dir / "detections.jsonl"
-    ann_path = out_dir / "annotations.jsonl"
-    mask_path = out_dir / "masks.jsonl"
+    paths = {kind: out_dir / f"{kind}.jsonl"
+             for kind in ("detections", "annotations", "masks")}
     lengths: Dict[str, int] = {}
     sizes: Dict[str, Tuple[int, int]] = {}
     n_dets = 0
     # stream scene by scene to keep memory flat
-    from .records import RECORD_KINDS
-    import json as _json
-
-    handles = {
-        "detections": det_path.open("w", encoding="utf-8"),
-        "annotations": ann_path.open("w", encoding="utf-8"),
-        "masks": mask_path.open("w", encoding="utf-8"),
-    }
-    try:
+    with ExitStack() as stack:
+        handles = {kind: stack.enter_context(path.open("w", encoding="utf-8"))
+                   for kind, path in paths.items()}
         for kind, fh in handles.items():
             fh.write(f"#actpipe/{kind}/v1\n")
         for spec in specs:
@@ -455,22 +408,12 @@ def bench(config: PipelineConfig, n_detections: int, out_dir: Path,
             lengths[spec.video_id] = spec.video_len
             sizes[spec.video_id] = spec.frame_size
             n_dets += len(scene.detections)
-            for kind, records in (("detections", scene.detections),
-                                  ("annotations", scene.annotations),
-                                  ("masks", scene.masks)):
+            for kind, fh in handles.items():
                 serializer = RECORD_KINDS[kind][0]
-                fh = handles[kind]
-                for record in records:
-                    fh.write(_json.dumps(serializer(record),
-                                         separators=(",", ":")))
-                    fh.write("\n")
-    finally:
-        for fh in handles.values():
-            fh.close()
+                for record in getattr(scene, kind):
+                    fh.write(json.dumps(serializer(record), separators=(",", ":")) + "\n")
 
-    inputs = PipelineInputs(detections=det_path, annotations=ann_path,
-                            masks=mask_path, video_lengths=lengths,
-                            frame_sizes=sizes)
+    inputs = PipelineInputs(**paths, video_lengths=lengths, frame_sizes=sizes)
     result = run_pipeline(config, inputs, out_dir / "run", stages=BENCH_STAGES)
     report = result.timing_report()
     report["n_detections"] = n_dets

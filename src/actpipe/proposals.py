@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from typing import List, Mapping, Sequence, Tuple
 
+import numpy as np
+
 from .config import PipelineConfig
-from .geometry import BBox, Cube, bbox_enlarge, bbox_union
+from .geometry import BBox, Cube, bbox_enlarge, window_unions
 from .tracking import Track
 
 __all__ = [
@@ -48,6 +50,39 @@ def sample_windows(video_len: int, d_prop: int, s_prop: int) -> List[Window]:
     return windows
 
 
+def _seed_pairs(windows: Sequence[Window], tracks: Sequence[Track],
+                s_det: int) -> Tuple[np.ndarray, ...]:
+    """Window index, track index and [lo, hi) slice into the concatenated
+    track arrays of every seeding pair, by window, then track (windows
+    ascend in t0 and t1, as :func:`sample_windows` gives them).
+
+    Only windows overlapping a track's frame span are paired with it, and
+    ``track * span + frame`` keys (frames are non-negative) let one
+    ``np.searchsorted`` per window edge serve every pair.
+    """
+    bounds = np.array(windows, dtype=np.int64)
+    lengths = np.array([len(t.frames) for t in tracks])
+    frames = np.concatenate([t.frames for t in tracks])
+    ends = np.cumsum(lengths)
+    # windows [wa, wb) have t1 > the track's first frame and t0 <= its last
+    wa = np.searchsorted(bounds[:, 1], frames[ends - lengths], side="right")
+    wb = np.searchsorted(bounds[:, 0], frames[ends - 1], side="right")
+    count = np.maximum(wb - wa, 0)
+    k_idx = np.repeat(np.arange(len(tracks)), count)
+    w_idx = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - wa, count)
+    span = max(int(frames.max()), int(bounds.max())) + 1
+    keys = np.repeat(np.arange(len(tracks)) * span, lengths) + frames
+    t0, t1 = bounds[w_idx, 0], bounds[w_idx, 1]
+    t_c = (t0 + t1) // 2
+    lo, hi, mid = (np.searchsorted(keys, k_idx * span + t) for t in (t0, t1, t_c))
+    tolerance = s_det / 2.0
+    after = (mid < hi) & (frames[np.minimum(mid, len(frames) - 1)] - t_c <= tolerance)
+    before = (mid > lo) & (t_c - frames[mid - 1] <= tolerance)
+    seeds = np.flatnonzero(after | before)
+    seeds = seeds[np.lexsort((k_idx[seeds], w_idx[seeds]))]
+    return w_idx[seeds], k_idx[seeds], lo[seeds], hi[seeds]
+
+
 def central_seeds(window: Window, tracks: Sequence[Track],
                   s_det: int) -> List[Track]:
     """Tracks seeding a window: those with a box near its central frame.
@@ -55,30 +90,17 @@ def central_seeds(window: Window, tracks: Sequence[Track],
     A track qualifies when its nearest in-window box is within s_det/2
     frames of the central frame (detections only exist every s_det frames).
     """
-    t0, t1 = window
-    t_c = (t0 + t1) // 2
-    tolerance = s_det / 2.0
-    seeds = []
-    for track in tracks:
-        near = min(
-            (abs(f - t_c) for f in track.boxes if t0 <= f < t1),
-            default=None,
-        )
-        if near is not None and near <= tolerance:
-            seeds.append(track)
-    return seeds
+    seeds = _seed_pairs([window], tracks, s_det)[1].tolist() if tracks else []
+    return [tracks[k] for k in seeds]
 
 
 def refine_union(seed: Track, window: Window) -> BBox:
     """Union of all of the seed track's boxes with frames in the window."""
-    t0, t1 = window
-    boxes = [b for f, b in seed.boxes.items() if t0 <= f < t1]
-    if not boxes:
-        raise ValueError(f"track {seed.track_id} has no boxes in [{t0}, {t1})")
-    out = boxes[0]
-    for box in boxes[1:]:
-        out = bbox_union(out, box)
-    return out
+    lo, hi = np.searchsorted(seed.frames, window)
+    if lo == hi:
+        raise ValueError(f"track {seed.track_id} has no boxes in "
+                         f"[{window[0]}, {window[1]})")
+    return BBox(*window_unions(seed.boxes, [lo], [hi])[0].tolist())
 
 
 def generate_video_proposals(video_id: str, tracks: Sequence[Track],
@@ -91,19 +113,18 @@ def generate_video_proposals(video_id: str, tracks: Sequence[Track],
     skipped when that list is non-empty.
     """
     allowed = set(config.object_classes)
-    usable = [t for t in tracks if not allowed or t.object_class in allowed]
-    cubes: List[Cube] = []
-    for t0, t1 in sample_windows(video_len, config.d_prop, config.s_prop):
-        seeds = central_seeds((t0, t1), usable, config.s_det)
-        for seed in sorted(seeds, key=lambda t: t.track_id):
-            bbox = bbox_enlarge(refine_union(seed, (t0, t1)), config.r_enl,
-                                frame_size)
-            cubes.append(
-                Cube(video_id=video_id, bbox=bbox, t0=t0, t1=t1,
-                     seed_track=seed.track_id, object_class=seed.object_class)
-            )
-    cubes.sort(key=lambda c: (c.t0, c.seed_track))
-    return cubes
+    usable = sorted((t for t in tracks if not allowed or t.object_class in allowed),
+                    key=lambda t: t.track_id)
+    if not usable:
+        return []
+    windows = sample_windows(video_len, config.d_prop, config.s_prop)
+    w_idx, k_idx, lo, hi = _seed_pairs(windows, usable, config.s_det)
+    unions = window_unions(np.concatenate([t.boxes for t in usable]), lo, hi)
+    return [Cube(video_id=video_id,
+                 bbox=bbox_enlarge(BBox(*union), config.r_enl, frame_size),
+                 t0=windows[w][0], t1=windows[w][1], seed_track=usable[k].track_id,
+                 object_class=usable[k].object_class)
+            for w, k, union in zip(w_idx.tolist(), k_idx.tolist(), unions.tolist())]
 
 
 def generate_proposals(tracks_by_video: Mapping[str, Sequence[Track]],

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import BBox, Cube
+from .geometry import BBox, Cube, tube_arrays
 
 __all__ = [
     "RecordError",
@@ -57,35 +57,51 @@ class DetectionRecord:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ActivityAnnotation:
-    """Ground-truth activity instance with a per-frame (possibly sparse) tube."""
+    """Ground-truth activity instance with a per-frame (possibly sparse)
+    tube, given as ``(frame, BBox)`` pairs or ``frames=``/``boxes=`` arrays
+    and held as arrays (see :func:`tube_arrays`)."""
 
     video_id: str
     activity_class: str
     t0: int
     t1: int
-    tube: Tuple[Tuple[int, BBox], ...]
+    frames: np.ndarray
+    boxes: np.ndarray
 
-    def __post_init__(self):
-        if not 0 <= self.t0 < self.t1:
-            raise ValueError(f"bad annotation window [{self.t0}, {self.t1})")
-        if not self.tube:
+    def __init__(self, video_id: str, activity_class: str, t0: int, t1: int,
+                 tube: Sequence[Tuple[int, BBox]] = (), *, frames=None, boxes=None):
+        if not 0 <= t0 < t1:
+            raise ValueError(f"bad annotation window [{t0}, {t1})")
+        if frames is None:
+            frames = [f for f, _ in tube]
+            boxes = [(b.x0, b.x1, b.y0, b.y1) for _, b in tube]
+        frames, boxes = tube_arrays(frames, boxes)
+        if not len(frames):
             raise ValueError("annotation tube needs at least one box")
-        tube = tuple(sorted(self.tube))
-        frames = [f for f, _ in tube]
-        if len(set(frames)) != len(frames):
-            raise ValueError("duplicate frames in annotation tube")
-        if frames[0] < self.t0 or frames[-1] >= self.t1:
+        if frames[0] < t0 or frames[-1] >= t1:
             raise ValueError("tube frames outside the annotation window")
-        object.__setattr__(self, "tube", tube)
+        self.__dict__.update(video_id=video_id, activity_class=activity_class,
+                             t0=t0, t1=t1, frames=frames, boxes=boxes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ActivityAnnotation):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in self.__dataclass_fields__)
 
     @classmethod
     def with_static_box(cls, video_id: str, activity_class: str, t0: int, t1: int,
                         bbox: BBox) -> "ActivityAnnotation":
         """Annotation whose single box applies to every frame of the window."""
-        tube = tuple((f, bbox) for f in range(t0, t1))
-        return cls(video_id, activity_class, t0, t1, tube)
+        return cls(video_id, activity_class, t0, t1, frames=np.arange(t0, t1),
+                   boxes=[(bbox.x0, bbox.x1, bbox.y0, bbox.y1)] * (t1 - t0))
+
+    @property
+    def tube(self) -> Tuple[Tuple[int, BBox], ...]:
+        """``(frame, BBox)`` pairs in frame order, built from the arrays."""
+        return _tube_pairs(self.frames, self.boxes)
 
     def tube_dict(self) -> dict:
         return dict(self.tube)
@@ -212,12 +228,16 @@ def _box_from(obj: dict) -> BBox:
     return BBox(obj["x0"], obj["x1"], obj["y0"], obj["y1"])
 
 
-def _tube_to_json(tube) -> list:
-    return [[f, b.x0, b.x1, b.y0, b.y1] for f, b in tube]
+def _tube_from_json(items) -> Tuple[np.ndarray, np.ndarray]:
+    try:
+        raw = np.array(items, dtype=np.float64).reshape(len(items), 5)
+    except (TypeError, ValueError):
+        raise ValueError("tube entries must be [frame, x0, x1, y0, y1] numbers") from None
+    return tube_arrays(raw[:, 0], raw[:, 1:])
 
 
-def _tube_from_json(items) -> Tuple[Tuple[int, BBox], ...]:
-    return tuple((int(f), BBox(x0, x1, y0, y1)) for f, x0, x1, y0, y1 in items)
+def _tube_pairs(frames: np.ndarray, boxes: np.ndarray) -> tuple:
+    return tuple(zip(frames.tolist(), (BBox(*b) for b in boxes.tolist())))
 
 
 def _detection_to_json(r: DetectionRecord) -> dict:
@@ -245,15 +265,16 @@ def _annotation_to_json(r: ActivityAnnotation) -> dict:
         "activity_class": r.activity_class,
         "t0": r.t0,
         "t1": r.t1,
-        "tube": _tube_to_json(r.tube),
+        "tube": [[f, *b] for f, b in zip(r.frames.tolist(), r.boxes.tolist())],
     }
 
 
 def _annotation_from_json(obj: dict) -> ActivityAnnotation:
     if "tube" in obj and obj["tube"] is not None:
-        tube = _tube_from_json(obj["tube"])
+        frames, boxes = _tube_from_json(obj["tube"])
         return ActivityAnnotation(
-            obj["video_id"], obj["activity_class"], int(obj["t0"]), int(obj["t1"]), tube
+            obj["video_id"], obj["activity_class"], int(obj["t0"]), int(obj["t1"]),
+            frames=frames, boxes=boxes,
         )
     # single-box shorthand: one box applied to every frame
     return ActivityAnnotation.with_static_box(
@@ -329,7 +350,8 @@ def _instance_to_json(r: ActivityInstance) -> dict:
     out.update(_box_fields(r.bbox))
     out["score"] = r.score
     out["seed_track"] = r.seed_track
-    out["tube"] = None if r.tube is None else _tube_to_json(r.tube)
+    out["tube"] = (None if r.tube is None
+                   else [[f, b.x0, b.x1, b.y0, b.y1] for f, b in r.tube])
     return out
 
 
@@ -343,7 +365,8 @@ def _instance_from_json(obj: dict) -> ActivityInstance:
         bbox=_box_from(obj),
         score=float(obj["score"]),
         seed_track=None if obj.get("seed_track") is None else int(obj["seed_track"]),
-        tube=None if tube is None else _tube_from_json(tube),
+        tube=(None if tube is None
+              else _tube_pairs(*_tube_from_json(tube))),
     )
 
 

@@ -163,8 +163,8 @@ def load_external_scores(path: Union[str, Path], proposals: Sequence[Cube],
     """Join a scored-proposals file onto proposals by their cube keys.
 
     Keys are (video_id, t0, t1, seed_track). Every proposal must appear in
-    the file; extra keys are ignored with a warning; score vectors must
-    match the class count.
+    the file, and only once; extra keys are ignored with a warning; score
+    vectors must match the class count.
     """
     n = len(_class_index(activity_classes))
     table: Dict[tuple, ScoredCube] = {}
@@ -174,6 +174,8 @@ def load_external_scores(path: Union[str, Path], proposals: Sequence[Cube],
                 f"score vector of length {len(record.scores)} for key "
                 f"{record.key}, expected {n}"
             )
+        if record.key in table:
+            raise ValueError(f"{path}: duplicate score key {record.key}")
         table[record.key] = record
 
     out = []

@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from .geometry import BBox, bbox_iou
+import numpy as np
+
+from .geometry import bbox_iou
 from .records import DetectionRecord
 
 __all__ = ["Track", "greedy_iou_track", "tracks_from_records"]
@@ -13,20 +15,15 @@ __all__ = ["Track", "greedy_iou_track", "tracks_from_records"]
 DEFAULT_IOU_GATE = 0.3
 
 
-@dataclass
+@dataclass(eq=False)
 class Track:
-    """Per-frame boxes of one tracked object; all boxes share one class."""
+    """Per-frame boxes of one tracked object; all boxes share one class.
+    ``frames`` is sorted int64, ``boxes`` the matching (N, 4) float64 rows."""
 
     track_id: int
     object_class: str
-    boxes: Dict[int, BBox]
-
-    @property
-    def frames(self) -> List[int]:
-        return sorted(self.boxes)
-
-    def boxes_in(self, t0: int, t1: int) -> Dict[int, BBox]:
-        return {f: b for f, b in self.boxes.items() if t0 <= f < t1}
+    frames: np.ndarray
+    boxes: np.ndarray
 
 
 class _LiveTrack:
@@ -127,38 +124,45 @@ def tracks_from_records(detections: Iterable[DetectionRecord],
     given, frame gaps beyond it split the track and the later part gets a
     fresh id past the video's maximum.
     """
-    per_video: Dict[str, Dict[int, Track]] = {}
-    order: List[str] = []
+    # per video: track id -> object class, then flat id, frame and box columns
+    per_video: Dict[str, tuple] = {}
     for det in detections:
         if det.track_id is None:
             raise ValueError(
                 f"detection at {det.video_id}:{det.frame} has no track id; "
                 "run the tracker first"
             )
-        if det.video_id not in per_video:
-            per_video[det.video_id] = {}
-            order.append(det.video_id)
-        tracks = per_video[det.video_id]
-        track = tracks.get(det.track_id)
-        if track is None:
-            tracks[det.track_id] = Track(det.track_id, det.object_class,
-                                         {det.frame: det.bbox})
-        else:
-            if track.object_class != det.object_class:
-                raise ValueError(
-                    f"track {det.track_id} in video {det.video_id!r} spans classes "
-                    f"{track.object_class!r} and {det.object_class!r}"
-                )
-            if det.frame in track.boxes:
-                raise ValueError(
-                    f"track {det.track_id} in video {det.video_id!r} has two boxes "
-                    f"on frame {det.frame}"
-                )
-            track.boxes[det.frame] = det.bbox
+        entry = per_video.get(det.video_id)
+        if entry is None:
+            entry = per_video[det.video_id] = ({}, [], [], [])
+        classes, ids, frames, boxes = entry
+        object_class = classes.setdefault(det.track_id, det.object_class)
+        if object_class != det.object_class:
+            raise ValueError(
+                f"track {det.track_id} in video {det.video_id!r} spans classes "
+                f"{object_class!r} and {det.object_class!r}"
+            )
+        b = det.bbox
+        ids.append(det.track_id)
+        frames.append(det.frame)
+        boxes.append((b.x0, b.x1, b.y0, b.y1))
 
     out: Dict[str, List[Track]] = {}
-    for video_id in order:
-        tracks = [per_video[video_id][tid] for tid in sorted(per_video[video_id])]
+    for video_id, (classes, ids, frames, boxes) in per_video.items():
+        # one sort by (track id, frame) for every track of the video
+        ids, frames = np.array(ids, dtype=np.int64), np.array(frames, dtype=np.int64)
+        order = np.lexsort((frames, ids))
+        ids, frames = ids[order], frames[order]
+        boxes = np.array(boxes, dtype=np.float64)[order]
+        new_id = np.diff(ids) != 0
+        repeated = np.flatnonzero(~new_id & (np.diff(frames) == 0))
+        if repeated.size:
+            k = repeated[0]
+            raise ValueError(f"track {ids[k]} in video {video_id!r} has two "
+                             f"boxes on frame {frames[k]}")
+        starts = np.flatnonzero(np.r_[True, new_id]).tolist()
+        tracks = [Track(tid, classes[tid], frames[a:b], boxes[a:b]) for tid, a, b
+                  in zip(ids[starts].tolist(), starts, starts[1:] + [len(ids)])]
         if max_gap is not None:
             tracks = _split_gaps(tracks, max_gap)
         out[video_id] = tracks
@@ -169,16 +173,11 @@ def _split_gaps(tracks: List[Track], max_gap: int) -> List[Track]:
     next_id = max((t.track_id for t in tracks), default=0) + 1
     out: List[Track] = []
     for track in tracks:
-        frames = track.frames
-        pieces: List[List[int]] = [[frames[0]]]
-        for prev, cur in zip(frames, frames[1:]):
-            if cur - prev > max_gap:
-                pieces.append([])
-            pieces[-1].append(cur)
-        out.append(Track(track.track_id, track.object_class,
-                         {f: track.boxes[f] for f in pieces[0]}))
-        for piece in pieces[1:]:
-            out.append(Track(next_id, track.object_class,
-                             {f: track.boxes[f] for f in piece}))
+        cuts = np.flatnonzero(np.diff(track.frames) > max_gap) + 1
+        pieces = zip(np.split(track.frames, cuts), np.split(track.boxes, cuts))
+        frames, boxes = next(pieces)
+        out.append(Track(track.track_id, track.object_class, frames, boxes))
+        for frames, boxes in pieces:
+            out.append(Track(next_id, track.object_class, frames, boxes))
             next_id += 1
     return out

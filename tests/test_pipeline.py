@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from actpipe import pipeline
 from actpipe.cli import main
 from actpipe.config import PipelineConfig
 from actpipe.evaluation import QUALITY_LEVELS
+from actpipe.geometry import BBox
 from actpipe.pipeline import (DEFAULT_FRAME_SIZE, PipelineInputs, _frame_sizes,
-                              run_pipeline)
-from actpipe.records import MaskFrame, read_records, write_records
+                              infer_video_lengths, run_pipeline)
+from actpipe.records import (DetectionRecord, MaskFrame, read_records,
+                             write_records)
 from actpipe.synth import generate_corpus
 from helpers import closure_scenes
 
@@ -93,10 +96,63 @@ class TestRunPipeline:
             run_pipeline(CONFIG, inputs, tmp_path / "out",
                          stages=("propose", "track"))
 
+    def test_annotations_parsed_once(self, tmp_path, closure_corpus,
+                                     monkeypatch):
+        # no classes and no lengths given: both come from the records too
+        inputs, paths = closure_corpus
+        inputs.video_lengths = {}
+        kinds = []
+
+        def counting_read(path, kind):
+            kinds.append(kind)
+            return read_records(path, kind)
+
+        monkeypatch.setattr(pipeline, "read_records", counting_read)
+        result = run_pipeline(PipelineConfig(), inputs, tmp_path / "out")
+        assert result.summary["mean_naudc"] == 0.0
+        assert kinds.count("annotations") == 1
+
     def test_missing_input_names_stage(self, tmp_path):
         with pytest.raises(ValueError, match="'propose'"):
             run_pipeline(CONFIG, PipelineInputs(), tmp_path / "out",
                          stages=("propose",))
+
+
+class TestVideoLengths:
+    @pytest.fixture
+    def detections_path(self, tmp_path):
+        box = BBox(0, 10, 0, 10)
+        dets = [DetectionRecord(v, f, "person", box, 0.9, 1)
+                for v, last in (("a", 40), ("b", 57)) for f in range(0, last + 1, 8)
+                ] + [DetectionRecord("b", 57, "person", box, 0.9, 2)]
+        path = tmp_path / "detections.jsonl"
+        write_records(sorted(dets, key=lambda d: (d.video_id, d.frame)), path,
+                      "detections")
+        return path
+
+    def test_partial_lengths_filled_from_records(self, detections_path, caplog):
+        inputs = PipelineInputs(detections=detections_path,
+                                video_lengths={"a": 100})
+        with caplog.at_level(logging.WARNING):
+            lengths = infer_video_lengths(inputs)
+        assert lengths == {"a": 100, "b": 58}
+        assert "inferred from record files for b;" in caplog.text
+
+    def test_known_videos_read_no_file(self, tmp_path):
+        bad = tmp_path / "detections.jsonl"
+        bad.write_text("not a record file\n", encoding="utf-8")
+        inputs = PipelineInputs(detections=bad, video_lengths={"a": 100, "b": 7})
+        assert infer_video_lengths(inputs, ["b", "a"]) == {"a": 100, "b": 7}
+
+    def test_pipeline_proposes_on_video_without_length(self, tmp_path,
+                                                       detections_path):
+        inputs = PipelineInputs(detections=detections_path,
+                                video_lengths={"a": 100})
+        result = run_pipeline(CONFIG, inputs, tmp_path / "out",
+                              stages=("propose",))
+        proposals = list(read_records(result.outputs["propose"], "proposals"))
+        assert {c.video_id for c in proposals} == {"a", "b"}
+        assert result.total_frames == 158
 
 
 class TestFrameSizes:

@@ -5,11 +5,11 @@ from actpipe.config import PipelineConfig
 from actpipe.geometry import BBox
 from actpipe.proposals import (central_seeds, generate_video_proposals,
                                refine_union, sample_windows)
-from actpipe.tracking import Track
+from helpers import make_track, track_boxes
 
 
 def track(track_id, frames, box=BBox(10, 50, 10, 50), cls="person"):
-    return Track(track_id, cls, {f: box for f in frames})
+    return make_track(track_id, cls, {f: box for f in frames})
 
 
 class TestSampleWindows:
@@ -74,19 +74,19 @@ class TestRefineUnion:
         assert refine_union(track(1, [0, 16, 32], box), (0, 64)) == box
 
     def test_moving_union(self):
-        t = Track(1, "person", {0: BBox(0, 10, 0, 10), 63: BBox(50, 60, 0, 10)})
+        t = make_track(1, "person", {0: BBox(0, 10, 0, 10), 63: BBox(50, 60, 0, 10)})
         assert refine_union(t, (0, 64)) == BBox(0, 60, 0, 10)
 
     def test_superset_of_member_boxes(self):
-        t = Track(1, "person", {0: BBox(0, 10, 0, 10), 30: BBox(5, 25, 2, 12),
-                                63: BBox(50, 60, 0, 10)})
+        t = make_track(1, "person", {0: BBox(0, 10, 0, 10), 30: BBox(5, 25, 2, 12),
+                                     63: BBox(50, 60, 0, 10)})
         union = refine_union(t, (0, 64))
-        for f, b in t.boxes.items():
+        for f, b in track_boxes(t).items():
             assert union.x0 <= b.x0 and union.x1 >= b.x1
             assert union.y0 <= b.y0 and union.y1 >= b.y1
 
     def test_only_window_boxes_count(self):
-        t = Track(1, "person", {0: BBox(0, 10, 0, 10), 100: BBox(50, 60, 0, 10)})
+        t = make_track(1, "person", {0: BBox(0, 10, 0, 10), 100: BBox(50, 60, 0, 10)})
         assert refine_union(t, (0, 64)) == BBox(0, 10, 0, 10)
 
     def test_empty_window_rejected(self):
@@ -127,7 +127,7 @@ class TestGenerateProposals:
 
     def test_enlargement_applied(self):
         cfg = PipelineConfig(r_enl=0.13)
-        t = Track(1, "person", {32: BBox(100, 200, 100, 200)})
+        t = make_track(1, "person", {32: BBox(100, 200, 100, 200)})
         (cube,) = generate_video_proposals("v", [t], 64, (1920, 1080), cfg)
         assert cube.bbox == BBox(93.5, 206.5, 93.5, 206.5)
 

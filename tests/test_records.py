@@ -144,6 +144,39 @@ class TestReaderErrors:
                            match=r"neg\.jsonl:3: negative run length"):
             list(read_records(path, "masks"))
 
+    @pytest.mark.parametrize("tube, message", [
+        ("[[4,0,1,0,1],[5,0,1,0]]", "tube entries must be"),
+        ("[[4,0,1,0,1],[5,0,1]]", "tube entries must be"),
+        ("[[4.5,0,1,0,1]]", "non-integer tube frame"),
+        ('[["4",0,1,0,1],[5,null,1,0,1]]', "tube entries|non-finite"),
+        ("[[4,0,1,0,1],[5,2,2,0,1]]", "degenerate box"),
+        ("[[4,0,1,0,1],[6,0,1,0,1],[4,0,2,0,2]]", "duplicate frame 4"),
+        ('[[4,0,1,0,"x"]]', "tube entries must be"),
+        ("[[1,0,1,0,1]]", "tube frames outside the annotation window"),
+    ])
+    def test_malformed_tube_names_line(self, tmp_path, tube, message):
+        path = tmp_path / "tube.jsonl"
+        path.write_text(
+            "#actpipe/annotations/v1\n"
+            '{"video_id":"v","activity_class":"walk","t0":2,"t1":9,'
+            '"tube":[[2,0,1,0,1]]}\n'
+            '{"video_id":"v","activity_class":"walk","t0":2,"t1":9,'
+            f'"tube":{tube}}}\n'
+        )
+        with pytest.raises(RecordError, match=rf"tube\.jsonl:3: ({message})"):
+            list(read_records(path, "annotations"))
+
+    def test_malformed_instance_tube_names_line(self, tmp_path):
+        path = tmp_path / "inst.jsonl"
+        path.write_text(
+            "#actpipe/instances/v1\n"
+            '{"video_id":"v","activity_class":"walk","t0":0,"t1":4,"x0":0,'
+            '"x1":1,"y0":0,"y1":1,"score":0.5,"seed_track":1,'
+            '"tube":[[0,0,1,0,1],[0,0,1,0,1]]}\n'
+        )
+        with pytest.raises(RecordError, match=r"inst\.jsonl:2: duplicate frame 0"):
+            list(read_records(path, "instances"))
+
     def test_out_of_order_frames_rejected(self, tmp_path):
         b = BBox(0, 1, 0, 1)
         records = [DetectionRecord("v", 5, "p", b, 0.5),
@@ -187,6 +220,32 @@ class TestAnnotationType:
     def test_tube_outside_window_rejected(self):
         with pytest.raises(ValueError):
             ActivityAnnotation("v", "walk", 2, 6, ((7, BBox(0, 1, 0, 1)),))
+
+    def test_tube_held_as_sorted_arrays(self):
+        ann = ActivityAnnotation("v", "walk", 0, 9, ((7, BBox(2, 3, 0, 1)),
+                                                     (1, BBox(0, 1, 0, 1))))
+        assert ann.frames.dtype == np.int64 and ann.frames.tolist() == [1, 7]
+        assert ann.boxes.dtype == np.float64
+        assert ann.boxes.tolist() == [[0, 1, 0, 1], [2, 3, 0, 1]]
+        assert ann.tube == ((1, BBox(0, 1, 0, 1)), (7, BBox(2, 3, 0, 1)))
+
+    def test_equality_compares_tubes(self):
+        box = BBox(0, 4, 0, 4)
+        ann = ActivityAnnotation.with_static_box("v", "walk", 2, 6, box)
+        assert ann == ActivityAnnotation("v", "walk", 2, 6,
+                                         tuple((f, box) for f in range(2, 6)))
+        assert ann != ActivityAnnotation.with_static_box("v", "walk", 2, 6,
+                                                         BBox(0, 4, 0, 5))
+        assert ann != ActivityAnnotation.with_static_box("v", "walk", 2, 7, box)
+        assert ann != "not an annotation"
+
+    def test_int_coordinates_round_trip_as_floats(self, tmp_path):
+        ann = ActivityAnnotation("v", "walk", 0, 2, ((0, BBox(1, 2, -0.0, 3)),))
+        path = tmp_path / "a.jsonl"
+        write_records([ann], path, "annotations")
+        assert path.read_text().splitlines()[1].endswith(
+            '"tube":[[0,1.0,2.0,-0.0,3.0]]}')
+        assert list(read_records(path, "annotations")) == [ann]
 
     def test_needs_one_box(self):
         with pytest.raises(ValueError):

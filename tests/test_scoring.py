@@ -181,6 +181,16 @@ class TestExternalScores:
         with pytest.raises(ValueError, match="length"):
             load_external_scores(path, proposals, self.classes)
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        proposals = [cube(seed=1), cube(seed=2)]
+        path = tmp_path / "dup.jsonl"
+        self.write_scores(path, [ScoredCube(proposals[0], (0.1, 0.2)),
+                                 ScoredCube(proposals[1], (0.3, 0.4)),
+                                 ScoredCube(proposals[0], (0.9, 0.9))])
+        with pytest.raises(ValueError,
+                           match=r"dup\.jsonl: duplicate score key \('v', 0, 64, 1\)"):
+            load_external_scores(path, proposals, self.classes)
+
 
 class TestFusion:
     def scored(self, values):

@@ -167,5 +167,5 @@ class TestTracksFromRecords:
         dets = [det("v", f, box, track=1) for f in (0, 8, 40, 48)]
         tracks = tracks_from_records(dets, max_gap=8)
         assert sorted(t.track_id for t in tracks["v"]) == [1, 2]
-        assert tracks["v"][0].frames == [0, 8]
-        assert tracks["v"][1].frames == [40, 48]
+        assert tracks["v"][0].frames.tolist() == [0, 8]
+        assert tracks["v"][1].frames.tolist() == [40, 48]
