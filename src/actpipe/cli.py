@@ -19,13 +19,12 @@ from .config import ConfigError, PipelineConfig, parse_config, parse_overrides
 from .dedup import deduplicate, merge_adjacent
 from .evaluation import evaluation_report, proposal_quality
 from .filtering import SENTINEL_THRESHOLD, filter_stage
-from .labeling import apply_assignments, assign_labels, gt_to_cubes, \
-    proposal_stats
+from .labeling import label_stage
 from .pipeline import (CANONICAL_STAGES, PipelineInputs, bench,
                        infer_video_lengths, run_pipeline)
 from .proposals import generate_proposals
 from .records import ReportRecord, read_records, write_records
-from .scoring import fuse_scores, load_external_scores, oracle_scores
+from .scoring import score_stage
 from .synth import SceneSpec, generate_corpus
 from .tracking import greedy_iou_track, tracks_from_records
 
@@ -117,14 +116,10 @@ def _cmd_propose(args) -> None:
 
 def _cmd_assign_labels(args) -> None:
     config = _load_config(args)
-    proposals = list(read_records(args.input, "proposals"))
-    annotations = list(read_records(args.annotations, "annotations"))
-    gt_cubes = [gt for a in annotations
-                for gt in gt_to_cubes(a, config.d_prop, config.s_prop)]
-    assignments = assign_labels(proposals, gt_cubes, config.s_high, config.s_low)
-    write_records(apply_assignments(proposals, assignments), args.output,
-                  "proposals")
-    stats = proposal_stats(assignments)
+    labeled, stats = label_stage(list(read_records(args.input, "proposals")),
+                                 read_records(args.annotations, "annotations"),
+                                 config)
+    write_records(labeled, args.output, "proposals")
     if args.stats:
         write_records([ReportRecord("proposal_stats", stats.to_dict())],
                       args.stats, "reports")
@@ -155,32 +150,21 @@ def _cmd_score(args) -> None:
     config = _load_config(args)
     proposals = list(read_records(args.input, "proposals"))
     classes = _classes(config, proposals)
-    if args.oracle:
-        scored = oracle_scores(proposals, classes)
-    else:
-        sets = [load_external_scores(path, proposals, classes)
-                for path in args.from_files]
-        if len(sets) == 1:
-            scored = sets[0]
-        else:
-            weights = None
-            if args.fuse_weights:
-                with open(args.fuse_weights, "r", encoding="utf-8") as fh:
-                    table = json.load(fh)
-                weights = np.array([[table[c][m] for c in classes]
-                                    for m in range(len(sets))])
-            scored = fuse_scores(sets, weights)
+    files = args.from_files or ()
+    weights = None
+    if args.fuse_weights and len(files) > 1:
+        with open(args.fuse_weights, "r", encoding="utf-8") as fh:
+            table = json.load(fh)
+        weights = np.array([[table[c][m] for c in classes]
+                            for m in range(len(files))])
+    scored = score_stage(proposals, classes, files, weights)
     write_records(scored, args.output, "scored-proposals")
     print(f"scored {len(scored)} proposals over {len(classes)} classes")
 
 
 def _cmd_dedup(args) -> None:
-    config = _load_config(args)
     scored = list(read_records(args.input, "scored-proposals"))
-    if not config.activity_classes:
-        raise ConfigError("dedup needs activity_classes in the config "
-                          "(score vectors carry no class names)")
-    instances = deduplicate(scored, config)
+    instances = deduplicate(scored, _load_config(args))
     write_records(instances, args.output, "instances")
     print(f"deduplicated {len(scored)} cubes into {len(instances)} instances")
 
@@ -230,12 +214,8 @@ def _cmd_run(args) -> None:
         video_lengths=_parse_video_lengths(args.video_frames),
     )
     stages = args.stages.split(",") if args.stages else None
-    scores_paths = args.scores or None
-    result = run_pipeline(
-        config, inputs, args.out_dir, stages=stages,
-        score_mode="external" if scores_paths else "oracle",
-        scores_paths=scores_paths,
-    )
+    result = run_pipeline(config, inputs, args.out_dir, stages=stages,
+                          scores=args.scores)
     for timing in result.stages:
         entry = timing.to_dict(result.total_frames)
         print(f"{timing.name:>15}: {timing.seconds:8.3f}s  "

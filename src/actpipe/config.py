@@ -37,13 +37,12 @@ class PipelineConfig:
     activity_classes: Tuple[str, ...] = ()
     min_temporal_overlap: Optional[int] = None
     video_fps: float = 30.0
-    frames_per_clip: int = 16
     naudc_limit: float = 0.2
     pmiss_budgets: Tuple[float, ...] = (0.02, 0.15)
     map_iou_thresholds: Tuple[float, ...] = (0.1, 0.2, 0.5)
 
     def __post_init__(self):
-        for name in ("s_det", "d_prop", "s_prop", "s_bg", "l_merg", "frames_per_clip"):
+        for name in ("s_det", "d_prop", "s_prop", "s_bg", "l_merg"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be a positive frame count")
         if self.s_prop > self.d_prop:
@@ -87,7 +86,7 @@ class PipelineConfig:
         return replace(self, **kwargs) if kwargs else self
 
 
-_INT_KEYS = {"s_det", "d_prop", "s_prop", "s_bg", "l_merg", "frames_per_clip",
+_INT_KEYS = {"s_det", "d_prop", "s_prop", "s_bg", "l_merg",
              "min_temporal_overlap"}
 _FLOAT_KEYS = {"r_enl", "p_pos", "s_high", "s_low", "s_merg", "video_fps",
                "naudc_limit"}

@@ -24,7 +24,6 @@ from .records import MaskFrame
 
 __all__ = [
     "SENTINEL_THRESHOLD",
-    "frame_diff_segment",
     "foreground_score",
     "score_foreground",
     "collect_positive_scores",
@@ -35,40 +34,6 @@ __all__ = [
 
 # below-domain sentinel: every score is strictly above it, so nothing filters
 SENTINEL_THRESHOLD = float("-inf")
-
-
-def frame_diff_segment(frames: Iterable[Tuple[int, np.ndarray]],
-                       diff_threshold: float,
-                       video_id: str,
-                       history: int = 3) -> List[MaskFrame]:
-    """Median-difference foreground masks from grayscale frames.
-
-    A pixel is foreground when it deviates from the running median of the
-    last ``history`` sampled frames by more than ``diff_threshold``. The
-    first frame has no history and is all background. This is a baseline
-    stand-in for a real segmenter.
-    """
-    masks: List[MaskFrame] = []
-    window: List[np.ndarray] = []
-    shape = None
-    for frame_idx, frame in frames:
-        frame = np.asarray(frame, dtype=np.float64)
-        if shape is None:
-            shape = frame.shape
-        elif frame.shape != shape:
-            raise ValueError(
-                f"frame {frame_idx} shape {frame.shape} != {shape}"
-            )
-        if window:
-            median = np.median(np.stack(window), axis=0)
-            fg = (np.abs(frame - median) > diff_threshold).astype(np.uint8)
-        else:
-            fg = np.zeros(shape, dtype=np.uint8)
-        masks.append(MaskFrame.from_array(video_id, frame_idx, fg))
-        window.append(frame)
-        if len(window) > history:
-            window.pop(0)
-    return masks
 
 
 def _cell_range(lo: float, hi: float, limit: int) -> Tuple[int, int]:

@@ -15,6 +15,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from .config import PipelineConfig
 from .geometry import BBox, Cube, window_unions
 from .proposals import sample_windows
 from .records import ActivityAnnotation
@@ -29,6 +30,7 @@ __all__ = [
     "assign_labels",
     "apply_assignments",
     "proposal_stats",
+    "label_stage",
 ]
 
 SAME_WINDOW_TIOU = 0.5
@@ -227,3 +229,13 @@ def proposal_stats(assignments: Iterable[LabelAssignment]) -> ProposalStats:
         two_label_rate=hist[2] / positive if positive else 0.0,
         many_label_rate=many / positive if positive else 0.0,
     )
+
+
+def label_stage(proposals: Sequence[Cube],
+                annotations: Iterable[ActivityAnnotation],
+                config: PipelineConfig) -> Tuple[List[Cube], ProposalStats]:
+    """The assign-labels stage: labeled proposals and their statistics."""
+    gt_cubes = [gt for a in annotations
+                for gt in gt_to_cubes(a, config.d_prop, config.s_prop)]
+    assignments = assign_labels(proposals, gt_cubes, config.s_high, config.s_low)
+    return apply_assignments(proposals, assignments), proposal_stats(assignments)

@@ -1,8 +1,10 @@
 """Stage orchestration, timing, and throughput benchmarking.
 
-Stages communicate through ordered record files so every stage is
+Every stage writes its output as an ordered record file, so each stage is
 independently runnable and resumable; re-running a stage on the same inputs
-is bit-identical. The canonical chain is
+is bit-identical. Within one run, each stage hands the records it wrote
+to the next stage in memory: only the run's inputs are read from files,
+and no stage re-reads what an earlier one wrote. The canonical chain is
 
     track -> propose -> assign-labels -> filter -> score -> dedup
           -> merge-adjacent -> evaluate
@@ -30,11 +32,10 @@ from .dedup import deduplicate, merge_adjacent
 from .evaluation import evaluation_report
 from .filtering import filter_stage
 from .geometry import BBox
-from .labeling import apply_assignments, assign_labels, gt_to_cubes, \
-    proposal_stats
+from .labeling import label_stage
 from .proposals import generate_proposals
 from .records import RECORD_KINDS, ReportRecord, read_records, write_records
-from .scoring import fuse_scores, load_external_scores, oracle_scores
+from .scoring import score_stage
 from .synth import ActivitySpec, ObjectSpec, SceneSpec, generate_scene
 from .tracking import greedy_iou_track, tracks_from_records
 
@@ -167,14 +168,14 @@ def _frame_sizes(inputs: PipelineInputs,
 
 def run_pipeline(config: PipelineConfig, inputs: PipelineInputs,
                  out_dir: Path, stages: Optional[Sequence[str]] = None,
-                 score_mode: str = "oracle",
-                 scores_paths: Optional[Sequence[Path]] = None,
-                 fuse_weights: Optional[np.ndarray] = None,
+                 scores: Sequence[Path] = (),
                  strict: Optional[bool] = None) -> PipelineResult:
-    """Run an in-order subset of the stage chain over record files.
+    """Run an in-order subset of the stage chain.
 
-    Each stage persists its output under ``out_dir`` and is timed. A stage
-    contract violation aborts with the failing stage named.
+    Each stage writes its output under ``out_dir``, is timed, and hands the
+    records it wrote to the stage that consumes them. ``scores`` are
+    external score files, fused when there are several; without them the
+    oracle scores. A stage contract violation aborts with the stage named.
     """
     stage_list = list(stages) if stages is not None else list(CANONICAL_STAGES)
     order = {name: i for i, name in enumerate(CANONICAL_STAGES)}
@@ -209,112 +210,100 @@ def run_pipeline(config: PipelineConfig, inputs: PipelineInputs,
             config = config.with_classes(activity_classes=classes)
     video_lengths = infer_video_lengths(inputs, (), annotations_list)
 
-    state = {key: Path(path) for key, path in (("detections", inputs.detections),
-                                               ("masks", inputs.masks)) if path}
+    # records written by one stage, kept until the stage that consumes them
+    handoff: Dict[str, list] = {}
     outputs: Dict[str, Path] = {}
     timings: List[StageTiming] = []
     summary: Optional[dict] = None
 
-    def need(key: str, stage: str) -> Path:
-        if key not in state:
+    def take(key: str, stage: str):
+        """The records handed on as ``key``, else the input file of that kind."""
+        if key in handoff:
+            return handoff.pop(key)
+        path = {"detections": inputs.detections, "masks": inputs.masks}.get(key)
+        if not path:
             raise ValueError(f"stage {stage!r} needs a {key} input")
-        return state[key]
+        return read_records(path, key)
 
-    def emit(output: str, records, name: str, kind: str,
+    def emit(output: str, records: list, name: str, kind: str,
              key: Optional[str] = None) -> int:
-        """Write one output file; ``key`` hands it on to later stages."""
+        """Write one output file; ``key`` hands its records on."""
         outputs[output] = out_dir / name
         if key:
-            state[key] = outputs[output]
+            handoff[key] = records
         return write_records(records, outputs[output], kind)
 
-    for stage in stage_list:
-        start = time.perf_counter()
-        records_in = records_out = 0
-
+    def run_stage(stage: str) -> Tuple[int, int]:
+        """One stage's body: its input and output record counts."""
+        nonlocal video_lengths, summary
         if stage == "track":
-            detections = list(read_records(need("detections", stage), "detections"))
-            records_in = len(detections)
+            detections = list(take("detections", stage))
             tracked = greedy_iou_track(detections, max_gap=config.s_det)
-            records_out = emit("track", tracked, "detections_tracked.jsonl",
-                               "detections", "detections")
+            return len(detections), emit("track", tracked, "detections_tracked.jsonl",
+                                         "detections", "detections")
 
-        elif stage == "propose":
-            detections = read_records(need("detections", stage), "detections")
-            tracks = tracks_from_records(detections)
-            records_in = sum(len(t.boxes) for ts in tracks.values() for t in ts)
+        if stage == "propose":
+            tracks = tracks_from_records(take("detections", stage))
             sizes = _frame_sizes(inputs, list(tracks))
             video_lengths = lengths_for(tracks)
             proposals = generate_proposals(tracks, video_lengths, sizes, config)
-            records_out = emit("propose", proposals, "proposals.jsonl",
-                               "proposals", "proposals")
+            return (sum(len(t.boxes) for ts in tracks.values() for t in ts),
+                    emit("propose", proposals, "proposals.jsonl", "proposals",
+                         "proposals"))
 
-        elif stage == "assign-labels":
-            proposals = list(read_records(need("proposals", stage), "proposals"))
-            records_in = len(proposals)
-            gt_cubes = [gt for a in annotations_list()
-                        for gt in gt_to_cubes(a, config.d_prop, config.s_prop)]
-            assignments = assign_labels(proposals, gt_cubes,
-                                        config.s_high, config.s_low)
-            records_out = emit("assign-labels", apply_assignments(proposals, assignments),
-                               "proposals_labeled.jsonl", "proposals", "proposals")
-            stats = proposal_stats(assignments)
+        if stage == "assign-labels":
+            proposals = take("proposals", stage)
+            labeled, stats = label_stage(proposals, annotations_list(), config)
+            records_out = emit("assign-labels", labeled, "proposals_labeled.jsonl",
+                               "proposals", "proposals")
             emit("label-stats", [ReportRecord("proposal_stats", stats.to_dict())],
                  "label_stats.jsonl", "reports")
+            return len(proposals), records_out
 
-        elif stage == "filter":
-            proposals = list(read_records(need("proposals", stage), "proposals"))
-            records_in = len(proposals)
-            masks = read_records(need("masks", stage), "masks")
-            kept, report = filter_stage(proposals, masks, config)
+        if stage == "filter":
+            proposals = take("proposals", stage)
+            kept, report = filter_stage(proposals, take("masks", stage), config)
             records_out = emit("filter", kept, "proposals_filtered.jsonl",
                                "proposals", "proposals")
             emit("filter-thresholds", [ReportRecord("filter_thresholds", report)],
                  "filter_thresholds.jsonl", "reports")
+            return len(proposals), records_out
 
-        elif stage == "score":
-            proposals = list(read_records(need("proposals", stage), "proposals"))
-            records_in = len(proposals)
-            if score_mode == "oracle":
-                scored = oracle_scores(proposals, config.activity_classes)
-            elif score_mode == "external":
-                if not scores_paths:
-                    raise ValueError("external scoring needs a scores file")
-                sets = [load_external_scores(p, proposals, config.activity_classes)
-                        for p in scores_paths]
-                scored = sets[0] if len(sets) == 1 else fuse_scores(sets, fuse_weights)
-            else:
-                raise ValueError(f"unknown score mode {score_mode!r}")
-            records_out = emit("score", scored, "proposals_scored.jsonl",
-                               "scored-proposals", "scored")
+        if stage == "score":
+            proposals = take("proposals", stage)
+            scored = score_stage(proposals, config.activity_classes, scores)
+            return len(proposals), emit("score", scored, "proposals_scored.jsonl",
+                                        "scored-proposals", "scored")
 
-        elif stage == "dedup":
-            scored = list(read_records(need("scored", stage), "scored-proposals"))
-            records_in = len(scored)
-            records_out = emit("dedup", deduplicate(scored, config), "instances.jsonl",
-                               "instances", "instances")
+        if stage == "dedup":
+            scored = take("scored", stage)
+            return len(scored), emit("dedup", deduplicate(scored, config),
+                                     "instances.jsonl", "instances", "instances")
 
-        elif stage == "merge-adjacent":
-            instances = list(read_records(need("instances", stage), "instances"))
-            records_in = len(instances)
+        if stage == "merge-adjacent":
+            instances = take("instances", stage)
             merged = merge_adjacent(instances, config.s_merg, config.l_merg)
-            records_out = emit("merge-adjacent", merged, "instances_merged.jsonl",
-                               "instances", "instances")
+            return len(instances), emit("merge-adjacent", merged,
+                                        "instances_merged.jsonl", "instances",
+                                        "instances")
 
-        elif stage == "evaluate":
-            instances = list(read_records(need("instances", stage), "instances"))
-            records_in = len(instances)
-            annotations = annotations_list()
-            video_lengths = lengths_for({i.video_id for i in instances}
-                                        | {a.video_id for a in annotations})
-            use_strict = strict if strict is not None else "merge-adjacent" in stage_list
-            curves, summary = evaluation_report(instances, annotations, config,
-                                                video_lengths, strict=use_strict)
-            records_out = emit("det-curves", [curves[c] for c in sorted(curves)],
-                               "det_curves.jsonl", "det-curves")
-            emit("evaluate", [ReportRecord("evaluation", summary)],
-                 "evaluation.jsonl", "reports")
+        # evaluate
+        instances = take("instances", stage)
+        annotations = annotations_list()
+        video_lengths = lengths_for({i.video_id for i in instances}
+                                    | {a.video_id for a in annotations})
+        use_strict = strict if strict is not None else "merge-adjacent" in stage_list
+        curves, summary = evaluation_report(instances, annotations, config,
+                                            video_lengths, strict=use_strict)
+        records_out = emit("det-curves", [curves[c] for c in sorted(curves)],
+                           "det_curves.jsonl", "det-curves")
+        emit("evaluate", [ReportRecord("evaluation", summary)],
+             "evaluation.jsonl", "reports")
+        return len(instances), records_out
 
+    for stage in stage_list:
+        start = time.perf_counter()
+        records_in, records_out = run_stage(stage)
         timings.append(StageTiming(stage, time.perf_counter() - start,
                                    records_in, records_out))
 

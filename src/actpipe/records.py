@@ -3,7 +3,8 @@
 Each file is UTF-8 JSON lines with a header line naming the record kind and
 schema version (``#actpipe/<kind>/v1``). Field names and ordering are
 documented in SCHEMAS.md at the repository root. Readers and writers stream
-one record at a time; whole files are never held in memory.
+one record at a time and never hold a whole file themselves; the pipeline's
+stages do hold each stage's records as one list.
 """
 
 from __future__ import annotations

@@ -4,14 +4,13 @@ Neural classifiers live outside this artifact. This module provides the
 exact scorer contract instead: a per-proposal confidence vector over the
 configured activity classes, either synthesized from assigned labels
 (perfect-classifier oracle), loaded from record files, or fused across
-several score sets with per-class weights. Frame sampling and the weighted
-binary-cross-entropy utilities used for classifier training live here too.
+several score sets with per-class weights. The weighted binary-cross-entropy
+utilities used for classifier training live here too.
 """
 
 from __future__ import annotations
 
 import logging
-import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -23,44 +22,17 @@ from .records import ScoredCube, read_records
 
 __all__ = [
     "WeightVectors",
-    "sample_frames",
     "wbce_weights",
     "wbce_loss",
     "oracle_scores",
     "load_external_scores",
     "fuse_scores",
+    "score_stage",
 ]
 
 logger = logging.getLogger(__name__)
 
 EPS = 1e-7
-
-
-def sample_frames(t0: int, t1: int, t: int, mode: str = "center",
-                  seed: Optional[int] = None) -> List[int]:
-    """Pick one frame per segment after splitting [t0, t1) into t segments.
-
-    ``center`` takes each segment's middle frame; ``random`` draws uniformly
-    within each segment from the given seed. Output indices are strictly
-    increasing.
-    """
-    if t < 1:
-        raise ValueError(f"segment count {t} must be >= 1")
-    length = t1 - t0
-    if length < t:
-        raise ValueError(f"window [{t0}, {t1}) shorter than {t} segments")
-    if mode not in ("center", "random"):
-        raise ValueError(f"unknown sampling mode {mode!r}")
-    rng = random.Random(seed) if mode == "random" else None
-    frames = []
-    for s in range(t):
-        start = t0 + (s * length) // t
-        stop = t0 + ((s + 1) * length) // t
-        if rng is None:
-            frames.append((start + stop) // 2)
-        else:
-            frames.append(rng.randrange(start, stop))
-    return frames
 
 
 @dataclass(frozen=True)
@@ -199,6 +171,7 @@ def fuse_scores(score_sets: Sequence[Sequence[ScoredCube]],
                 weights: Optional[np.ndarray] = None) -> List[ScoredCube]:
     """Action-wise late fusion of several score sets over identical proposals.
 
+    Sets are joined by cube key, so a key repeated within a set is an error.
     ``weights`` is a (models x classes) matrix whose columns each sum to 1;
     omitted weights mean a uniform average. Output follows the first set's
     proposal order.
@@ -220,10 +193,13 @@ def fuse_scores(score_sets: Sequence[Sequence[ScoredCube]],
         raise ValueError(f"per-class weights must sum to 1, got {sums}")
 
     tables = []
-    base_keys = {sc.key for sc in first}
     for s, score_set in enumerate(score_sets):
-        table = {sc.key: sc for sc in score_set}
-        if set(table) != base_keys:
+        table: Dict[tuple, ScoredCube] = {}
+        for sc in score_set:
+            if sc.key in table:
+                raise ValueError(f"score set {s}: duplicate score key {sc.key}")
+            table[sc.key] = sc
+        if tables and table.keys() != tables[0].keys():
             raise ValueError(f"score set {s} covers different proposals")
         tables.append(table)
 
@@ -233,3 +209,15 @@ def fuse_scores(score_sets: Sequence[Sequence[ScoredCube]],
         fused = (weights * vectors).sum(axis=0)
         out.append(ScoredCube(sc.cube, tuple(float(x) for x in fused)))
     return out
+
+
+def score_stage(proposals: Sequence[Cube], activity_classes: Sequence[str],
+                scores: Sequence[Union[str, Path]] = (),
+                weights: Optional[np.ndarray] = None) -> List[ScoredCube]:
+    """The score stage: oracle scores when ``scores`` is empty, else each
+    external file joined onto the proposals, fused when there are several."""
+    if not scores:
+        return oracle_scores(proposals, activity_classes)
+    sets = [load_external_scores(path, proposals, activity_classes)
+            for path in scores]
+    return sets[0] if len(sets) == 1 else fuse_scores(sets, weights)

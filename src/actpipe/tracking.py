@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -116,13 +116,12 @@ def greedy_iou_track(detections: Iterable[DetectionRecord],
     return out
 
 
-def tracks_from_records(detections: Iterable[DetectionRecord],
-                        max_gap: Optional[int] = None) -> Dict[str, List[Track]]:
+def tracks_from_records(detections: Iterable[DetectionRecord]
+                        ) -> Dict[str, List[Track]]:
     """Group detections carrying track ids into per-video Track lists.
 
-    A track id spanning two object classes is an error. When ``max_gap`` is
-    given, frame gaps beyond it split the track and the later part gets a
-    fresh id past the video's maximum.
+    A track id spanning two object classes, or with two boxes on one frame,
+    is an error.
     """
     # per video: track id -> object class, then flat id, frame and box columns
     per_video: Dict[str, tuple] = {}
@@ -161,23 +160,8 @@ def tracks_from_records(detections: Iterable[DetectionRecord],
             raise ValueError(f"track {ids[k]} in video {video_id!r} has two "
                              f"boxes on frame {frames[k]}")
         starts = np.flatnonzero(np.r_[True, new_id]).tolist()
-        tracks = [Track(tid, classes[tid], frames[a:b], boxes[a:b]) for tid, a, b
-                  in zip(ids[starts].tolist(), starts, starts[1:] + [len(ids)])]
-        if max_gap is not None:
-            tracks = _split_gaps(tracks, max_gap)
-        out[video_id] = tracks
+        out[video_id] = [
+            Track(tid, classes[tid], frames[a:b], boxes[a:b]) for tid, a, b
+            in zip(ids[starts].tolist(), starts, starts[1:] + [len(ids)])]
     return out
 
-
-def _split_gaps(tracks: List[Track], max_gap: int) -> List[Track]:
-    next_id = max((t.track_id for t in tracks), default=0) + 1
-    out: List[Track] = []
-    for track in tracks:
-        cuts = np.flatnonzero(np.diff(track.frames) > max_gap) + 1
-        pieces = zip(np.split(track.frames, cuts), np.split(track.boxes, cuts))
-        frames, boxes = next(pieces)
-        out.append(Track(track.track_id, track.object_class, frames, boxes))
-        for frames, boxes in pieces:
-            out.append(Track(next_id, track.object_class, frames, boxes))
-            next_id += 1
-    return out

@@ -1,5 +1,11 @@
+import inspect
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+import actpipe
 from actpipe.config import ConfigError, PipelineConfig, parse_config, \
     parse_overrides
 
@@ -92,3 +98,23 @@ class TestParsing:
         assert (cfg.d_prop, cfg.s_prop) == (96, 32)
         with pytest.raises(ConfigError):
             parse_overrides(PipelineConfig(), ["nope=1"])
+
+
+def test_every_field_is_read_outside_config():
+    """A config key that no stage reads is a knob that does nothing."""
+    package = Path(actpipe.__file__).parent
+    code = "\n".join(path.read_text(encoding="utf-8")
+                     for path in sorted(package.glob("*.py"))
+                     if path.name != "config.py")
+
+    def read(name):
+        return re.search(rf"\.{name}\b", code) is not None
+
+    # a property read outside config.py reads the fields its body uses
+    via_property = {used for name, value in vars(PipelineConfig).items()
+                    if isinstance(value, property) and read(name)
+                    for used in re.findall(r"self\.(\w+)",
+                                           inspect.getsource(value.fget))}
+    unread = [f.name for f in fields(PipelineConfig)
+              if not read(f.name) and f.name not in via_property]
+    assert unread == []

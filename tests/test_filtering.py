@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from actpipe.filtering import (SENTINEL_THRESHOLD, calibrate_threshold,
                                collect_positive_scores, filter_proposals,
-                               foreground_score, frame_diff_segment,
-                               score_foreground)
+                               foreground_score, score_foreground)
 from actpipe.geometry import BBox, Cube
 from actpipe.records import MaskFrame
 
@@ -50,45 +49,6 @@ def scoring_inputs(draw):
             box = BBox(x0, x0 + draw(extent), y0, y0 + draw(extent))
             cubes.append(cube(t0, t1, box, video=video, seed=len(cubes)))
     return cubes, masks
-
-
-class TestFrameDiff:
-    def test_constant_video_all_background(self):
-        frames = [(f, np.full((8, 8), 100.0)) for f in range(0, 40, 8)]
-        masks = frame_diff_segment(frames, diff_threshold=5, video_id="v")
-        assert all(m.decode().sum() == 0 for m in masks)
-
-    def test_jumping_rectangle_marks_old_and_new(self):
-        base = np.zeros((10, 10))
-        a = base.copy()
-        a[2:4, 2:4] = 200
-        b = base.copy()
-        b[6:8, 6:8] = 200
-        masks = frame_diff_segment([(0, a), (8, b)], diff_threshold=50,
-                                   video_id="v")
-        got = masks[1].decode()
-        # brute-force per-pixel oracle against the single history frame
-        expect = (np.abs(b - a) > 50).astype(np.uint8)
-        assert (got == expect).all()
-        assert got[2:4, 2:4].all() and got[6:8, 6:8].all()
-        assert got.sum() == 8
-
-    def test_zero_threshold_on_changing_input_all_foreground(self):
-        rng = np.random.default_rng(0)
-        a = rng.random((6, 6))
-        b = a + 1.0
-        masks = frame_diff_segment([(0, a), (8, b)], diff_threshold=0,
-                                   video_id="v")
-        assert masks[1].decode().all()
-
-    def test_first_frame_background(self):
-        masks = frame_diff_segment([(0, np.ones((4, 4)) * 255)], 10, "v")
-        assert masks[0].decode().sum() == 0
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            frame_diff_segment([(0, np.zeros((4, 4))), (8, np.zeros((5, 5)))],
-                               1, "v")
 
 
 class TestForegroundScore:

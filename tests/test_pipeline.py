@@ -1,5 +1,7 @@
 import json
 import logging
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,11 @@ from actpipe.synth import generate_corpus
 from helpers import closure_scenes
 
 CONFIG = PipelineConfig()
+# the record files one full run writes, by name without ".jsonl"
+CLI_CHAIN_OUTPUTS = (
+    "detections_tracked", "proposals", "proposals_labeled", "label_stats",
+    "proposals_filtered", "filter_thresholds", "proposals_scored",
+    "instances", "instances_merged", "det_curves", "evaluation")
 
 
 @pytest.fixture()
@@ -111,6 +118,26 @@ class TestRunPipeline:
         result = run_pipeline(PipelineConfig(), inputs, tmp_path / "out")
         assert result.summary["mean_naudc"] == 0.0
         assert kinds.count("annotations") == 1
+
+    def test_inputs_read_once_and_outputs_never(self, tmp_path,
+                                                 closure_corpus, monkeypatch):
+        inputs, _ = closure_corpus
+        out_dir = tmp_path / "out"
+        reads = []
+
+        def recording_read(path, kind):
+            reads.append(Path(path).resolve())
+            return read_records(path, kind)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("actpipe") and hasattr(module, "read_records"):
+                monkeypatch.setattr(module, "read_records", recording_read)
+        result = run_pipeline(CONFIG, inputs, out_dir)
+        assert result.summary["mean_naudc"] == 0.0
+        assert sorted(reads) == sorted(
+            Path(p).resolve() for p in (inputs.detections, inputs.annotations,
+                                        inputs.masks))
+        assert not [p for p in reads if out_dir.resolve() in p.parents]
 
     def test_missing_input_names_stage(self, tmp_path):
         with pytest.raises(ValueError, match="'propose'"):
@@ -328,6 +355,42 @@ class TestCli:
         stages = [s["stage"] for s in report.data["stages"]]
         assert stages == ["propose", "assign-labels", "filter", "score",
                           "dedup", "evaluate"]
+
+    def test_subcommands_write_what_run_writes(self, tmp_path,
+                                               closure_corpus):
+        # same lengths, frame size and classes on both paths
+        _, paths = closure_corpus
+        common = ["--set", "activity_classes=walk"]
+        frames = ["--video-frames", "act00=192", "--video-frames", "bg00=192"]
+        run_dir, d = tmp_path / "run", tmp_path / "cli"
+        d.mkdir()
+        assert self.run("run", "--detections", paths["detections"],
+                        "--annotations", paths["annotations"],
+                        "--masks", paths["masks"], "--out-dir", run_dir,
+                        *common, *frames) == 0
+        o = {name: d / f"{name}.jsonl" for name in CLI_CHAIN_OUTPUTS}
+        chain = [
+            ("track", paths["detections"], "-o", o["detections_tracked"]),
+            ("propose", o["detections_tracked"], "-o", o["proposals"],
+             "--frame-size", "640x480", *frames),
+            ("assign-labels", o["proposals"], "--annotations",
+             paths["annotations"], "-o", o["proposals_labeled"],
+             "--stats", o["label_stats"]),
+            ("filter", o["proposals_labeled"], "--masks", paths["masks"],
+             "-o", o["proposals_filtered"],
+             "--thresholds", o["filter_thresholds"]),
+            ("score", o["proposals_filtered"], "--oracle",
+             "-o", o["proposals_scored"]),
+            ("dedup", o["proposals_scored"], "-o", o["instances"]),
+            ("merge-adjacent", o["instances"], "-o", o["instances_merged"]),
+            ("evaluate", o["instances_merged"], "--annotations",
+             paths["annotations"], "-o", o["evaluation"],
+             "--curves", o["det_curves"], "--strict", *frames),
+        ]
+        for command, *argv in chain:
+            assert self.run(command, *argv, *common) == 0, command
+        for name, path in o.items():
+            assert path.read_bytes() == (run_dir / path.name).read_bytes(), name
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert self.run("track", tmp_path / "absent.jsonl",

@@ -7,41 +7,12 @@ from hypothesis import given, settings, strategies as st
 from actpipe.geometry import BBox, Cube
 from actpipe.records import ScoredCube, write_records
 from actpipe.scoring import (WeightVectors, fuse_scores, load_external_scores,
-                             oracle_scores, sample_frames, wbce_loss,
-                             wbce_weights)
+                             oracle_scores, wbce_loss, wbce_weights)
 
 
 def cube(seed=1, labels=None, t0=0, t1=64):
     return Cube("v", BBox(0, 10, 0, 10), t0, t1, seed_track=seed,
                 object_class="person", labels=labels)
-
-
-class TestSampleFrames:
-    def test_center_midpoints(self):
-        assert sample_frames(0, 64, 4, "center") == [8, 24, 40, 56]
-
-    def test_every_frame_when_t_equals_length(self):
-        assert sample_frames(0, 8, 8, "center") == list(range(8))
-
-    def test_random_deterministic(self):
-        a = sample_frames(0, 64, 4, "random", seed=42)
-        b = sample_frames(0, 64, 4, "random", seed=42)
-        assert a == b
-
-    def test_window_too_short_rejected(self):
-        with pytest.raises(ValueError, match="shorter"):
-            sample_frames(0, 3, 4)
-
-    @given(st.integers(0, 100), st.integers(1, 200), st.integers(1, 16),
-           st.integers(0, 5))
-    @settings(max_examples=80)
-    def test_strictly_increasing_in_range(self, t0, length, t, seed):
-        if length < t:
-            return
-        for mode in ("center", "random"):
-            frames = sample_frames(t0, t0 + length, t, mode, seed=seed)
-            assert all(a < b for a, b in zip(frames, frames[1:]))
-            assert all(t0 <= f < t0 + length for f in frames)
 
 
 class TestWbceWeights:
@@ -227,6 +198,16 @@ class TestFusion:
         b = self.scored([(0.6, 0.8)])
         with pytest.raises(ValueError, match="sum to 1"):
             fuse_scores([a, b], np.array([[0.7, 0.5], [0.7, 0.5]]))
+
+    def test_repeated_key_rejected(self):
+        # two seedless cubes in one window share the key (v, 0, 64, None)
+        left = Cube("v", BBox(0, 10, 0, 10), 0, 64, object_class="person")
+        right = Cube("v", BBox(20, 30, 0, 10), 0, 64, object_class="person")
+        a = [ScoredCube(left, (0.9,)), ScoredCube(right, (0.1,))]
+        b = [ScoredCube(left, (0.7,)), ScoredCube(right, (0.3,))]
+        with pytest.raises(ValueError, match=r"score set 0: duplicate score "
+                                             r"key \('v', 0, 64, None\)"):
+            fuse_scores([a, b])
 
     def test_coverage_mismatch_rejected(self):
         a = self.scored([(0.2, 0.4)])

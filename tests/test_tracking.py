@@ -161,11 +161,3 @@ class TestTracksFromRecords:
     def test_missing_id_rejected(self):
         with pytest.raises(ValueError, match="no track id"):
             tracks_from_records([det("v", 0, BBox(0, 1, 0, 1))])
-
-    def test_gap_split_assigns_fresh_ids(self):
-        box = BBox(0, 10, 0, 10)
-        dets = [det("v", f, box, track=1) for f in (0, 8, 40, 48)]
-        tracks = tracks_from_records(dets, max_gap=8)
-        assert sorted(t.track_id for t in tracks["v"]) == [1, 2]
-        assert tracks["v"][0].frames.tolist() == [0, 8]
-        assert tracks["v"][1].frames.tolist() == [40, 48]
