@@ -147,12 +147,14 @@ def _cmd_filter(args) -> None:
 
 
 def _cmd_score(args) -> None:
+    files = args.from_files or ()
+    if args.fuse_weights and len(files) < 2:
+        raise ConfigError("--fuse-weights needs two or more --from files")
     config = _load_config(args)
     proposals = list(read_records(args.input, "proposals"))
     classes = _classes(config, proposals)
-    files = args.from_files or ()
     weights = None
-    if args.fuse_weights and len(files) > 1:
+    if args.fuse_weights:
         with open(args.fuse_weights, "r", encoding="utf-8") as fh:
             table = json.load(fh)
         weights = np.array([[table[c][m] for c in classes]

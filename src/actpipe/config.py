@@ -73,10 +73,6 @@ class PipelineConfig:
             return self.min_temporal_overlap
         return max(1, round(self.video_fps))
 
-    @property
-    def group_count(self) -> int:
-        return self.d_prop // self.s_prop
-
     def with_classes(self, object_classes=None, activity_classes=None) -> "PipelineConfig":
         kwargs = {}
         if object_classes is not None:

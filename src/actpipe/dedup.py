@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from .config import PipelineConfig
 from .geometry import BBox, bbox_intersection, bbox_iou, bbox_union
 from .records import ActivityInstance, ScoredCube
@@ -304,15 +306,15 @@ def merge_adjacent(instances: Sequence[ActivityInstance], s_merg: float,
             weight = sum(m.t1 - m.t0 for m in run)
             score = sum(m.score * (m.t1 - m.t0) for m in run) / weight
             bbox = run[0].bbox
-            tube: List[Tuple[int, BBox]] = []
             for m in run:
                 bbox = bbox_union(bbox, m.bbox)
-                tube.extend(sorted(m.tube_dict().items()))
+            frames, boxes = zip(*(m.frame_boxes() for m in run))
             out.append(
                 ActivityInstance(run[0].video_id, run[0].activity_class,
                                  t0, t1, bbox, score,
                                  seed_track=run[0].seed_track,
-                                 tube=tuple(tube))
+                                 frames=np.concatenate(frames),
+                                 boxes=np.concatenate(boxes))
             )
             run.clear()
 

@@ -202,40 +202,38 @@ def map_3diou(predictions: Sequence[ActivityInstance],
     threshold, otherwise it is a false positive (duplicates included).
     """
     gt_classes = sorted({a.activity_class for a in annotations})
-    # per class: annotations and their per-frame tubes, built once
-    by_class = {c: [a for a in annotations if a.activity_class == c]
-                for c in gt_classes}
-    tubes = {c: [g.tube_dict() for g in gts] for c, gts in by_class.items()}
-    ap: Dict[float, Dict[str, float]] = {}
-    map_at: Dict[float, float] = {}
-    for threshold in thresholds:
-        ap[threshold] = {}
-        for activity_class in gt_classes:
-            gts = by_class[activity_class]
-            gt_tubes = tubes[activity_class]
-            preds = sorted(
-                (p for p in predictions if p.activity_class == activity_class),
-                key=lambda p: (-p.score, p.video_id, p.t0, p.t1),
-            )
+    ap: Dict[float, Dict[str, float]] = {t: {} for t in thresholds}
+    for activity_class in gt_classes:
+        gts = [a for a in annotations if a.activity_class == activity_class]
+        by_video: Dict[str, List[int]] = {}
+        for g, gt in enumerate(gts):
+            by_video.setdefault(gt.video_id, []).append(g)
+        preds = sorted(
+            (p for p in predictions if p.activity_class == activity_class),
+            key=lambda p: (-p.score, p.video_id, p.t0, p.t1),
+        )
+        # (GT index, tube IoU) with each same-video GT, shared by the thresholds
+        candidates = []
+        for pred in preds:
+            frames, boxes = pred.frame_boxes()
+            candidates.append([(g, tube_iou_3d(frames, boxes, gts[g].frames,
+                                               gts[g].boxes))
+                               for g in by_video.get(pred.video_id, ())])
+        for threshold in thresholds:
             matched = [False] * len(gts)
             flags = []
-            for pred in preds:
-                tube = pred.tube_dict()
+            for pairs in candidates:
                 best_iou, best_g = 0.0, -1
-                for g, gt in enumerate(gts):
-                    if matched[g] or gt.video_id != pred.video_id:
-                        continue
-                    iou = tube_iou_3d(tube, gt_tubes[g])
-                    if iou > best_iou:
+                for g, iou in pairs:
+                    if not matched[g] and iou > best_iou:
                         best_iou, best_g = iou, g
-                if best_g >= 0 and best_iou >= threshold:
+                hit = best_g >= 0 and best_iou >= threshold
+                if hit:
                     matched[best_g] = True
-                    flags.append(True)
-                else:
-                    flags.append(False)
+                flags.append(hit)
             ap[threshold][activity_class] = _average_precision(flags, len(gts))
-        map_at[threshold] = (sum(ap[threshold].values()) / len(gt_classes)
-                             if gt_classes else 0.0)
+    map_at = {t: (sum(ap[t].values()) / len(gt_classes) if gt_classes else 0.0)
+              for t in thresholds}
     mean = sum(map_at.values()) / len(map_at) if map_at else 0.0
     return Map3dResult(ap=ap, map_at=map_at, mean=mean)
 

@@ -9,7 +9,7 @@ sorted int64 frames plus an (N, 4) float64 array of x0, x1, y0, y1 rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,10 +52,6 @@ class BBox:
     def area(self) -> float:
         return self.width * self.height
 
-    @property
-    def center(self) -> Tuple[float, float]:
-        return (self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0
-
 
 @dataclass(frozen=True)
 class Cube:
@@ -82,10 +78,6 @@ class Cube:
             raise ValueError(f"fg_score {self.fg_score} outside [0, 1]")
         if self.labels is not None and not isinstance(self.labels, frozenset):
             object.__setattr__(self, "labels", frozenset(self.labels))
-
-    @property
-    def duration(self) -> int:
-        return self.t1 - self.t0
 
 
 def _intersection_area(a: BBox, b: BBox) -> float:
@@ -143,33 +135,32 @@ def coverage(pred: BBox, ref: BBox) -> float:
     return _intersection_area(pred, ref) / ref.area
 
 
-TubeLike = Union[Mapping[int, BBox], Iterable[Tuple[int, BBox]]]
-
-
-def tube_iou_3d(a: TubeLike, b: TubeLike) -> float:
-    """Frame-summed IoU between two tubes (at most one box per frame each).
+def tube_iou_3d(frames_a: np.ndarray, boxes_a: np.ndarray,
+                frames_b: np.ndarray, boxes_b: np.ndarray) -> float:
+    """Frame-summed IoU between two tubes held as :func:`tube_arrays`.
 
     Frames present in only one tube contribute their full box area to the
-    denominator. Raises if both tubes are empty.
+    denominator. Both sums run in sorted frame order. Raises if both tubes
+    are empty.
     """
-    da = dict(a)
-    db = dict(b)
-    if not da and not db:
+    frames = np.union1d(frames_a, frames_b)
+    if not len(frames):
         raise ValueError("tube_iou_3d on two empty tubes")
-    inter = 0.0
-    union = 0.0
-    for frame in da.keys() | db.keys():
-        box_a = da.get(frame)
-        box_b = db.get(frame)
-        if box_a is not None and box_b is not None:
-            i = _intersection_area(box_a, box_b)
-            inter += i
-            union += box_a.area + box_b.area - i
-        elif box_a is not None:
-            union += box_a.area
-        else:
-            union += box_b.area
-    return inter / union
+    area_a = (boxes_a[:, 1] - boxes_a[:, 0]) * (boxes_a[:, 3] - boxes_a[:, 2])
+    area_b = (boxes_b[:, 1] - boxes_b[:, 0]) * (boxes_b[:, 3] - boxes_b[:, 2])
+    common, ia, ib = np.intersect1d(frames_a, frames_b, assume_unique=True,
+                                    return_indices=True)
+    a, b = boxes_a[ia], boxes_b[ib]
+    iw = np.minimum(a[:, 1], b[:, 1]) - np.maximum(a[:, 0], b[:, 0])
+    ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 2], b[:, 2])
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    union = np.empty(len(frames))
+    union[np.searchsorted(frames, frames_a)] = area_a
+    union[np.searchsorted(frames, frames_b)] = area_b
+    union[np.searchsorted(frames, common)] = area_a[ia] + area_b[ib] - inter
+    # cumsum adds one frame at a time, as a loop would; sum() is pairwise
+    inter_sum = np.cumsum(inter)[-1] if len(inter) else 0.0
+    return float(inter_sum / np.cumsum(union)[-1])
 
 
 def tube_arrays(frames: Sequence, boxes: Sequence) -> Tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ stages do hold each stage's records as one list.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -59,53 +60,66 @@ class DetectionRecord:
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class ActivityAnnotation:
-    """Ground-truth activity instance with a per-frame (possibly sparse)
-    tube, given as ``(frame, BBox)`` pairs or ``frames=``/``boxes=`` arrays
-    and held as arrays (see :func:`tube_arrays`)."""
+class _TubeRecord:
+    """What annotations and instances share: a frame window ``[t0, t1)`` and
+    a tube held as :func:`tube_arrays`, with equality that compares arrays."""
 
     video_id: str
     activity_class: str
     t0: int
     t1: int
-    frames: np.ndarray
-    boxes: np.ndarray
+    frames: Optional[np.ndarray]
+    boxes: Optional[np.ndarray]
 
-    def __init__(self, video_id: str, activity_class: str, t0: int, t1: int,
-                 tube: Sequence[Tuple[int, BBox]] = (), *, frames=None, boxes=None):
-        if not 0 <= t0 < t1:
-            raise ValueError(f"bad annotation window [{t0}, {t1})")
+    def _check_tube(self, kind: str, tube) -> None:
+        """Check the window and build the tube from ``(frame, BBox)`` pairs or
+        the ``frames``/``boxes`` given; both stay ``None`` when neither is."""
+        if not 0 <= self.t0 < self.t1:
+            raise ValueError(f"bad {kind} window [{self.t0}, {self.t1})")
+        frames, boxes = self.frames, self.boxes
         if frames is None:
+            if tube is None:
+                return
             frames = [f for f, _ in tube]
             boxes = [(b.x0, b.x1, b.y0, b.y1) for _, b in tube]
         frames, boxes = tube_arrays(frames, boxes)
         if not len(frames):
-            raise ValueError("annotation tube needs at least one box")
-        if frames[0] < t0 or frames[-1] >= t1:
-            raise ValueError("tube frames outside the annotation window")
-        self.__dict__.update(video_id=video_id, activity_class=activity_class,
-                             t0=t0, t1=t1, frames=frames, boxes=boxes)
+            raise ValueError(f"{kind} tube needs at least one box")
+        if frames[0] < self.t0 or frames[-1] >= self.t1:
+            raise ValueError(f"tube frames outside the {kind} window")
+        self.__dict__.update(frames=frames, boxes=boxes)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, ActivityAnnotation):
+        if type(other) is not type(self):
             return NotImplemented
         return all(np.array_equal(getattr(self, name), getattr(other, name))
                    for name in self.__dataclass_fields__)
+
+
+def _static_tube(t0: int, t1: int, bbox: BBox) -> Tuple[np.ndarray, np.ndarray]:
+    """One box on every frame of ``[t0, t1)``."""
+    row = (bbox.x0, bbox.x1, bbox.y0, bbox.y1)
+    return np.arange(t0, t1), np.full((t1 - t0, 4), row, dtype=np.float64)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class ActivityAnnotation(_TubeRecord):
+    """Ground-truth activity instance with a per-frame (possibly sparse)
+    tube, given as ``(frame, BBox)`` pairs or ``frames=``/``boxes=`` arrays
+    and held as arrays (see :func:`tube_arrays`)."""
+
+    def __init__(self, video_id: str, activity_class: str, t0: int, t1: int,
+                 tube: Sequence[Tuple[int, BBox]] = (), *, frames=None, boxes=None):
+        self.__dict__.update(video_id=video_id, activity_class=activity_class,
+                             t0=t0, t1=t1, frames=frames, boxes=boxes)
+        self._check_tube("annotation", tube or ())
 
     @classmethod
     def with_static_box(cls, video_id: str, activity_class: str, t0: int, t1: int,
                         bbox: BBox) -> "ActivityAnnotation":
         """Annotation whose single box applies to every frame of the window."""
-        return cls(video_id, activity_class, t0, t1, frames=np.arange(t0, t1),
-                   boxes=[(bbox.x0, bbox.x1, bbox.y0, bbox.y1)] * (t1 - t0))
-
-    @property
-    def tube(self) -> Tuple[Tuple[int, BBox], ...]:
-        """``(frame, BBox)`` pairs in frame order, built from the arrays."""
-        return _tube_pairs(self.frames, self.boxes)
-
-    def tube_dict(self) -> dict:
-        return dict(self.tube)
+        frames, boxes = _static_tube(t0, t1, bbox)
+        return cls(video_id, activity_class, t0, t1, frames=frames, boxes=boxes)
 
 
 def rle_encode(raster: np.ndarray) -> List[int]:
@@ -183,34 +197,31 @@ class ScoredCube:
         return (c.video_id, c.t0, c.t1, c.seed_track)
 
 
-@dataclass(frozen=True)
-class ActivityInstance:
-    """Final detection output: class, window, box or tube, confidence.
+@dataclass(frozen=True, eq=False, init=False)
+class ActivityInstance(_TubeRecord):
+    """Final detection output: class, window, box, confidence, optional tube.
 
     ``seed_track`` records the dedup partition the instance came from;
     synthetic spatial chains use negative ids.
     """
 
-    video_id: str
-    activity_class: str
-    t0: int
-    t1: int
     bbox: BBox
     score: float
-    seed_track: Optional[int] = None
-    tube: Optional[Tuple[Tuple[int, BBox], ...]] = None
+    seed_track: Optional[int]
 
-    def __post_init__(self):
-        if not 0 <= self.t0 < self.t1:
-            raise ValueError(f"bad instance window [{self.t0}, {self.t1})")
-        if self.tube is not None:
-            object.__setattr__(self, "tube", tuple(sorted(self.tube)))
+    def __init__(self, video_id: str, activity_class: str, t0: int, t1: int,
+                 bbox: BBox, score: float, seed_track: Optional[int] = None,
+                 tube=None, *, frames=None, boxes=None):
+        self.__dict__.update(video_id=video_id, activity_class=activity_class,
+                             t0=t0, t1=t1, bbox=bbox, score=score,
+                             seed_track=seed_track, frames=frames, boxes=boxes)
+        self._check_tube("instance", tube)
 
-    def tube_dict(self) -> dict:
-        """Per-frame boxes; falls back to the instance box on every frame."""
-        if self.tube is not None:
-            return dict(self.tube)
-        return {f: self.bbox for f in range(self.t0, self.t1)}
+    def frame_boxes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Tube arrays, or the box on every frame when ``frames`` is ``None``."""
+        if self.frames is None:
+            return _static_tube(self.t0, self.t1, self.bbox)
+        return self.frames, self.boxes
 
 
 @dataclass(frozen=True)
@@ -226,19 +237,42 @@ def _box_fields(bbox: BBox) -> dict:
 
 
 def _box_from(obj: dict) -> BBox:
-    return BBox(obj["x0"], obj["x1"], obj["y0"], obj["y1"])
+    coords = [obj["x0"], obj["x1"], obj["y0"], obj["y1"]]
+    if not all(type(c) in (int, float) and math.isfinite(c) for c in coords):
+        raise ValueError(f"box coordinates must be finite numbers, got {coords}")
+    return BBox(*coords)
 
 
-def _tube_from_json(items) -> Tuple[np.ndarray, np.ndarray]:
+def _int(obj: dict, key: str) -> int:
+    """``obj[key]`` as an int: 4 and 4.0 pass; 4.5, "4", true and non-finite
+    values raise, as for tube frames."""
+    value = obj[key]
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _optional_int(obj: dict, key: str) -> Optional[int]:
+    return None if obj.get(key) is None else _int(obj, key)
+
+
+def _tube_to_json(frames: Optional[np.ndarray], boxes: Optional[np.ndarray]):
+    if frames is None:
+        return None
+    return [[f, *b] for f, b in zip(frames.tolist(), boxes.tolist())]
+
+
+def _tube_from_json(items) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """Unchecked tube arrays (the constructors check them); nulls for null."""
+    if items is None:
+        return None, None
     try:
         raw = np.array(items, dtype=np.float64).reshape(len(items), 5)
     except (TypeError, ValueError):
         raise ValueError("tube entries must be [frame, x0, x1, y0, y1] numbers") from None
-    return tube_arrays(raw[:, 0], raw[:, 1:])
-
-
-def _tube_pairs(frames: np.ndarray, boxes: np.ndarray) -> tuple:
-    return tuple(zip(frames.tolist(), (BBox(*b) for b in boxes.tolist())))
+    return raw[:, 0], raw[:, 1:]
 
 
 def _detection_to_json(r: DetectionRecord) -> dict:
@@ -252,11 +286,11 @@ def _detection_to_json(r: DetectionRecord) -> dict:
 def _detection_from_json(obj: dict) -> DetectionRecord:
     return DetectionRecord(
         video_id=obj["video_id"],
-        frame=int(obj["frame"]),
+        frame=_int(obj, "frame"),
         object_class=obj["object_class"],
         bbox=_box_from(obj),
         confidence=float(obj["confidence"]),
-        track_id=None if obj.get("track_id") is None else int(obj["track_id"]),
+        track_id=_optional_int(obj, "track_id"),
     )
 
 
@@ -266,22 +300,17 @@ def _annotation_to_json(r: ActivityAnnotation) -> dict:
         "activity_class": r.activity_class,
         "t0": r.t0,
         "t1": r.t1,
-        "tube": [[f, *b] for f, b in zip(r.frames.tolist(), r.boxes.tolist())],
+        "tube": _tube_to_json(r.frames, r.boxes),
     }
 
 
 def _annotation_from_json(obj: dict) -> ActivityAnnotation:
-    if "tube" in obj and obj["tube"] is not None:
+    args = (obj["video_id"], obj["activity_class"], _int(obj, "t0"), _int(obj, "t1"))
+    if obj.get("tube") is not None:
         frames, boxes = _tube_from_json(obj["tube"])
-        return ActivityAnnotation(
-            obj["video_id"], obj["activity_class"], int(obj["t0"]), int(obj["t1"]),
-            frames=frames, boxes=boxes,
-        )
+        return ActivityAnnotation(*args, frames=frames, boxes=boxes)
     # single-box shorthand: one box applied to every frame
-    return ActivityAnnotation.with_static_box(
-        obj["video_id"], obj["activity_class"], int(obj["t0"]), int(obj["t1"]),
-        _box_from(obj["box"]),
-    )
+    return ActivityAnnotation.with_static_box(*args, _box_from(obj["box"]))
 
 
 def _mask_to_json(r: MaskFrame) -> dict:
@@ -296,7 +325,7 @@ def _mask_to_json(r: MaskFrame) -> dict:
 
 def _mask_from_json(obj: dict) -> MaskFrame:
     return MaskFrame(
-        obj["video_id"], int(obj["frame"]), int(obj["width"]), int(obj["height"]),
+        obj["video_id"], _int(obj, "frame"), _int(obj, "width"), _int(obj, "height"),
         tuple(int(x) for x in obj["rle"]),
     )
 
@@ -322,9 +351,9 @@ def _cube_from_json(obj: dict) -> Cube:
     return Cube(
         video_id=obj["video_id"],
         bbox=_box_from(obj),
-        t0=int(obj["t0"]),
-        t1=int(obj["t1"]),
-        seed_track=None if obj.get("seed_track") is None else int(obj["seed_track"]),
+        t0=_int(obj, "t0"),
+        t1=_int(obj, "t1"),
+        seed_track=_optional_int(obj, "seed_track"),
         object_class=obj.get("object_class", ""),
         fg_score=None if obj.get("fg_score") is None else float(obj["fg_score"]),
         labels=None if labels is None else frozenset(labels),
@@ -351,23 +380,22 @@ def _instance_to_json(r: ActivityInstance) -> dict:
     out.update(_box_fields(r.bbox))
     out["score"] = r.score
     out["seed_track"] = r.seed_track
-    out["tube"] = (None if r.tube is None
-                   else [[f, b.x0, b.x1, b.y0, b.y1] for f, b in r.tube])
+    out["tube"] = _tube_to_json(r.frames, r.boxes)
     return out
 
 
 def _instance_from_json(obj: dict) -> ActivityInstance:
-    tube = obj.get("tube")
+    frames, boxes = _tube_from_json(obj.get("tube"))
     return ActivityInstance(
         video_id=obj["video_id"],
         activity_class=obj["activity_class"],
-        t0=int(obj["t0"]),
-        t1=int(obj["t1"]),
+        t0=_int(obj, "t0"),
+        t1=_int(obj, "t1"),
         bbox=_box_from(obj),
         score=float(obj["score"]),
-        seed_track=None if obj.get("seed_track") is None else int(obj["seed_track"]),
-        tube=(None if tube is None
-              else _tube_pairs(*_tube_from_json(tube))),
+        seed_track=_optional_int(obj, "seed_track"),
+        frames=frames,
+        boxes=boxes,
     )
 
 
@@ -472,7 +500,7 @@ def read_records(path: Union[str, Path], kind: str) -> Iterator:
                     record = parser(json.loads(line))
                 except RecordError:
                     raise
-                except (ValueError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError, OverflowError) as exc:
                     raise RecordError(f"{path}:{lineno}: {exc}") from exc
                 if order is not None:
                     order.check(record.video_id, record.frame, lineno)

@@ -50,15 +50,18 @@ class ObjectSpec:
         return self.waypoints[0][0], self.waypoints[-1][0] + 1
 
     def box_at(self, frame: int) -> BBox:
+        return BBox(*self.row_at(frame))
+
+    def row_at(self, frame: int) -> Tuple[float, float, float, float]:
+        """The interpolated box at ``frame`` as an (x0, x1, y0, y1) row."""
         wps = self.waypoints
-        if frame <= wps[0][0]:
-            return wps[0][1]
-        if frame >= wps[-1][0]:
-            return wps[-1][1]
+        if frame <= wps[0][0] or frame >= wps[-1][0]:
+            b = wps[0][1] if frame <= wps[0][0] else wps[-1][1]
+            return b.x0, b.x1, b.y0, b.y1
         for (f0, b0), (f1, b1) in zip(wps, wps[1:]):
             if f0 <= frame <= f1:
                 w = (frame - f0) / (f1 - f0)
-                return BBox(
+                return (
                     b0.x0 + w * (b1.x0 - b0.x0),
                     b0.x1 + w * (b1.x1 - b0.x1),
                     b0.y0 + w * (b1.y0 - b0.y0),
@@ -237,8 +240,9 @@ def generate_scene(spec: SceneSpec, config: PipelineConfig) -> Scene:
     annotations = [
         ActivityAnnotation(
             spec.video_id, act.activity_class, act.t0, act.t1,
-            tuple((f, spec.objects[act.object_index].box_at(f))
-                  for f in range(act.t0, act.t1)),
+            frames=np.arange(act.t0, act.t1),
+            boxes=[spec.objects[act.object_index].row_at(f)
+                   for f in range(act.t0, act.t1)],
         )
         for act in spec.activities
     ]

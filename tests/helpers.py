@@ -1,12 +1,12 @@
 """Scene builders shared by the pipeline and acceptance tests, plus plain
-per-``BBox`` reference versions of the array-backed proposal and labeling
-steps for differential tests."""
+per-``BBox`` reference versions of the array-backed proposal, labeling and
+tube steps for differential tests."""
 
 import bisect
 import random
 
-from actpipe.geometry import BBox, Cube, bbox_enlarge, bbox_iou, bbox_union, \
-    tube_arrays
+from actpipe.geometry import BBox, Cube, bbox_enlarge, bbox_intersection, \
+    bbox_iou, bbox_union, tube_arrays
 from actpipe.labeling import SAME_WINDOW_TIOU, GtCube, LabelAssignment, \
     temporal_iou
 from actpipe.proposals import sample_windows
@@ -120,16 +120,26 @@ def sparse_foreground_scenes(n_scenes=4, video_len=384, base_seed=500):
     return specs
 
 
-def make_track(track_id, object_class, boxes):
-    """Track from a {frame: BBox} dict."""
+def tube_of(boxes):
+    """Tube arrays (see ``tube_arrays``) from a {frame: BBox} dict."""
     frames = sorted(boxes)
     rows = [(boxes[f].x0, boxes[f].x1, boxes[f].y0, boxes[f].y1) for f in frames]
-    return Track(track_id, object_class, *tube_arrays(frames, rows))
+    return tube_arrays(frames, rows)
+
+
+def tube_pairs(frames, boxes):
+    """Tube arrays as (frame, BBox) pairs in frame order."""
+    return [(f, BBox(*b)) for f, b in zip(frames.tolist(), boxes.tolist())]
+
+
+def make_track(track_id, object_class, boxes):
+    """Track from a {frame: BBox} dict."""
+    return Track(track_id, object_class, *tube_of(boxes))
 
 
 def track_boxes(track):
     """A track's boxes as a {frame: BBox} dict."""
-    return {f: BBox(*b) for f, b in zip(track.frames.tolist(), track.boxes.tolist())}
+    return dict(tube_pairs(track.frames, track.boxes))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +190,7 @@ def ref_generate_video_proposals(video_id, tracks, video_len, frame_size, config
 
 
 def ref_gt_to_cubes(annotation, d_prop, s_prop):
-    tube = annotation.tube
+    tube = tube_pairs(annotation.frames, annotation.boxes)
     frames = [f for f, _ in tube]
     cubes = []
     for w0, w1 in sample_windows(annotation.t1 - annotation.t0, d_prop, s_prop):
@@ -250,3 +260,33 @@ def ref_assign_labels(proposals, gt_cubes, s_high, s_low):
         else:
             out.append(LabelAssignment(i, frozenset(), False))
     return out
+
+
+def ref_frame_boxes(instance):
+    """An instance's tube as a {frame: BBox} dict; its box on every frame of
+    the window when it has no tube."""
+    if instance.frames is None:
+        return {f: instance.bbox for f in range(instance.t0, instance.t1)}
+    return dict(tube_pairs(instance.frames, instance.boxes))
+
+
+def ref_tube_iou_3d(a, b):
+    """Frame-summed IoU of two {frame: BBox} tubes, adding one frame at a
+    time in sorted frame order."""
+    if not a and not b:
+        raise ValueError("tube_iou_3d on two empty tubes")
+    inter = 0.0
+    union = 0.0
+    for frame in sorted(a.keys() | b.keys()):
+        box_a = a.get(frame)
+        box_b = b.get(frame)
+        if box_a is not None and box_b is not None:
+            overlap = bbox_intersection(box_a, box_b)
+            i = 0.0 if overlap is None else overlap.area
+            inter += i
+            union += box_a.area + box_b.area - i
+        elif box_a is not None:
+            union += box_a.area
+        else:
+            union += box_b.area
+    return inter / union

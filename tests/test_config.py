@@ -8,6 +8,8 @@ import pytest
 import actpipe
 from actpipe.config import ConfigError, PipelineConfig, parse_config, \
     parse_overrides
+from actpipe.geometry import BBox, Cube
+from actpipe.records import ActivityAnnotation, ActivityInstance
 
 
 class TestDefaults:
@@ -41,7 +43,7 @@ class TestDefaults:
 class TestValidation:
     def test_wider_stride_pair_accepted(self):
         cfg = PipelineConfig(d_prop=96, s_prop=32)
-        assert cfg.group_count == 3
+        assert (cfg.d_prop, cfg.s_prop) == (96, 32)
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ConfigError, match="divisible"):
@@ -117,4 +119,29 @@ def test_every_field_is_read_outside_config():
                                            inspect.getsource(value.fget))}
     unread = [f.name for f in fields(PipelineConfig)
               if not read(f.name) and f.name not in via_property]
+    assert unread == []
+
+
+@pytest.mark.parametrize("cls", [PipelineConfig, BBox, Cube, ActivityInstance,
+                                 ActivityAnnotation])
+def test_every_member_is_read_outside_its_definition(cls):
+    """A public property or method that the package never reads is dead code."""
+    package = Path(actpipe.__file__).parent
+    code = "\n".join(path.read_text(encoding="utf-8")
+                     for path in sorted(package.glob("*.py")))
+    unread = []
+    for name, value in vars(cls).items():
+        if name.startswith("_"):
+            continue
+        if isinstance(value, property):
+            body = value.fget
+        elif isinstance(value, (classmethod, staticmethod)):
+            body = value.__func__
+        elif inspect.isfunction(value):
+            body = value
+        else:
+            continue
+        elsewhere = code.replace(inspect.getsource(body), "")
+        if re.search(rf"\.{name}\b", elsewhere) is None:
+            unread.append(name)
     assert unread == []

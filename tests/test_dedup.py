@@ -7,6 +7,7 @@ from actpipe.dedup import (SegmentCube, deduplicate, merge_adjacent,
                            merge_groups, select_group, split_segments)
 from actpipe.geometry import BBox, Cube
 from actpipe.records import ActivityInstance, ScoredCube
+from helpers import tube_pairs
 
 BOX = BBox(0, 10, 0, 10)
 
@@ -326,7 +327,7 @@ class TestMergeAdjacent:
         b = instance(64, 128, 0.7, box=BBox(5, 15, 0, 10))
         (merged,) = merge_adjacent([a, b], 0.5, 32)
         assert merged.bbox == BBox(0, 15, 0, 10)
-        tube = merged.tube_dict()
+        tube = dict(tube_pairs(merged.frames, merged.boxes))
         assert tube[0] == BBox(0, 10, 0, 10)
         assert tube[100] == BBox(5, 15, 0, 10)
         assert len(tube) == 128

@@ -1,4 +1,4 @@
-"""Array-backed proposal and labeling steps against per-BBox references.
+"""Array-backed proposal, labeling and tube steps against per-BBox references.
 
 The references in ``helpers`` compute one ``BBox`` at a time, as the steps
 did before tracks and tubes became arrays. Every comparison is exact:
@@ -12,16 +12,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actpipe.config import PipelineConfig
-from actpipe.geometry import BBox, Cube, bbox_iou, coverage
+from actpipe.dedup import merge_adjacent
+from actpipe.geometry import BBox, Cube, bbox_iou, coverage, tube_iou_3d
 from actpipe.labeling import (SAME_WINDOW_TIOU, GtCube, apply_assignments,
                               assign_labels, gt_to_cubes, same_window_blocks,
                               temporal_iou)
 from actpipe.proposals import (central_seeds, generate_video_proposals,
                                refine_union)
-from actpipe.records import ActivityAnnotation, write_records
+from actpipe.records import ActivityAnnotation, ActivityInstance, write_records
 from helpers import (make_track, ref_assign_labels, ref_central_seeds,
-                     ref_generate_video_proposals, ref_gt_to_cubes,
-                     ref_refine_union)
+                     ref_frame_boxes, ref_generate_video_proposals,
+                     ref_gt_to_cubes, ref_refine_union, ref_tube_iou_3d,
+                     tube_of)
 
 # a few fixed boxes make exact IoU ties (and an IoU of exactly 0.5) likely
 FIXED_BOXES = (BBox(0, 2, 0, 1), BBox(0, 1, 0, 1), BBox(1, 2, 0, 1),
@@ -238,3 +240,82 @@ class TestAssignLabels:
             and temporal_iou((p.t0, p.t1), (gt.t0, gt.t1)) >= SAME_WINDOW_TIOU
         }
         assert pairs == want
+
+
+@st.composite
+def tube_maps(draw):
+    """{frame: BBox} tubes: dense runs, sparse sets or one frame, some past
+    frame 1024, where a set of frames no longer iterates in sorted order."""
+    start = draw(st.sampled_from([0, 3, 40, 1000, 1024, 5000]))
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        frames = range(start, start + draw(st.integers(1, 90)))
+    elif kind == 1:
+        frames = draw(st.lists(st.integers(start, start + 2100), min_size=1,
+                               max_size=25, unique=True))
+    else:
+        frames = [start + draw(st.integers(0, 9))]
+    pick = draw(box_picker())
+    return {f: pick() for f in frames}
+
+
+@st.composite
+def tubeless_instances(draw):
+    t0 = draw(st.sampled_from([0, 3, 40, 1000, 1024, 5000]))
+    t1 = t0 + draw(st.integers(1, 90))
+    return ActivityInstance("v", "walk", t0, t1, draw(boxes()), 0.5)
+
+
+class TestTubeIou3d:
+    @settings(max_examples=300, deadline=None)
+    @given(a=tube_maps(), b=tube_maps())
+    def test_matches_sorted_reference(self, a, b):
+        assert tube_iou_3d(*tube_of(a), *tube_of(b)) == ref_tube_iou_3d(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=tubeless_instances(), b=tube_maps())
+    def test_tubeless_instance_matches_reference(self, inst, b):
+        assert tube_iou_3d(*inst.frame_boxes(), *tube_of(b)) == \
+            ref_tube_iou_3d(ref_frame_boxes(inst), b)
+
+    def test_high_frames_leave_set_order(self):
+        box, other = BBox(0, 3.3, 0, 1.7), BBox(0.1, 2.9, 0.3, 1.9)
+        a = {f: box for f in (5, 1024, 2049, 3000)}
+        b = {f: other for f in (5, 1030, 2049)}
+        # the case the sorted-order sum is for: set order is not frame order
+        assert list(a.keys() | b.keys()) != sorted(a.keys() | b.keys())
+        assert tube_iou_3d(*tube_of(a), *tube_of(b)) == ref_tube_iou_3d(a, b)
+
+
+@st.composite
+def abutting_runs(draw):
+    """One partition of abutting high-scoring instances, some with sparse
+    tubes and some with only a box."""
+    pick = draw(box_picker())
+    t = draw(st.sampled_from([0, 7, 1020]))
+    run = []
+    for _ in range(draw(st.integers(1, 4))):
+        t0, t1 = t, t + draw(st.integers(1, 70))
+        tube = None
+        if draw(st.booleans()):
+            frames = draw(st.lists(st.integers(t0, t1 - 1), min_size=1,
+                                   max_size=8, unique=True))
+            tube = [(f, pick()) for f in frames]
+        run.append(ActivityInstance("v", "walk", t0, t1, pick(),
+                                    draw(st.sampled_from([0.6, 0.75, 0.9])),
+                                    seed_track=3, tube=tube))
+        t = t1
+    return run
+
+
+class TestMergeAdjacent:
+    @settings(max_examples=150, deadline=None)
+    @given(run=abutting_runs())
+    def test_tube_matches_per_frame_reference(self, run):
+        (merged,) = merge_adjacent(run, s_merg=0.5, l_merg=0)
+        pairs = [p for m in run for p in sorted(ref_frame_boxes(m).items())]
+        expected = ActivityInstance("v", "walk", run[0].t0, run[-1].t1,
+                                    merged.bbox, merged.score, seed_track=3,
+                                    tube=pairs)
+        assert merged == expected
+        assert written([merged], "instances") == written([expected], "instances")

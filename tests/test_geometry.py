@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from actpipe.geometry import (BBox, Cube, bbox_enlarge, bbox_intersection,
                               bbox_iou, bbox_union, coverage, tube_iou_3d)
+from helpers import tube_of
 
 
 def boxes():
@@ -105,29 +106,29 @@ class TestCoverage:
 
 class TestTubeIou:
     def test_identical(self):
-        tube = {0: BBox(0, 2, 0, 2), 1: BBox(1, 3, 1, 3)}
-        assert tube_iou_3d(tube, tube) == 1.0
+        tube = tube_of({0: BBox(0, 2, 0, 2), 1: BBox(1, 3, 1, 3)})
+        assert tube_iou_3d(*tube, *tube) == 1.0
 
     def test_temporally_disjoint(self):
-        a = {0: BBox(0, 2, 0, 2)}
-        b = {5: BBox(0, 2, 0, 2)}
-        assert tube_iou_3d(a, b) == 0.0
+        a = tube_of({0: BBox(0, 2, 0, 2)})
+        b = tube_of({5: BBox(0, 2, 0, 2)})
+        assert tube_iou_3d(*a, *b) == 0.0
 
     def test_partial_frames(self):
         box = BBox(0, 2, 0, 2)
-        a = {0: box, 1: box}
-        b = {1: box, 2: box}
-        assert tube_iou_3d(a, b) == pytest.approx(1 / 3)
+        a = tube_of({0: box, 1: box})
+        b = tube_of({1: box, 2: box})
+        assert tube_iou_3d(*a, *b) == pytest.approx(1 / 3)
 
     def test_both_empty_error(self):
         with pytest.raises(ValueError):
-            tube_iou_3d({}, {})
+            tube_iou_3d(*tube_of({}), *tube_of({}))
 
     @given(st.dictionaries(st.integers(0, 5), boxes(), min_size=1),
            st.dictionaries(st.integers(0, 5), boxes(), min_size=1))
     def test_symmetric_and_bounded(self, a, b):
-        v = tube_iou_3d(a, b)
-        assert v == pytest.approx(tube_iou_3d(b, a))
+        v = tube_iou_3d(*tube_of(a), *tube_of(b))
+        assert v == pytest.approx(tube_iou_3d(*tube_of(b), *tube_of(a)))
         assert 0.0 <= v <= 1.0
 
 

@@ -10,11 +10,11 @@ from actpipe import pipeline
 from actpipe.cli import main
 from actpipe.config import PipelineConfig
 from actpipe.evaluation import QUALITY_LEVELS
-from actpipe.geometry import BBox
+from actpipe.geometry import BBox, Cube
 from actpipe.pipeline import (DEFAULT_FRAME_SIZE, PipelineInputs, _frame_sizes,
                               infer_video_lengths, run_pipeline)
-from actpipe.records import (DetectionRecord, MaskFrame, read_records,
-                             write_records)
+from actpipe.records import (DetectionRecord, MaskFrame, ScoredCube,
+                             read_records, write_records)
 from actpipe.synth import generate_corpus
 from helpers import closure_scenes
 
@@ -277,7 +277,6 @@ class TestCli:
         assert report.data["mean_naudc"] == 0.0
 
     def test_external_scores_and_fusion(self, tmp_path):
-        from actpipe.records import ScoredCube
         spec_path = tmp_path / "scenes.json"
         spec_path.write_text(json.dumps(
             [s.to_json() for s in closure_scenes()]))
@@ -301,6 +300,24 @@ class TestCli:
         fused = list(read_records(tmp_path / "fused.jsonl",
                                   "scored-proposals"))
         assert all(sc.scores == (pytest.approx(0.4),) for sc in fused)
+
+    @pytest.mark.parametrize("source", ["oracle", "one-file"])
+    def test_fuse_weights_need_two_score_files(self, tmp_path, capsys, source):
+        cube = Cube("v", BBox(0, 4, 0, 4), 0, 8, seed_track=1,
+                    labels=frozenset({"walk"}))
+        write_records([cube], tmp_path / "pr.jsonl", "proposals")
+        write_records([ScoredCube(cube, (0.5,))], tmp_path / "s.jsonl",
+                      "scored-proposals")
+        (tmp_path / "w.json").write_text('{"walk": [1.0]}')
+        chosen = (["--oracle"] if source == "oracle"
+                  else ["--from", tmp_path / "s.jsonl"])
+        assert self.run("score", tmp_path / "pr.jsonl", *chosen,
+                        "--fuse-weights", tmp_path / "w.json",
+                        "--set", "activity_classes=walk",
+                        "-o", tmp_path / "out.jsonl") == 1
+        assert "--fuse-weights needs two or more --from files" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_filter_threshold_reuse(self, tmp_path):
         spec_path = tmp_path / "scenes.json"

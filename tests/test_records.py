@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from actpipe.records import (ActivityAnnotation, ActivityInstance,
                              DetectionRecord, MaskFrame, RecordError,
                              ReportRecord, ScoredCube, read_records,
                              rle_decode, rle_encode, write_records)
+from helpers import tube_pairs
 
 
 def make_detections(n=100, video_id="v0"):
@@ -177,6 +180,56 @@ class TestReaderErrors:
         with pytest.raises(RecordError, match=r"inst\.jsonl:2: duplicate frame 0"):
             list(read_records(path, "instances"))
 
+    DETECTION = ('"video_id":"v","object_class":"p","confidence":0.5,'
+                 '"x0":0,"x1":1,"y0":0,"y1":1')
+    INSTANCE = ('"video_id":"v","activity_class":"walk","x0":0,"x1":1,'
+                '"y0":0,"y1":1,"score":0.5,"seed_track":1')
+    PROPOSAL = '"video_id":"v","x0":0,"x1":1,"y0":0,"y1":1,"seed_track":1'
+
+    @pytest.mark.parametrize("kind, fields, message", [
+        ("detections", DETECTION + ',"frame":4.5,"track_id":1',
+         "frame must be an integer, got 4.5"),
+        ("detections", DETECTION + ',"frame":4,"track_id":2.9',
+         "track_id must be an integer, got 2.9"),
+        ("detections", DETECTION + ',"frame":Infinity,"track_id":1',
+         "frame must be an integer, got inf"),
+        ("detections", DETECTION + ',"frame":"4","track_id":1',
+         "frame must be an integer, got '4'"),
+        ("detections", DETECTION + ',"frame":true,"track_id":1',
+         "frame must be an integer, got True"),
+        ("instances", INSTANCE + ',"t0":0.7,"t1":10.2,"tube":null',
+         "t0 must be an integer, got 0.7"),
+        ("instances", INSTANCE + ',"t0":0,"t1":4,"tube":[[5,0,1,0,1]]',
+         "tube frames outside the instance window"),
+        ("instances", INSTANCE + ',"t0":0,"t1":4,"tube":[]',
+         "instance tube needs at least one box"),
+        ("proposals", PROPOSAL + ',"t0":0,"t1":true', "t1 must be an integer"),
+        ("proposals", '"video_id":"v","t0":0,"t1":4,"x0":0,"x1":Infinity,'
+         '"y0":0,"y1":1', "box coordinates must be finite numbers"),
+        ("annotations", '"video_id":"v","activity_class":"walk","t0":0,'
+         '"t1":4,"box":{"x0":0,"x1":1,"y0":NaN,"y1":1}',
+         "box coordinates must be finite numbers"),
+        ("masks", '"video_id":"v","frame":0,"width":4.5,"height":4,"rle":[18]',
+         "width must be an integer"),
+    ], ids=["frame-fraction", "track-id-fraction", "frame-infinite",
+            "frame-string", "frame-bool", "instance-window-fraction",
+            "instance-tube-outside-window", "instance-tube-empty",
+            "proposal-t1-bool", "proposal-box-infinite", "annotation-box-nan",
+            "mask-width-fraction"])
+    def test_strict_fields_name_line(self, tmp_path, kind, fields, message):
+        path = tmp_path / "strict.jsonl"
+        path.write_text(f"#actpipe/{kind}/v1\n{{{fields}}}\n")
+        with pytest.raises(RecordError, match=rf"strict\.jsonl:2: {re.escape(message)}"):
+            list(read_records(path, kind))
+
+    def test_integral_floats_read_as_ints(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text("#actpipe/detections/v1\n{" + self.DETECTION
+                        + ',"frame":4.0,"track_id":2.0}\n')
+        (det,) = read_records(path, "detections")
+        assert (det.frame, det.track_id) == (4, 2)
+        assert type(det.frame) is int and type(det.track_id) is int
+
     def test_out_of_order_frames_rejected(self, tmp_path):
         b = BBox(0, 1, 0, 1)
         records = [DetectionRecord("v", 5, "p", b, 0.5),
@@ -215,7 +268,7 @@ class TestAnnotationType:
     def test_static_box_expands(self):
         ann = ActivityAnnotation.with_static_box("v", "walk", 2, 6,
                                                  BBox(0, 4, 0, 4))
-        assert [f for f, _ in ann.tube] == [2, 3, 4, 5]
+        assert ann.frames.tolist() == [2, 3, 4, 5]
 
     def test_tube_outside_window_rejected(self):
         with pytest.raises(ValueError):
@@ -227,7 +280,8 @@ class TestAnnotationType:
         assert ann.frames.dtype == np.int64 and ann.frames.tolist() == [1, 7]
         assert ann.boxes.dtype == np.float64
         assert ann.boxes.tolist() == [[0, 1, 0, 1], [2, 3, 0, 1]]
-        assert ann.tube == ((1, BBox(0, 1, 0, 1)), (7, BBox(2, 3, 0, 1)))
+        assert tube_pairs(ann.frames, ann.boxes) == [(1, BBox(0, 1, 0, 1)),
+                                                     (7, BBox(2, 3, 0, 1))]
 
     def test_equality_compares_tubes(self):
         box = BBox(0, 4, 0, 4)

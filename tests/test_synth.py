@@ -4,6 +4,7 @@ import pytest
 from actpipe.config import PipelineConfig
 from actpipe.geometry import BBox, bbox_iou
 from actpipe.synth import ActivitySpec, ObjectSpec, SceneSpec, generate_scene
+from helpers import tube_pairs
 
 
 def simple_spec(**kwargs):
@@ -46,8 +47,8 @@ class TestGenerateScene:
         scene = generate_scene(simple_spec(), self.config)
         (ann,) = scene.annotations
         assert (ann.t0, ann.t1) == (0, 128)
-        assert len(ann.tube) == 128
-        mid = dict(ann.tube)[64]
+        assert len(ann.frames) == 128
+        mid = dict(tube_pairs(ann.frames, ann.boxes))[64]
         expect = scene.spec.objects[0].box_at(64)
         assert mid == expect
         assert 140 < mid.x0 < 160
