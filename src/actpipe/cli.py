@@ -1,5 +1,11 @@
 """Command-line front-end: one subcommand per pipeline stage.
 
+Each subcommand runs its stage by the rules :func:`run_pipeline` uses:
+``track`` closes tracks after ``s_det`` frames, ``propose`` and ``evaluate``
+infer missing video lengths, and ``propose`` missing frame sizes, as the
+pipeline does. ``score`` and ``dedup`` read no annotations to derive the
+activity classes from, so they need ``activity_classes`` configured.
+
 Exit codes: 0 success, 1 contract error (bad records, bad config, stage
 precondition), 2 I/O error.
 """
@@ -18,17 +24,15 @@ import numpy as np
 from .config import ConfigError, PipelineConfig, parse_config, parse_overrides
 from .dedup import deduplicate, merge_adjacent
 from .evaluation import evaluation_report, proposal_quality
-from .filtering import SENTINEL_THRESHOLD, filter_stage
+from .filtering import filter_stage
 from .labeling import label_stage
-from .pipeline import (CANONICAL_STAGES, PipelineInputs, bench,
+from .pipeline import (CANONICAL_STAGES, PipelineInputs, _frame_sizes, bench,
                        infer_video_lengths, run_pipeline)
 from .proposals import generate_proposals
 from .records import ReportRecord, read_records, write_records
 from .scoring import score_stage
 from .synth import SceneSpec, generate_corpus
 from .tracking import greedy_iou_track, tracks_from_records
-
-logger = logging.getLogger("actpipe")
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -64,18 +68,6 @@ def _parse_frame_size(value: str) -> Tuple[int, int]:
         raise ConfigError(f"--frame-size {value!r}: expected WIDTHxHEIGHT") from exc
 
 
-def _classes(config: PipelineConfig, proposals) -> Tuple[str, ...]:
-    if config.activity_classes:
-        return config.activity_classes
-    derived = sorted({label for p in proposals for label in (p.labels or ())})
-    if not derived:
-        raise ConfigError(
-            "activity_classes not configured and not derivable from labels"
-        )
-    logger.info("derived activity classes: %s", ", ".join(derived))
-    return tuple(derived)
-
-
 def _cmd_simulate(args) -> None:
     config = _load_config(args)
     specs = SceneSpec.load(args.spec)
@@ -94,8 +86,7 @@ def _cmd_simulate(args) -> None:
 def _cmd_track(args) -> None:
     config = _load_config(args)
     detections = list(read_records(args.input, "detections"))
-    tracked = greedy_iou_track(detections, iou_gate=args.iou_gate,
-                               max_gap=args.max_gap if args.max_gap else config.s_det)
+    tracked = greedy_iou_track(detections, max_gap=config.s_det)
     write_records(tracked, args.output, "detections")
     n_tracks = len({(d.video_id, d.track_id) for d in tracked})
     print(f"tracked {len(tracked)} detections into {n_tracks} tracks")
@@ -106,10 +97,10 @@ def _cmd_propose(args) -> None:
     tracks = tracks_from_records(read_records(args.input, "detections"))
     inputs = PipelineInputs(detections=args.input,
                             video_lengths=_parse_video_lengths(args.video_frames))
-    lengths = infer_video_lengths(inputs, tracks)
-    size = _parse_frame_size(args.frame_size)
-    sizes = {video_id: size for video_id in tracks}
-    proposals = generate_proposals(tracks, lengths, sizes, config)
+    if args.frame_size:
+        inputs.frame_sizes = dict.fromkeys(tracks, _parse_frame_size(args.frame_size))
+    proposals = generate_proposals(tracks, infer_video_lengths(inputs, tracks),
+                                   _frame_sizes(inputs, list(tracks)), config)
     write_records(proposals, args.output, "proposals")
     print(f"generated {len(proposals)} proposals")
 
@@ -133,10 +124,10 @@ def _cmd_filter(args) -> None:
     proposals = list(read_records(args.input, "proposals"))
     thresholds = None
     if args.thresholds_in:
-        thresholds = {cls: SENTINEL_THRESHOLD if value is None else float(value)
-                      for record in read_records(args.thresholds_in, "reports")
-                      if record.section == "filter_thresholds"
-                      for cls, value in record.data["thresholds"].items()}
+        thresholds = {}
+        for record in read_records(args.thresholds_in, "reports"):
+            if record.section == "filter_thresholds":
+                thresholds.update(record.data["thresholds"])
     kept, report = filter_stage(proposals, read_records(args.masks, "masks"),
                                 config, thresholds)
     write_records(kept, args.output, "proposals")
@@ -152,7 +143,7 @@ def _cmd_score(args) -> None:
         raise ConfigError("--fuse-weights needs two or more --from files")
     config = _load_config(args)
     proposals = list(read_records(args.input, "proposals"))
-    classes = _classes(config, proposals)
+    classes = config.activity_classes
     weights = None
     if args.fuse_weights:
         with open(args.fuse_weights, "r", encoding="utf-8") as fh:
@@ -185,10 +176,9 @@ def _cmd_evaluate(args) -> None:
     annotations = list(read_records(args.annotations, "annotations"))
     inputs = PipelineInputs(annotations=args.annotations,
                             video_lengths=_parse_video_lengths(args.video_frames))
-    lengths = infer_video_lengths(inputs, {a.video_id for a in annotations},
+    lengths = infer_video_lengths(inputs, {p.video_id for p in predictions}
+                                  | {a.video_id for a in annotations},
                                   lambda: annotations)
-    for pred in predictions:
-        lengths[pred.video_id] = max(lengths.get(pred.video_id, 0), pred.t1)
     curves, summary = evaluation_report(predictions, annotations, config,
                                         lengths, strict=args.strict)
     if args.proposals:
@@ -266,16 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     p.add_argument("input", type=Path)
     p.add_argument("-o", "--output", type=Path, required=True)
-    p.add_argument("--iou-gate", type=float, default=0.3)
-    p.add_argument("--max-gap", type=int, default=None,
-                   help="frames before a track closes (default: s_det)")
     p.set_defaults(func=_cmd_track)
 
     p = sub.add_parser("propose", help="generate overlapping cube proposals")
     _add_config_args(p)
     p.add_argument("input", type=Path, help="tracked detections")
     p.add_argument("-o", "--output", type=Path, required=True)
-    p.add_argument("--frame-size", default="1920x1080", metavar="WxH")
+    p.add_argument("--frame-size", metavar="WxH",
+                   help="frame size of every video (default: the pipeline's)")
     p.add_argument("--video-frames", action="append", default=[],
                    metavar="ID=FRAMES", help="explicit video length (repeatable)")
     p.set_defaults(func=_cmd_propose)

@@ -62,12 +62,15 @@ class DetCurve:
 def _check_videos(video_lengths: Mapping[str, int],
                   predictions: Sequence[ActivityInstance],
                   annotations: Sequence[ActivityAnnotation]) -> None:
-    for inst in predictions:
-        if inst.video_id not in video_lengths:
-            raise ValueError(f"no video length for predicted {inst.video_id!r}")
-    for ann in annotations:
-        if ann.video_id not in video_lengths:
-            raise ValueError(f"no video length for annotated {ann.video_id!r}")
+    """Every window lies within its video's known length."""
+    for kind, records in (("predicted", predictions), ("annotated", annotations)):
+        for r in records:
+            length = video_lengths.get(r.video_id)
+            if length is None:
+                raise ValueError(f"no video length for {kind} {r.video_id!r}")
+            if r.t1 > length:
+                raise ValueError(f"{kind} window [{r.t0}, {r.t1}) ends past the "
+                                 f"{length} frames of video {r.video_id!r}")
 
 
 def det_curve(predictions: Sequence[ActivityInstance],

@@ -197,17 +197,20 @@ def filter_proposals(cubes: Iterable[Cube],
 
 def filter_stage(proposals: Sequence[Cube], masks: Iterable[MaskFrame],
                  config: PipelineConfig,
-                 thresholds: Optional[Mapping[str, float]] = None
+                 thresholds: Optional[Mapping[str, Optional[float]]] = None
                  ) -> Tuple[List[Cube], dict]:
     """The filter stage: kept cubes and thresholds report. Thresholds are
-    calibrated on the positives unless given; other classes keep the sentinel.
+    calibrated on the positives unless given (a report's table, None for the
+    sentinel); other classes keep the sentinel.
     """
     scored = score_foreground(proposals, masks)
     table = {c.object_class: SENTINEL_THRESHOLD for c in scored}
     for cls in config.object_classes:
         table.setdefault(cls, SENTINEL_THRESHOLD)
-    table.update(calibrate_threshold(collect_positive_scores(scored), config.p_pos)
-                 if thresholds is None else thresholds)
+    if thresholds is None:
+        thresholds = calibrate_threshold(collect_positive_scores(scored), config.p_pos)
+    table.update({cls: SENTINEL_THRESHOLD if value is None else float(value)
+                  for cls, value in thresholds.items()})
     kept = filter_proposals(scored, table)
     return kept, {
         "thresholds": {cls: (None if value == SENTINEL_THRESHOLD else value)

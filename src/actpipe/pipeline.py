@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .dedup import deduplicate, merge_adjacent
-from .evaluation import evaluation_report
+from .evaluation import _classes_for, evaluation_report
 from .filtering import filter_stage
 from .geometry import BBox
 from .labeling import label_stage
@@ -205,9 +205,8 @@ def run_pipeline(config: PipelineConfig, inputs: PipelineInputs,
 
     if (not config.activity_classes and inputs.annotations
             and Path(inputs.annotations).exists()):
-        classes = sorted({a.activity_class for a in annotations_list()})
-        if classes:
-            config = config.with_classes(activity_classes=classes)
+        config = config.with_classes(
+            activity_classes=_classes_for(annotations_list(), config))
     video_lengths = infer_video_lengths(inputs, (), annotations_list)
 
     # records written by one stage, kept until the stage that consumes them

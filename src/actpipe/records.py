@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -254,6 +255,14 @@ def _int(obj: dict, key: str) -> int:
     return value
 
 
+def _float(value, name: str) -> float:
+    """A JSON number as a float: 0.5 and 1 pass; "0.5", true, NaN and
+    infinities raise."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _optional_int(obj: dict, key: str) -> Optional[int]:
     return None if obj.get(key) is None else _int(obj, key)
 
@@ -265,13 +274,18 @@ def _tube_to_json(frames: Optional[np.ndarray], boxes: Optional[np.ndarray]):
 
 
 def _tube_from_json(items) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """Unchecked tube arrays (the constructors check them); nulls for null."""
+    """Tube arrays of JSON numbers, otherwise unchecked (the constructors
+    check them); nulls for null."""
     if items is None:
         return None, None
     try:
+        # one C-level pass over every value's type; strings and bools fail
+        numbers = set(map(type, chain.from_iterable(items))) <= {int, float}
         raw = np.array(items, dtype=np.float64).reshape(len(items), 5)
     except (TypeError, ValueError):
-        raise ValueError("tube entries must be [frame, x0, x1, y0, y1] numbers") from None
+        numbers = False
+    if not numbers:
+        raise ValueError("tube entries must be [frame, x0, x1, y0, y1] numbers")
     return raw[:, 0], raw[:, 1:]
 
 
@@ -289,7 +303,7 @@ def _detection_from_json(obj: dict) -> DetectionRecord:
         frame=_int(obj, "frame"),
         object_class=obj["object_class"],
         bbox=_box_from(obj),
-        confidence=float(obj["confidence"]),
+        confidence=_float(obj["confidence"], "confidence"),
         track_id=_optional_int(obj, "track_id"),
     )
 
@@ -347,7 +361,7 @@ def _cube_to_json(c: Cube) -> dict:
 
 
 def _cube_from_json(obj: dict) -> Cube:
-    labels = obj.get("labels")
+    labels, fg_score = obj.get("labels"), obj.get("fg_score")
     return Cube(
         video_id=obj["video_id"],
         bbox=_box_from(obj),
@@ -355,7 +369,7 @@ def _cube_from_json(obj: dict) -> Cube:
         t1=_int(obj, "t1"),
         seed_track=_optional_int(obj, "seed_track"),
         object_class=obj.get("object_class", ""),
-        fg_score=None if obj.get("fg_score") is None else float(obj["fg_score"]),
+        fg_score=None if fg_score is None else _float(fg_score, "fg_score"),
         labels=None if labels is None else frozenset(labels),
     )
 
@@ -367,7 +381,8 @@ def _scored_to_json(r: ScoredCube) -> dict:
 
 
 def _scored_from_json(obj: dict) -> ScoredCube:
-    return ScoredCube(cube=_cube_from_json(obj), scores=tuple(obj["scores"]))
+    return ScoredCube(cube=_cube_from_json(obj),
+                      scores=tuple(_float(s, "scores entry") for s in obj["scores"]))
 
 
 def _instance_to_json(r: ActivityInstance) -> dict:
@@ -392,7 +407,7 @@ def _instance_from_json(obj: dict) -> ActivityInstance:
         t0=_int(obj, "t0"),
         t1=_int(obj, "t1"),
         bbox=_box_from(obj),
-        score=float(obj["score"]),
+        score=_float(obj["score"], "score"),
         seed_track=_optional_int(obj, "seed_track"),
         frames=frames,
         boxes=boxes,

@@ -104,7 +104,7 @@ def wbce_loss(scores: np.ndarray, label_matrix: np.ndarray,
 
 def _class_index(activity_classes: Sequence[str]) -> Dict[str, int]:
     if not activity_classes:
-        raise ValueError("activity_classes must be non-empty for scoring")
+        raise ValueError("activity_classes must be configured for scoring")
     index = {c: i for i, c in enumerate(activity_classes)}
     if len(index) != len(activity_classes):
         raise ValueError("duplicate activity classes")
@@ -171,10 +171,10 @@ def fuse_scores(score_sets: Sequence[Sequence[ScoredCube]],
                 weights: Optional[np.ndarray] = None) -> List[ScoredCube]:
     """Action-wise late fusion of several score sets over identical proposals.
 
-    Sets are joined by cube key, so a key repeated within a set is an error.
-    ``weights`` is a (models x classes) matrix whose columns each sum to 1;
-    omitted weights mean a uniform average. Output follows the first set's
-    proposal order.
+    Sets are fused by position, so they must hold the same cubes in the same
+    order (as :func:`load_external_scores` returns them for one proposal
+    list). ``weights`` is a (models x classes) matrix whose columns each sum
+    to 1; omitted weights mean a uniform average.
     """
     if not score_sets:
         raise ValueError("need at least one score set")
@@ -192,22 +192,16 @@ def fuse_scores(score_sets: Sequence[Sequence[ScoredCube]],
     if not np.allclose(sums, 1.0, atol=1e-9):
         raise ValueError(f"per-class weights must sum to 1, got {sums}")
 
-    tables = []
+    cubes = [sc.cube for sc in first]
     for s, score_set in enumerate(score_sets):
-        table: Dict[tuple, ScoredCube] = {}
-        for sc in score_set:
-            if sc.key in table:
-                raise ValueError(f"score set {s}: duplicate score key {sc.key}")
-            table[sc.key] = sc
-        if tables and table.keys() != tables[0].keys():
+        if [sc.cube for sc in score_set] != cubes:
             raise ValueError(f"score set {s} covers different proposals")
-        tables.append(table)
 
     out = []
-    for sc in first:
-        vectors = np.array([tables[s][sc.key].scores for s in range(m)])
+    for members in zip(*score_sets):
+        vectors = np.array([sc.scores for sc in members])
         fused = (weights * vectors).sum(axis=0)
-        out.append(ScoredCube(sc.cube, tuple(float(x) for x in fused)))
+        out.append(ScoredCube(members[0].cube, tuple(float(x) for x in fused)))
     return out
 
 

@@ -12,7 +12,7 @@ from .records import DetectionRecord
 
 __all__ = ["Track", "greedy_iou_track", "tracks_from_records"]
 
-DEFAULT_IOU_GATE = 0.3
+IOU_GATE = 0.3
 
 
 @dataclass(eq=False)
@@ -40,8 +40,8 @@ class _LiveTrack:
         self.last_box = det.bbox
 
 
-def _track_one_video(detections: List[DetectionRecord], iou_gate: float,
-                     max_gap: int) -> List[DetectionRecord]:
+def _track_one_video(detections: List[DetectionRecord], max_gap: int
+                     ) -> List[DetectionRecord]:
     frames: Dict[int, List[DetectionRecord]] = {}
     for det in detections:
         frames.setdefault(det.frame, []).append(det)
@@ -66,7 +66,7 @@ def _track_one_video(detections: List[DetectionRecord], iou_gate: float,
                 if track.object_class != det.object_class:
                     continue
                 iou = bbox_iou(track.last_box, det.bbox)
-                if iou >= iou_gate:
+                if iou >= IOU_GATE:
                     candidates.append((-iou, rank_of[det_i], det.bbox.x0,
                                        track.track_id, det_i, track))
         candidates.sort(key=lambda c: c[:4])
@@ -94,14 +94,14 @@ def _track_one_video(detections: List[DetectionRecord], iou_gate: float,
 
 
 def greedy_iou_track(detections: Iterable[DetectionRecord],
-                     iou_gate: float = DEFAULT_IOU_GATE,
-                     max_gap: int = 8) -> List[DetectionRecord]:
+                     max_gap: int) -> List[DetectionRecord]:
     """Assign track ids per video by greedy same-class IoU matching.
 
     Per frame, detections match live tracks in descending IoU order; pairs
-    below the gate start new tracks; tracks unseen for more than ``max_gap``
-    frames are closed. Ids are dense positive integers per video. Existing
-    ids on the input are ignored and reassigned.
+    below :data:`IOU_GATE` start new tracks; tracks unseen for more than
+    ``max_gap`` frames (``s_det`` in the pipeline) are closed. Ids are
+    dense positive integers per video. Existing ids on the input are
+    ignored and reassigned.
     """
     by_video: Dict[str, List[DetectionRecord]] = {}
     order: List[str] = []
@@ -112,7 +112,7 @@ def greedy_iou_track(detections: Iterable[DetectionRecord],
         by_video[det.video_id].append(det)
     out: List[DetectionRecord] = []
     for video_id in order:
-        out.extend(_track_one_video(by_video[video_id], iou_gate, max_gap))
+        out.extend(_track_one_video(by_video[video_id], max_gap))
     return out
 
 

@@ -105,6 +105,15 @@ class TestDetCurve:
             det_curve([pred(0, 64, 0.5, video="w")], [ann(0, 100)],
                       {"v": 1000}, 30)
 
+    @pytest.mark.parametrize("preds, gts, kind", [
+        ([pred(0, 100, 0.5)], [ann(0, 40)], "predicted"),
+        ([pred(0, 40, 0.5)], [ann(0, 100)], "annotated"),
+    ])
+    def test_window_past_video_end_rejected(self, preds, gts, kind):
+        with pytest.raises(ValueError, match=rf"{kind} window \[0, 100\) ends "
+                                             r"past the 50 frames of video 'v'"):
+            det_curve(preds, gts, {"v": 50}, 30)
+
 
 class TestPmissAndNaudc:
     curve = DetCurve("walk", (DetPoint(0.8, 1 / 9, 1.0),

@@ -1,5 +1,7 @@
+import argparse
 import json
 import logging
+import re
 import sys
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from actpipe import pipeline
-from actpipe.cli import main
+from actpipe.cli import build_parser, main
 from actpipe.config import PipelineConfig
 from actpipe.evaluation import QUALITY_LEVELS
 from actpipe.geometry import BBox, Cube
@@ -243,7 +245,8 @@ class TestCli:
                         d / "mask.jsonl", "-o", d / "filtered.jsonl",
                         "--thresholds", d / "thr.jsonl") == 0
         assert self.run("score", d / "filtered.jsonl", "--oracle",
-                        "-o", d / "scored.jsonl") == 0
+                        "-o", d / "scored.jsonl",
+                        "--set", "activity_classes=walk") == 0
         assert self.run("dedup", d / "scored.jsonl", "-o", d / "inst.jsonl",
                         "--set", "activity_classes=walk") == 0
         assert self.run("merge-adjacent", d / "inst.jsonl",
@@ -409,6 +412,57 @@ class TestCli:
         for name, path in o.items():
             assert path.read_bytes() == (run_dir / path.name).read_bytes(), name
 
+    def test_run_stage_subset(self, tmp_path, closure_corpus):
+        _, paths = closure_corpus
+        out = tmp_path / "out"
+        assert self.run("run", "--detections", paths["detections"],
+                        "--masks", paths["masks"], "--out-dir", out,
+                        "--stages", "track,propose",
+                        "--video-frames", "act00=192",
+                        "--video-frames", "bg00=192") == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "detections_tracked.jsonl", "proposals.jsonl", "timing.jsonl"]
+        (timing,) = read_records(out / "timing.jsonl", "reports")
+        assert [s["stage"] for s in timing.data["stages"]] == ["track",
+                                                               "propose"]
+
+    def test_run_scores_match_score_subcommand(self, tmp_path,
+                                               closure_corpus):
+        _, paths = closure_corpus
+        run = ["run", "--detections", paths["detections"],
+               "--annotations", paths["annotations"], "--masks", paths["masks"],
+               "--video-frames", "act00=192", "--video-frames", "bg00=192",
+               "--set", "activity_classes=walk"]
+        assert self.run(*run, "--out-dir", tmp_path / "filtered", "--stages",
+                        "track,propose,assign-labels,filter") == 0
+        proposals = list(read_records(
+            tmp_path / "filtered" / "proposals_filtered.jsonl", "proposals"))
+        score_files = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for m, path in enumerate(score_files):
+            write_records([ScoredCube(c, ((i * 7 + m * 3) % 10 / 9,))
+                           for i, c in enumerate(proposals)],
+                          path, "scored-proposals")
+        out = tmp_path / "out"
+        assert self.run(*run, "--out-dir", out, "--scores", score_files[0],
+                        "--scores", score_files[1]) == 0
+        assert self.run("score", out / "proposals_filtered.jsonl",
+                        "--from", score_files[0], "--from", score_files[1],
+                        "-o", tmp_path / "scored.jsonl",
+                        "--set", "activity_classes=walk") == 0
+        assert ((tmp_path / "scored.jsonl").read_bytes()
+                == (out / "proposals_scored.jsonl").read_bytes())
+
+    @pytest.mark.parametrize("flags, level", [([], logging.INFO),
+                                              (["-v"], logging.DEBUG)])
+    def test_verbose_logs_debug(self, tmp_path, monkeypatch, flags, level):
+        calls = []
+        monkeypatch.setattr(logging, "basicConfig",
+                            lambda **kwargs: calls.append(kwargs))
+        (tmp_path / "det.jsonl").write_text("#actpipe/detections/v1\n")
+        assert self.run(*flags, "track", tmp_path / "det.jsonl",
+                        "-o", tmp_path / "out.jsonl") == 0
+        assert [kwargs["level"] for kwargs in calls] == [level]
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert self.run("track", tmp_path / "absent.jsonl",
                         "-o", tmp_path / "out.jsonl") == 2
@@ -424,3 +478,27 @@ class TestCli:
         bad = tmp_path / "det.jsonl"
         bad.write_text("#actpipe/detections/v1\nnot json\n")
         assert self.run("track", bad, "-o", tmp_path / "out.jsonl") == 1
+
+
+def test_every_cli_flag_has_a_caller():
+    """A flag that no test or benchmark passes is a setting nothing checks."""
+    root = Path(__file__).resolve().parent.parent
+    # the tests, and the benchmark modules that run the CLI
+    callers = sorted(root.glob("tests/*.py")) + [
+        path for path in sorted(root.glob("perfbench/*.py"))
+        if "cli.main(" in path.read_text(encoding="utf-8")]
+    code = "\n".join(path.read_text(encoding="utf-8") for path in callers)
+
+    def actions(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from actions(sub)
+            elif action.option_strings and action.dest != "help":
+                yield action
+
+    # an option passed as its own argv item or as "--flag=value"
+    uncalled = {"/".join(action.option_strings) for action in actions(build_parser())
+                if not any(re.search(rf"[\"']{re.escape(flag)}[\"'=]", code)
+                           for flag in action.option_strings)}
+    assert sorted(uncalled) == []

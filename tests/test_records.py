@@ -222,6 +222,48 @@ class TestReaderErrors:
         with pytest.raises(RecordError, match=rf"strict\.jsonl:2: {re.escape(message)}"):
             list(read_records(path, kind))
 
+    SCORED = PROPOSAL + ',"t0":0,"t1":4'
+
+    @pytest.mark.parametrize("kind, fields, message", [
+        ("detections", DETECTION.replace("0.5", '"0.5"') + ',"frame":4',
+         "confidence must be a finite number, got '0.5'"),
+        ("detections", DETECTION.replace("0.5", "true") + ',"frame":4',
+         "confidence must be a finite number, got True"),
+        ("detections", DETECTION.replace("0.5", "NaN") + ',"frame":4',
+         "confidence must be a finite number, got nan"),
+        ("proposals", PROPOSAL + ',"t0":0,"t1":4,"fg_score":"0.1"',
+         "fg_score must be a finite number, got '0.1'"),
+        ("proposals", PROPOSAL + ',"t0":0,"t1":4,"fg_score":Infinity',
+         "fg_score must be a finite number, got inf"),
+        ("instances", INSTANCE.replace("0.5", '"0.9"') + ',"t0":0,"t1":4',
+         "score must be a finite number, got '0.9'"),
+        ("instances", INSTANCE.replace("0.5", "true") + ',"t0":0,"t1":4',
+         "score must be a finite number, got True"),
+        ("scored-proposals", SCORED + ',"scores":[0.5,"0.5"]',
+         "scores entry must be a finite number, got '0.5'"),
+        ("scored-proposals", SCORED + ',"scores":[true]',
+         "scores entry must be a finite number, got True"),
+        ("scored-proposals", SCORED + ',"scores":[NaN]',
+         "scores entry must be a finite number, got nan"),
+        ("annotations", '"video_id":"v","activity_class":"walk","t0":2,"t1":9,'
+         '"tube":[["4",0,1,0,1]]', "tube entries must be"),
+        ("annotations", '"video_id":"v","activity_class":"walk","t0":0,"t1":9,'
+         '"tube":[[true,0,1,0,1]]', "tube entries must be"),
+        ("annotations", '"video_id":"v","activity_class":"walk","t0":2,"t1":9,'
+         '"tube":[[4,0,"1",0,1]]', "tube entries must be"),
+        ("instances", INSTANCE + ',"t0":0,"t1":4,"tube":[[1,0,1,false,1]]',
+         "tube entries must be"),
+    ], ids=["confidence-string", "confidence-bool", "confidence-nan",
+            "fg-score-string", "fg-score-infinite", "score-string", "score-bool",
+            "scores-string", "scores-bool", "scores-nan",
+            "annotation-tube-frame-string", "annotation-tube-frame-bool",
+            "annotation-tube-coordinate-string", "instance-tube-bool"])
+    def test_numbers_must_be_json_numbers(self, tmp_path, kind, fields, message):
+        path = tmp_path / "num.jsonl"
+        path.write_text(f"#actpipe/{kind}/v1\n{{{fields}}}\n")
+        with pytest.raises(RecordError, match=rf"num\.jsonl:2: {re.escape(message)}"):
+            list(read_records(path, kind))
+
     def test_integral_floats_read_as_ints(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text("#actpipe/detections/v1\n{" + self.DETECTION

@@ -199,18 +199,23 @@ class TestFusion:
         with pytest.raises(ValueError, match="sum to 1"):
             fuse_scores([a, b], np.array([[0.7, 0.5], [0.7, 0.5]]))
 
-    def test_repeated_key_rejected(self):
+    def test_seedless_cubes_fuse_by_position(self):
         # two seedless cubes in one window share the key (v, 0, 64, None)
         left = Cube("v", BBox(0, 10, 0, 10), 0, 64, object_class="person")
         right = Cube("v", BBox(20, 30, 0, 10), 0, 64, object_class="person")
         a = [ScoredCube(left, (0.9,)), ScoredCube(right, (0.1,))]
         b = [ScoredCube(left, (0.7,)), ScoredCube(right, (0.3,))]
-        with pytest.raises(ValueError, match=r"score set 0: duplicate score "
-                                             r"key \('v', 0, 64, None\)"):
-            fuse_scores([a, b])
+        out = fuse_scores([a, b])
+        assert [sc.cube for sc in out] == [left, right]
+        assert [sc.scores for sc in out] == [(pytest.approx(0.8),),
+                                             (pytest.approx(0.2),)]
 
     def test_coverage_mismatch_rejected(self):
         a = self.scored([(0.2, 0.4)])
         b = [ScoredCube(cube(seed=99), (0.6, 0.8))]
         with pytest.raises(ValueError, match="different proposals"):
             fuse_scores([a, b])
+        # sets are fused by position, so the same cubes in another order differ
+        c = self.scored([(0.2, 0.4), (0.1, 0.3)])
+        with pytest.raises(ValueError, match="set 1 covers different proposals"):
+            fuse_scores([c, c[::-1]])

@@ -88,7 +88,7 @@ class TestGreedyTracker:
         # 5 px/frame drift on a 40 px box keeps IoU above the 0.3 gate
         dets = [det("v", f, BBox(5.0 * f, 5.0 * f + 40, 0, 40))
                 for f in range(10)]
-        out = greedy_iou_track(dets, iou_gate=0.3, max_gap=1)
+        out = greedy_iou_track(dets, max_gap=1)
         assert {d.track_id for d in out} == {1}
         oracle = brute_force_track(dets, 0.3, 1)
         assert grouping(out) == oracle
@@ -100,7 +100,7 @@ class TestGreedyTracker:
                             conf=0.9))
             dets.append(det("v", f, BBox(200 - 5.0 * f, 240 - 5.0 * f, 50, 90),
                             conf=0.8))
-        out = greedy_iou_track(dets, iou_gate=0.3, max_gap=1)
+        out = greedy_iou_track(dets, max_gap=1)
         assert grouping(out) == brute_force_track(dets, 0.3, 1)
 
     def test_class_mismatch_starts_new_track(self):
@@ -118,8 +118,8 @@ class TestGreedyTracker:
     def test_deterministic(self):
         dets = [det("v", f, BBox(3.0 * f, 3.0 * f + 30, 0, 30), conf=0.5)
                 for f in range(20)]
-        first = greedy_iou_track(dets)
-        second = greedy_iou_track(dets)
+        first = greedy_iou_track(dets, max_gap=8)
+        second = greedy_iou_track(dets, max_gap=8)
         assert first == second
 
     def test_no_double_assignment_per_frame(self):
@@ -134,7 +134,7 @@ class TestGreedyTracker:
     def test_ids_dense_per_video(self):
         a, b = BBox(0, 10, 0, 10), BBox(50, 60, 0, 10)
         dets = [det("v1", 0, a), det("v1", 0, b), det("v2", 0, a)]
-        out = greedy_iou_track(dets)
+        out = greedy_iou_track(dets, max_gap=8)
         assert sorted(d.track_id for d in out if d.video_id == "v1") == [1, 2]
         assert [d.track_id for d in out if d.video_id == "v2"] == [1]
 
