@@ -10,6 +10,11 @@ Per activity class and seed track, the three-step procedure:
    taking the union of their boxes;
 3. select the group holding the globally maximal score.
 
+A class scoring 0 on every cube of a partition is skipped. That is exact:
+scores lie in [0, 1], every segment or merged score is a mean of member
+scores, so all of them are 0, and only instances scoring above 0 are
+emitted.
+
 Every group blends information from all overlapping classifications, so the
 winner keeps the evidence of the whole run. Adjacent high-confidence
 instances are merged afterwards for the strict setting.
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +37,10 @@ __all__ = [
     "split_segments",
     "merge_groups",
     "select_group",
+    "iter_partitions",
+    "partition_instances",
+    "instance_order",
+    "check_scores",
     "deduplicate",
     "merge_adjacent",
 ]
@@ -173,30 +182,84 @@ def select_group(groups: Sequence[Sequence[SegmentCube]]) -> List[SegmentCube]:
 
 
 def _chain_partitions(cubes: List[Tuple[int, ScoredCube]]) -> Dict[int, List[int]]:
-    """Partition ids for cubes lacking a track: spatial IoU chains.
-
-    Chains use negative ids so they never collide with tracker output.
-    """
-    chains: List[Tuple[BBox, int]] = []
+    """Spatial IoU chains of the (index, cube) pairs lacking a track, under
+    negative ids so they never collide with tracker output."""
+    last_boxes: List[BBox] = []
     partitions: Dict[int, List[int]] = {}
-    ordered = sorted(cubes, key=lambda ic: (ic[1].cube.t0, ic[1].cube.bbox.x0,
-                                            ic[1].cube.bbox.y0, ic[0]))
+    ordered = sorted(((i, sc) for i, sc in cubes if sc.cube.seed_track is None),
+                     key=lambda ic: (ic[1].cube.t0, ic[1].cube.bbox.x0,
+                                     ic[1].cube.bbox.y0, ic[0]))
     for i, sc in ordered:
         bbox = sc.cube.bbox
-        chosen = None
-        for c, (last_box, chain_id) in enumerate(chains):
-            if bbox_iou(bbox, last_box) >= CHAIN_IOU:
-                chosen = c
-                break
-        if chosen is None:
-            chain_id = -(len(chains) + 1)
-            chains.append((bbox, chain_id))
-            chosen = len(chains) - 1
+        # the first chain whose last box overlaps enough, else a new one
+        c = next((c for c, last in enumerate(last_boxes)
+                  if bbox_iou(bbox, last) >= CHAIN_IOU), len(last_boxes))
+        if c == len(last_boxes):
+            last_boxes.append(bbox)
         else:
-            chain_id = chains[chosen][1]
-            chains[chosen] = (bbox, chain_id)
-        partitions.setdefault(chain_id, []).append(i)
+            last_boxes[c] = bbox
+        partitions.setdefault(-(c + 1), []).append(i)
     return partitions
+
+
+def iter_partitions(scored_cubes: Sequence[ScoredCube]
+                    ) -> Iterator[Tuple[str, int, List[int]]]:
+    """(video, partition id, member indices) per partition, both ids in
+    sorted order; seedless cubes go to negative-id spatial chains."""
+    by_video: Dict[str, List[Tuple[int, ScoredCube]]] = {}
+    for i, sc in enumerate(scored_cubes):
+        by_video.setdefault(sc.cube.video_id, []).append((i, sc))
+    for video_id in sorted(by_video):
+        tracked: Dict[int, List[int]] = {}
+        for i, sc in by_video[video_id]:
+            if sc.cube.seed_track is not None:
+                tracked.setdefault(sc.cube.seed_track, []).append(i)
+        tracked.update(_chain_partitions(by_video[video_id]))
+        for partition_id in sorted(tracked):
+            yield video_id, partition_id, tracked[partition_id]
+
+
+def partition_instances(video_id: str, partition_id: int,
+                        members: Sequence[ScoredCube],
+                        config: PipelineConfig) -> List[ActivityInstance]:
+    """One partition's instances: split/merge/select per non-zero class."""
+    members = sorted(members, key=lambda sc: (sc.cube.t0, sc.cube.t1))
+    overlapping = any(a.cube.t1 > b.cube.t0
+                      for a, b in zip(members, members[1:]))
+    instances = []
+    for class_idx, activity_class in enumerate(config.activity_classes):
+        if not any(sc.scores[class_idx] for sc in members):
+            continue
+        run = [SegmentCube(sc.cube.t0, sc.cube.t1, sc.scores[class_idx],
+                           sc.cube.bbox) for sc in members]
+        if overlapping:
+            segments = split_segments(run, config.d_prop, config.s_prop,
+                                      snap_offgrid=True)
+            run = select_group(merge_groups(segments, config.d_prop,
+                                            config.s_prop))
+        instances += (ActivityInstance(video_id, activity_class, cube.t0,
+                                       cube.t1, cube.bbox, cube.score,
+                                       seed_track=partition_id)
+                      for cube in run if cube.score > 0.0)
+    return instances
+
+
+def instance_order(a: ActivityInstance) -> tuple:
+    """Sort key of dedup and merge-adjacent output."""
+    return (a.video_id, a.activity_class, a.t0, a.t1, a.seed_track or 0)
+
+
+def check_scores(scored_cubes: Sequence[ScoredCube],
+                 classes: Sequence[str]) -> None:
+    """Raise unless classes are set and every cube scores each class."""
+    if not classes:
+        raise ValueError("activity_classes must be configured for dedup")
+    for sc in scored_cubes:
+        if len(sc.scores) != len(classes):
+            raise ValueError(
+                f"score vector of length {len(sc.scores)} for {sc.key}, "
+                f"expected {len(classes)}"
+            )
 
 
 def deduplicate(scored_cubes: Sequence[ScoredCube],
@@ -208,65 +271,15 @@ def deduplicate(scored_cubes: Sequence[ScoredCube],
     non-overlapping have no duplicates to resolve and pass through
     unchanged, which makes deduplication idempotent. Only instances with a
     strictly positive score are emitted; an all-zero confidence carries no
-    detection evidence.
+    detection evidence, so skipping a class that scores 0 on every cube of
+    a partition is exact: its segment and merged scores, means of those
+    zeros, are all 0.
     """
-    classes = config.activity_classes
-    if not classes:
-        raise ValueError("activity_classes must be configured for dedup")
-    for sc in scored_cubes:
-        if len(sc.scores) != len(classes):
-            raise ValueError(
-                f"score vector of length {len(sc.scores)} for {sc.key}, "
-                f"expected {len(classes)}"
-            )
-
-    by_video: Dict[str, List[Tuple[int, ScoredCube]]] = {}
-    for i, sc in enumerate(scored_cubes):
-        by_video.setdefault(sc.cube.video_id, []).append((i, sc))
-
-    instances: List[ActivityInstance] = []
-    for video_id in sorted(by_video):
-        entries = by_video[video_id]
-        partitions: Dict[int, List[int]] = {}
-        unkeyed = []
-        for i, sc in entries:
-            if sc.cube.seed_track is None:
-                unkeyed.append((i, sc))
-            else:
-                partitions.setdefault(sc.cube.seed_track, []).append(i)
-        partitions.update(_chain_partitions(unkeyed))
-
-        for track_id in sorted(partitions):
-            members = sorted((scored_cubes[i] for i in partitions[track_id]),
-                             key=lambda sc: (sc.cube.t0, sc.cube.t1))
-            overlapping = any(
-                a.cube.t1 > b.cube.t0
-                for a, b in zip(members, members[1:])
-            )
-            for class_idx, activity_class in enumerate(classes):
-                run = [
-                    SegmentCube(sc.cube.t0, sc.cube.t1,
-                                sc.scores[class_idx], sc.cube.bbox)
-                    for sc in members
-                ]
-                if overlapping:
-                    segments = split_segments(run, config.d_prop,
-                                              config.s_prop, snap_offgrid=True)
-                    groups = merge_groups(segments, config.d_prop,
-                                          config.s_prop)
-                    selected = select_group(groups)
-                else:
-                    selected = run
-                for cube in selected:
-                    if cube.score > 0.0:
-                        instances.append(
-                            ActivityInstance(video_id, activity_class,
-                                             cube.t0, cube.t1, cube.bbox,
-                                             cube.score, seed_track=track_id)
-                        )
-    instances.sort(key=lambda a: (a.video_id, a.activity_class, a.t0, a.t1,
-                                  a.seed_track or 0))
-    return instances
+    check_scores(scored_cubes, config.activity_classes)
+    return sorted((inst for video, pid, members in iter_partitions(scored_cubes)
+                   for inst in partition_instances(
+                       video, pid, [scored_cubes[i] for i in members], config)),
+                  key=instance_order)
 
 
 def merge_adjacent(instances: Sequence[ActivityInstance], s_merg: float,
@@ -326,6 +339,5 @@ def merge_adjacent(instances: Sequence[ActivityInstance], s_merg: float,
                 flush()
             run.append(inst)
         flush()
-    out.sort(key=lambda a: (a.video_id, a.activity_class, a.t0, a.t1,
-                            a.seed_track or 0))
+    out.sort(key=instance_order)
     return out

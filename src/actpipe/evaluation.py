@@ -16,7 +16,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import PipelineConfig
-from .dedup import deduplicate
+from .dedup import (check_scores, deduplicate, instance_order,
+                    iter_partitions, partition_instances)
 from .geometry import Cube, tube_iou_3d
 from .labeling import gt_to_cubes, same_window_blocks
 from .records import ActivityAnnotation, ActivityInstance
@@ -261,13 +262,11 @@ def _classes_for(annotations: Sequence[ActivityAnnotation],
     return tuple(sorted({a.activity_class for a in annotations}))
 
 
-def _mean_naudc(proposals: Sequence[Cube],
+def _mean_naudc(instances: Sequence[ActivityInstance],
                 annotations: Sequence[ActivityAnnotation],
                 config: PipelineConfig,
                 video_lengths: Mapping[str, int],
                 classes: Sequence[str]) -> float:
-    scored = oracle_scores(proposals, classes)
-    instances = deduplicate(scored, config.with_classes(activity_classes=classes))
     curves = det_curve(instances, annotations, video_lengths,
                        config.temporal_overlap_frames, classes)
     values = [naudc(c, config.naudc_limit)
@@ -283,9 +282,10 @@ def oracle_lower_bound(annotations: Sequence[ActivityAnnotation],
     The coverage error this leaves is systematic to the proposal format
     (duration/stride), which is what the bound protocol measures.
     """
-    proposals = gt_cube_proposals(annotations, config)
-    return _mean_naudc(proposals, annotations, config, video_lengths,
-                       _classes_for(annotations, config))
+    classes = _classes_for(annotations, config)
+    scored = oracle_scores(gt_cube_proposals(annotations, config), classes)
+    instances = deduplicate(scored, config.with_classes(activity_classes=classes))
+    return _mean_naudc(instances, annotations, config, video_lengths, classes)
 
 
 def proposal_quality(proposals: Sequence[Cube],
@@ -303,8 +303,18 @@ def proposal_quality(proposals: Sequence[Cube],
     Each ``levels`` dict is keyed by the float levels themselves, in the
     order of ``levels``; after ``write_records`` the JSON keys are
     ``str(level)``, for example ``"0.0"``.
+
+    The proposals are oracle-scored once. The subsets are nested, so most
+    dedup partitions recur between levels: a dict living for this call
+    holds each partition's instances by (video, partition id, member
+    indices into ``proposals``); chain ids of seedless cubes can shift
+    between subsets, hence the id.
     """
     classes = _classes_for(annotations, config)
+    dedup_config = config.with_classes(activity_classes=classes)
+    scored = oracle_scores(proposals, classes)
+    check_scores(scored, classes)
+    cache: Dict[tuple, List[ActivityInstance]] = {}
     gt_cubes = [gt for a in annotations
                 for gt in gt_to_cubes(a, config.d_prop, config.s_prop)]
     best_iou = np.zeros(len(proposals))
@@ -316,8 +326,16 @@ def proposal_quality(proposals: Sequence[Cube],
     def sweep(values: np.ndarray) -> Dict[float, float]:
         out = {}
         for level in levels:
-            subset = [p for i, p in enumerate(proposals) if values[i] >= level]
-            out[level] = _mean_naudc(subset, annotations, config,
+            ids = np.flatnonzero(values >= level).tolist()
+            instances = []
+            for video, pid, members in iter_partitions([scored[i] for i in ids]):
+                key = (video, pid, tuple(ids[m] for m in members))
+                if key not in cache:
+                    cache[key] = partition_instances(
+                        video, pid, [scored[i] for i in key[2]], dedup_config)
+                instances += cache[key]
+            instances.sort(key=instance_order)
+            out[level] = _mean_naudc(instances, annotations, config,
                                      video_lengths, classes)
         return out
 

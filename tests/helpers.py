@@ -1,15 +1,23 @@
 """Scene builders shared by the pipeline and acceptance tests, plus plain
 per-``BBox`` reference versions of the array-backed proposal, labeling and
-tube steps for differential tests."""
+tube steps, and the per-class dedup and per-level proposal-quality sweep,
+for differential tests."""
 
 import bisect
 import random
 
+import numpy as np
+
+from actpipe.dedup import CHAIN_IOU, SegmentCube, merge_groups, \
+    select_group, split_segments
+from actpipe.evaluation import QUALITY_LEVELS, det_curve, naudc
 from actpipe.geometry import BBox, Cube, bbox_enlarge, bbox_intersection, \
     bbox_iou, bbox_union, tube_arrays
 from actpipe.labeling import SAME_WINDOW_TIOU, GtCube, LabelAssignment, \
-    temporal_iou
+    gt_to_cubes, same_window_blocks, temporal_iou
 from actpipe.proposals import sample_windows
+from actpipe.records import ActivityInstance
+from actpipe.scoring import oracle_scores
 from actpipe.synth import ActivitySpec, ObjectSpec, SceneSpec
 from actpipe.tracking import Track
 
@@ -290,3 +298,129 @@ def ref_tube_iou_3d(a, b):
         else:
             union += box_b.area
     return inter / union
+
+
+# ---------------------------------------------------------------------------
+# dedup and proposal-quality references: every class of every partition runs
+# through split/merge/select, and every quality level is scored and
+# deduplicated afresh
+
+
+def ref_chain_partitions(cubes):
+    """Spatial IoU chains of (index, ScoredCube) pairs, ids -1, -2, ..."""
+    chains = []
+    partitions = {}
+    ordered = sorted(cubes, key=lambda ic: (ic[1].cube.t0, ic[1].cube.bbox.x0,
+                                            ic[1].cube.bbox.y0, ic[0]))
+    for i, sc in ordered:
+        bbox = sc.cube.bbox
+        chosen = None
+        for c, (last_box, chain_id) in enumerate(chains):
+            if bbox_iou(bbox, last_box) >= CHAIN_IOU:
+                chosen = c
+                break
+        if chosen is None:
+            chain_id = -(len(chains) + 1)
+            chains.append((bbox, chain_id))
+            chosen = len(chains) - 1
+        else:
+            chain_id = chains[chosen][1]
+            chains[chosen] = (bbox, chain_id)
+        partitions.setdefault(chain_id, []).append(i)
+    return partitions
+
+
+def ref_deduplicate(scored_cubes, config):
+    classes = config.activity_classes
+    if not classes:
+        raise ValueError("activity_classes must be configured for dedup")
+    for sc in scored_cubes:
+        if len(sc.scores) != len(classes):
+            raise ValueError(
+                f"score vector of length {len(sc.scores)} for {sc.key}, "
+                f"expected {len(classes)}"
+            )
+
+    by_video = {}
+    for i, sc in enumerate(scored_cubes):
+        by_video.setdefault(sc.cube.video_id, []).append((i, sc))
+
+    instances = []
+    for video_id in sorted(by_video):
+        partitions = {}
+        unkeyed = []
+        for i, sc in by_video[video_id]:
+            if sc.cube.seed_track is None:
+                unkeyed.append((i, sc))
+            else:
+                partitions.setdefault(sc.cube.seed_track, []).append(i)
+        partitions.update(ref_chain_partitions(unkeyed))
+
+        for track_id in sorted(partitions):
+            members = sorted((scored_cubes[i] for i in partitions[track_id]),
+                             key=lambda sc: (sc.cube.t0, sc.cube.t1))
+            overlapping = any(a.cube.t1 > b.cube.t0
+                              for a, b in zip(members, members[1:]))
+            for class_idx, activity_class in enumerate(classes):
+                run = [SegmentCube(sc.cube.t0, sc.cube.t1,
+                                   sc.scores[class_idx], sc.cube.bbox)
+                       for sc in members]
+                if overlapping:
+                    segments = split_segments(run, config.d_prop,
+                                              config.s_prop, snap_offgrid=True)
+                    selected = select_group(
+                        merge_groups(segments, config.d_prop, config.s_prop))
+                else:
+                    selected = run
+                for cube in selected:
+                    if cube.score > 0.0:
+                        instances.append(
+                            ActivityInstance(video_id, activity_class,
+                                             cube.t0, cube.t1, cube.bbox,
+                                             cube.score, seed_track=track_id)
+                        )
+    instances.sort(key=lambda a: (a.video_id, a.activity_class, a.t0, a.t1,
+                                  a.seed_track or 0))
+    return instances
+
+
+def ref_proposal_quality(proposals, annotations, config, video_lengths,
+                         levels=QUALITY_LEVELS, level_instances=None):
+    """The quality report with fresh oracle scores and dedup per level;
+    ``level_instances``, when given, collects each level's instances."""
+    classes = config.activity_classes or tuple(
+        sorted({a.activity_class for a in annotations}))
+    dedup_config = config.with_classes(activity_classes=classes)
+    gt_cubes = [gt for a in annotations
+                for gt in gt_to_cubes(a, config.d_prop, config.s_prop)]
+    best_iou = np.zeros(len(proposals))
+    best_cov = np.zeros(len(proposals))
+    for p_idx, _, iou, cov in same_window_blocks(proposals, gt_cubes):
+        best_iou[p_idx] = np.maximum(best_iou[p_idx], iou.max(axis=1))
+        best_cov[p_idx] = np.maximum(best_cov[p_idx], cov.max(axis=1))
+
+    def mean_naudc(subset):
+        instances = ref_deduplicate(oracle_scores(subset, classes),
+                                    dedup_config)
+        if level_instances is not None:
+            level_instances.append(instances)
+        curves = det_curve(instances, annotations, video_lengths,
+                           config.temporal_overlap_frames, classes)
+        values = [naudc(c, config.naudc_limit)
+                  for c in curves.values() if not c.no_reference]
+        return sum(values) / len(values) if values else 1.0
+
+    def sweep(values):
+        return {level: mean_naudc([p for i, p in enumerate(proposals)
+                                   if values[i] >= level])
+                for level in levels}
+
+    iou_levels = sweep(best_iou)
+    cov_levels = sweep(best_cov)
+    return {
+        "n_proposals": len(proposals),
+        "iou": {"average": sum(iou_levels.values()) / len(iou_levels),
+                "levels": iou_levels},
+        "coverage": {"average": sum(cov_levels.values()) / len(cov_levels),
+                     "levels": cov_levels},
+    }

@@ -1,28 +1,36 @@
-"""Array-backed proposal, labeling and tube steps against per-BBox references.
+"""Array-backed proposal, labeling and tube steps against per-BBox references,
+and dedup and proposal quality against their plain sweeps.
 
 The references in ``helpers`` compute one ``BBox`` at a time, as the steps
-did before tracks and tubes became arrays. Every comparison is exact:
-equal values and equal ``write_records`` bytes.
+did before tracks and tubes became arrays; the dedup reference runs every
+class of every partition, and the quality reference scores and
+deduplicates every level afresh. Every comparison is exact: equal values
+and equal ``write_records`` bytes.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from actpipe import evaluation
 from actpipe.config import PipelineConfig
-from actpipe.dedup import merge_adjacent
+from actpipe.dedup import deduplicate, merge_adjacent
+from actpipe.evaluation import proposal_quality
 from actpipe.geometry import BBox, Cube, bbox_iou, coverage, tube_iou_3d
 from actpipe.labeling import (SAME_WINDOW_TIOU, GtCube, apply_assignments,
                               assign_labels, gt_to_cubes, same_window_blocks,
                               temporal_iou)
 from actpipe.proposals import (central_seeds, generate_video_proposals,
-                               refine_union)
-from actpipe.records import ActivityAnnotation, ActivityInstance, write_records
+                               refine_union, sample_windows)
+from actpipe.records import (ActivityAnnotation, ActivityInstance, ScoredCube,
+                             write_records)
 from helpers import (make_track, ref_assign_labels, ref_central_seeds,
-                     ref_frame_boxes, ref_generate_video_proposals,
-                     ref_gt_to_cubes, ref_refine_union, ref_tube_iou_3d,
+                     ref_deduplicate, ref_frame_boxes,
+                     ref_generate_video_proposals, ref_gt_to_cubes,
+                     ref_proposal_quality, ref_refine_union, ref_tube_iou_3d,
                      tube_of)
 
 # a few fixed boxes make exact IoU ties (and an IoU of exactly 0.5) likely
@@ -319,3 +327,179 @@ class TestMergeAdjacent:
                                     tube=pairs)
         assert merged == expected
         assert written([merged], "instances") == written([expected], "instances")
+
+
+DEDUP_CLASSES = ("walk", "ride", "sit")
+# mostly zeros; repeated values make score ties across groups likely
+dedup_scores = st.sampled_from([0.0, 0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 0.3])
+
+
+@st.composite
+def scored_partitions(draw):
+    """Config plus scored cubes: overlapping runs (with the end-anchored
+    off-grid window when the video length is off the grid), non-overlapping
+    runs and scattered windows, tracked or seedless, with all-zero classes
+    and classes scoring in only one cube."""
+    d_prop, s_prop = draw(formats)
+    config = PipelineConfig(d_prop=d_prop, s_prop=s_prop,
+                            activity_classes=DEDUP_CLASSES)
+    windows = sample_windows(draw(st.integers(1, 5 * d_prop)), d_prop, s_prop)
+    cubes = []
+    for video in draw(st.lists(st.sampled_from(["a", "b"]), min_size=1,
+                               max_size=2, unique=True)):
+        for _ in range(draw(st.integers(0, 4))):
+            track = draw(st.sampled_from([None, None, 0, 1, 2, 7]))
+            kind = draw(st.integers(0, 2))
+            if kind == 0:
+                picked = windows
+            elif kind == 1:
+                picked = windows[::d_prop // s_prop]
+            else:
+                picked = draw(st.lists(st.sampled_from(windows), min_size=1,
+                                       max_size=6, unique=True))
+            pick = draw(box_picker())
+            zero = draw(st.sets(st.integers(0, 2), max_size=3))
+            lone_class = draw(st.integers(-1, 2))
+            lone_at = draw(st.integers(0, len(picked) - 1))
+            for k, (t0, t1) in enumerate(picked):
+                scores = [0.0 if c in zero else draw(dedup_scores)
+                          for c in range(3)]
+                if lone_class >= 0:
+                    scores[lone_class] = 0.5 if k == lone_at else 0.0
+                cubes.append(ScoredCube(
+                    Cube(video, pick(), t0, t1, seed_track=track,
+                         object_class="person"), scores))
+    return config, draw(st.permutations(cubes))
+
+
+def dedup_case(t0s, scores, d_prop=64, s_prop=16, track=1, boxes=None):
+    """One partition, one cube per start frame; "walk" scores 0 on every
+    cube and "ride" scores ``scores``."""
+    config = PipelineConfig(d_prop=d_prop, s_prop=s_prop,
+                            activity_classes=("walk", "ride"))
+    boxes = boxes or [BBox(0, 10, 0, 10)] * len(t0s)
+    return config, [ScoredCube(Cube("v", box, t0, t0 + d_prop,
+                                    seed_track=track), (0.0, s))
+                    for t0, s, box in zip(t0s, scores, boxes)]
+
+
+class TestDeduplicate:
+    @settings(max_examples=300, deadline=None)
+    @given(case=scored_partitions())
+    def test_matches_every_class_reference(self, case):
+        config, cubes = case
+        got = deduplicate(cubes, config)
+        want = ref_deduplicate(cubes, config)
+        assert got == want
+        assert written(got, "instances") == written(want, "instances")
+
+    @pytest.mark.parametrize("case", [
+        # all-zero class next to a class scoring in one later cube only
+        dedup_case([0, 16, 32, 48], [0.0, 0.0, 0.7, 0.0]),
+        # the two phase groups tie on their best score
+        dedup_case([0, 16, 32, 48], [0.5, 0.5, 0.5, 0.5]),
+        # disjoint boxes: empty intersections fall back to the nearest cube
+        dedup_case([0, 16], [0.3, 0.6],
+                   boxes=[BBox(0, 5, 0, 5), BBox(20, 30, 20, 30)]),
+        # non-overlapping partition: passes through unchanged
+        dedup_case([0, 64, 128], [0.0, 0.4, 0.9]),
+        # seedless cubes chained by IoU
+        dedup_case([0, 16, 32], [0.0, 0.2, 0.0], track=None),
+        # an off-grid end-anchored window
+        dedup_case([0, 16, 37], [0.0, 0.0, 0.8]),
+    ])
+    def test_named_cases(self, case):
+        config, cubes = case
+        got = deduplicate(cubes, config)
+        want = ref_deduplicate(cubes, config)
+        assert got and got == want
+        assert {a.activity_class for a in got} == {"ride"}
+        assert written(got, "instances") == written(want, "instances")
+
+
+QUALITY_CLASSES = ("walk", "ride")
+GT_BOX = BBox(100, 160, 100, 160)
+# shifts spread each proposal's IoU with GT_BOX over the quality levels
+shifts = st.sampled_from([-70, -30, -12, -4, 0, 0, 4, 12, 30, 70])
+
+
+@st.composite
+def quality_inputs(draw):
+    """Labeled proposals, tracked or seedless, whose IoU and coverage with
+    the GT cubes vary, so partitions lose members from level to level."""
+    annotations = []
+    for video in ("a", "b"):
+        for _ in range(draw(st.integers(0, 2))):
+            t0 = draw(st.sampled_from([0, 16, 40]))
+            t1 = min(192, t0 + draw(st.sampled_from([64, 100, 150])))
+            annotations.append(ActivityAnnotation(
+                video, draw(st.sampled_from(QUALITY_CLASSES)), t0, t1,
+                ((t0, GT_BOX), (t1 - 1, GT_BOX))))
+    proposals = []
+    for _ in range(draw(st.integers(0, 24))):
+        t0, t1 = draw(st.sampled_from(sample_windows(192, 64, 16)))
+        dx, dy, grow = draw(shifts), draw(shifts), draw(st.sampled_from([0, 20]))
+        box = BBox(GT_BOX.x0 + dx, GT_BOX.x1 + dx + grow, GT_BOX.y0 + dy,
+                   GT_BOX.y1 + dy)
+        labels = draw(st.sampled_from([(), (), ("walk",), ("ride",),
+                                       ("walk", "ride")]))
+        proposals.append(Cube(draw(st.sampled_from(["a", "b"])), box, t0, t1,
+                              seed_track=draw(st.sampled_from([None, None, 1, 2])),
+                              labels=frozenset(labels)))
+    return proposals, annotations
+
+
+def round_trip(report):
+    return json.loads(json.dumps(report))
+
+
+class TestProposalQuality:
+    config = PipelineConfig(d_prop=64, s_prop=16,
+                            activity_classes=QUALITY_CLASSES)
+    lengths = {"a": 192, "b": 192}
+
+    def check(self, proposals, annotations, monkeypatch):
+        """Equal reports, and equal instances at every level."""
+        seen = []
+        det_curve = evaluation.det_curve
+
+        def recording_det_curve(predictions, *args):
+            seen.append(written(predictions, "instances"))
+            return det_curve(predictions, *args)
+
+        monkeypatch.setattr(evaluation, "det_curve", recording_det_curve)
+        got = proposal_quality(proposals, annotations, self.config,
+                               self.lengths)
+        monkeypatch.undo()
+        expected = []
+        want = ref_proposal_quality(proposals, annotations, self.config,
+                                    self.lengths, level_instances=expected)
+        assert round_trip(got) == round_trip(want)
+        assert seen == [written(i, "instances") for i in expected]
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=quality_inputs())
+    def test_matches_per_level_reference(self, case):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.check(*case, monkeypatch)
+
+    def test_chain_ids_shift_between_levels(self, monkeypatch):
+        # seedless A sorts before B and takes chain -1 until its low IoU
+        # drops it; then B, unchanged, becomes chain -1 instead of -2
+        gt = ActivityAnnotation("a", "walk", 0, 64,
+                                ((0, GT_BOX), (63, GT_BOX)))
+        far = BBox(GT_BOX.x0 - 40, GT_BOX.x1 - 40, GT_BOX.y0, GT_BOX.y1)
+        proposals = [Cube("a", box, 0, 64, seed_track=None,
+                          labels=frozenset({"walk"}))
+                     for box in (far, GT_BOX)]
+        self.check(proposals, [gt], monkeypatch)
+
+    def test_partition_loses_members(self, monkeypatch):
+        # one track whose off-centre cubes drop out at higher levels
+        gt = ActivityAnnotation("a", "walk", 0, 128,
+                                ((0, GT_BOX), (127, GT_BOX)))
+        proposals = [Cube("a", BBox(GT_BOX.x0 + dx, GT_BOX.x1 + dx, GT_BOX.y0,
+                                    GT_BOX.y1), t0, t0 + 64, seed_track=3,
+                          labels=frozenset({"walk"}))
+                     for t0, dx in zip(range(0, 80, 16), (0, 30, 0, 12, 40))]
+        self.check(proposals, [gt], monkeypatch)

@@ -1,13 +1,21 @@
 import pytest
 
+from actpipe import evaluation
 from actpipe.config import PipelineConfig
+from actpipe.dedup import iter_partitions, partition_instances
 from actpipe.evaluation import (QUALITY_LEVELS, DetCurve, DetPoint,
                                 det_curve, evaluation_report,
                                 gt_cube_proposals, map_3diou, naudc,
                                 oracle_lower_bound, pmiss_at_tfa,
                                 proposal_quality)
 from actpipe.geometry import BBox
+from actpipe.labeling import label_stage
+from actpipe.proposals import generate_proposals
 from actpipe.records import ActivityAnnotation, ActivityInstance
+from actpipe.scoring import oracle_scores
+from actpipe.synth import generate_corpus
+from actpipe.tracking import tracks_from_records
+from helpers import misaligned_scenes
 
 BOX = BBox(0, 10, 0, 10)
 
@@ -224,6 +232,56 @@ class TestProposalQuality:
         # perfect proposals survive every level up to 1.0 IoU
         assert levels[0.0] == levels[0.9]
         assert report["n_proposals"] == len(proposals)
+
+
+def misaligned_quality_inputs(n_scenes):
+    """Labeled proposals, annotations and lengths of the misaligned scenes."""
+    config = PipelineConfig(d_prop=64, s_prop=16)
+    specs = misaligned_scenes(n_scenes)
+    scenes = generate_corpus(specs, config)
+    lengths = {s.video_id: s.video_len for s in specs}
+    tracks = tracks_from_records(d for s in scenes for d in s.detections)
+    proposals = generate_proposals(tracks, lengths,
+                                   {s.video_id: s.frame_size for s in specs},
+                                   config)
+    annotations = [a for s in scenes for a in s.annotations]
+    labeled, _ = label_stage(proposals, annotations, config)
+    return labeled, annotations, config, lengths
+
+
+class TestProposalQualityWork:
+    def test_scores_once_and_dedups_each_partition_once(self, monkeypatch):
+        proposals, annotations, config, lengths = misaligned_quality_inputs(8)
+        scored_calls = []
+        partitions_seen = []
+        keys = []
+
+        def counting_oracle_scores(cubes, classes):
+            scored_calls.append(oracle_scores(cubes, classes))
+            return scored_calls[-1]
+
+        def counting_iter_partitions(scored_cubes):
+            for part in iter_partitions(scored_cubes):
+                partitions_seen.append(part)
+                yield part
+
+        def counting_partition_instances(video, pid, members, cfg):
+            index = {id(sc): i for i, sc in enumerate(scored_calls[0])}
+            keys.append((video, pid, tuple(index[id(m)] for m in members)))
+            return partition_instances(video, pid, members, cfg)
+
+        monkeypatch.setattr(evaluation, "oracle_scores", counting_oracle_scores)
+        monkeypatch.setattr(evaluation, "iter_partitions",
+                            counting_iter_partitions)
+        monkeypatch.setattr(evaluation, "partition_instances",
+                            counting_partition_instances)
+        proposal_quality(proposals, annotations, config, lengths)
+
+        assert len(scored_calls) == 1
+        assert len(keys) == len(set(keys))
+        # 20 nested level subsets: most partitions recur unchanged
+        assert len(partitions_seen) > 2 * len(keys), \
+            (len(partitions_seen), len(keys))
 
 
 class TestEvaluationReport:
