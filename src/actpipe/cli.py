@@ -1,10 +1,13 @@
 """Command-line front-end: one subcommand per pipeline stage.
 
 Each subcommand runs its stage by the rules :func:`run_pipeline` uses:
-``track`` closes tracks after ``s_det`` frames, ``propose`` and ``evaluate``
-infer missing video lengths, and ``propose`` missing frame sizes, as the
-pipeline does. ``score`` and ``dedup`` read no annotations to derive the
-activity classes from, so they need ``activity_classes`` configured.
+``track`` closes tracks after ``s_det`` frames, and ``propose`` infers
+missing frame sizes. ``propose`` and ``evaluate`` infer missing video
+lengths by the pipeline's rule, but only from the records they read:
+``propose`` from its tracked detections, ``evaluate`` from its predictions,
+annotations and proposals. ``score`` and ``dedup`` read no annotations to
+derive the activity classes from, so they need ``activity_classes``
+configured.
 
 Exit codes: 0 success, 1 contract error (bad records, bad config, stage
 precondition), 2 I/O error.
@@ -174,15 +177,16 @@ def _cmd_evaluate(args) -> None:
     config = _load_config(args)
     predictions = list(read_records(args.input, "instances"))
     annotations = list(read_records(args.annotations, "annotations"))
+    proposals = (list(read_records(args.proposals, "proposals"))
+                 if args.proposals else [])
     inputs = PipelineInputs(annotations=args.annotations,
                             video_lengths=_parse_video_lengths(args.video_frames))
-    lengths = infer_video_lengths(inputs, {p.video_id for p in predictions}
-                                  | {a.video_id for a in annotations},
-                                  lambda: annotations)
+    windows = annotations + predictions + proposals
+    lengths = infer_video_lengths(inputs, {r.video_id for r in windows},
+                                  lambda: windows)
     curves, summary = evaluation_report(predictions, annotations, config,
                                         lengths, strict=args.strict)
     if args.proposals:
-        proposals = list(read_records(args.proposals, "proposals"))
         summary["proposal_quality"] = proposal_quality(
             proposals, annotations, config, lengths
         )

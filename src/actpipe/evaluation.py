@@ -4,7 +4,10 @@ Loosened setting: per-class detection-error-tradeoff curves sweeping the
 score threshold, reporting the probability of missing a ground-truth
 instance against the time-based false-alarm rate (falsely flagged
 non-activity frames over total non-activity frames), summarized as the
-normalized area under the curve up to a false-alarm budget. Strict setting:
+normalized area under the curve up to a false-alarm budget. A frame is
+flagged at threshold t when the best prediction covering it scores >= t,
+and a ground truth is missed when its best overlapping prediction scores
+< t, so each curve point counts two sorted score arrays. Strict setting:
 mean average precision with exact bipartite matching at 3D tube IoU.
 """
 
@@ -81,12 +84,13 @@ def det_curve(predictions: Sequence[ActivityInstance],
               classes: Optional[Sequence[str]] = None) -> Dict[str, DetCurve]:
     """Per-class DET sweep over the distinct prediction scores.
 
-    At threshold t, a ground-truth instance counts as detected when some
-    prediction of its class scoring >= t overlaps it temporally by at least
-    ``min_temporal_overlap`` frames (multiple predictions may share one
-    ground truth). False-alarm time counts predicted frames outside all
-    ground-truth-positive frames of the class, over the corpus's total
-    non-positive frames; an empty denominator reads as zero.
+    At threshold t, a ground truth is missed when its best prediction of the
+    class (same video, temporal overlap >= ``min_temporal_overlap`` frames)
+    scores < t, and a frame outside the class's ground-truth windows is a
+    false alarm when the best prediction covering it scores >= t; false
+    alarms are over the corpus's non-positive frames (none reads as 0.0).
+    Each point is two ``searchsorted`` counts over sorted best scores,
+    divided int by int, so it is exact for the finite scores records hold.
     """
     _check_videos(video_lengths, predictions, annotations)
     if classes is None:
@@ -101,45 +105,27 @@ def det_curve(predictions: Sequence[ActivityInstance],
             curves[activity_class] = DetCurve(activity_class, (), True)
             continue
 
-        positive = {
-            video_id: np.zeros(length, dtype=bool)
-            for video_id, length in video_lengths.items()
-        }
+        positive = {v: np.zeros(n, dtype=bool) for v, n in video_lengths.items()}
+        frame_best = {v: np.full(n, -np.inf) for v, n in video_lengths.items()}
         for gt in gts:
             positive[gt.video_id][gt.t0:gt.t1] = True
-        total_neg = sum(int(length) - int(positive[v].sum())
-                        for v, length in video_lengths.items())
+        for pred in preds:
+            window = frame_best[pred.video_id][pred.t0:pred.t1]
+            np.maximum(window, pred.score, out=window)
+        negatives = np.sort(np.concatenate(
+            [frame_best[v][~positive[v]] for v in video_lengths]))
+        best = np.sort([max((p.score for p in preds if p.video_id == gt.video_id
+                             and min(p.t1, gt.t1) - max(p.t0, gt.t0)
+                             >= min_temporal_overlap), default=-np.inf)
+                        for gt in gts])
 
-        best_scores = []
-        for gt in gts:
-            best = None
-            for pred in preds:
-                if pred.video_id != gt.video_id:
-                    continue
-                overlap = min(pred.t1, gt.t1) - max(pred.t0, gt.t0)
-                if overlap >= min_temporal_overlap:
-                    if best is None or pred.score > best:
-                        best = pred.score
-            best_scores.append(best)
-
-        coverage_count = {v: np.zeros(length, dtype=np.int32)
-                          for v, length in video_lengths.items()}
-        fa_frames = 0
-        points = []
-        preds_sorted = sorted(preds, key=lambda p: -p.score)
-        i = 0
-        for threshold in sorted({p.score for p in preds}, reverse=True):
-            while i < len(preds_sorted) and preds_sorted[i].score >= threshold:
-                pred = preds_sorted[i]
-                cov = coverage_count[pred.video_id][pred.t0:pred.t1]
-                pos = positive[pred.video_id][pred.t0:pred.t1]
-                fa_frames += int(((cov == 0) & ~pos).sum())
-                cov += 1
-                i += 1
-            misses = sum(1 for b in best_scores if b is None or b < threshold)
-            tfa = fa_frames / total_neg if total_neg else 0.0
-            points.append(DetPoint(threshold, tfa, misses / len(gts)))
-        curves[activity_class] = DetCurve(activity_class, tuple(points), False)
+        thresholds = sorted({p.score for p in preds}, reverse=True)
+        alarms = (len(negatives) - np.searchsorted(negatives, thresholds)).tolist()
+        misses = np.searchsorted(best, thresholds).tolist()
+        points = tuple(DetPoint(t, fa / len(negatives) if len(negatives) else 0.0,
+                                m / len(gts))
+                       for t, fa, m in zip(thresholds, alarms, misses))
+        curves[activity_class] = DetCurve(activity_class, points, False)
     return curves
 
 
@@ -262,15 +248,9 @@ def _classes_for(annotations: Sequence[ActivityAnnotation],
     return tuple(sorted({a.activity_class for a in annotations}))
 
 
-def _mean_naudc(instances: Sequence[ActivityInstance],
-                annotations: Sequence[ActivityAnnotation],
-                config: PipelineConfig,
-                video_lengths: Mapping[str, int],
-                classes: Sequence[str]) -> float:
-    curves = det_curve(instances, annotations, video_lengths,
-                       config.temporal_overlap_frames, classes)
-    values = [naudc(c, config.naudc_limit)
-              for c in curves.values() if not c.no_reference]
+def _mean_naudc(curves: Mapping[str, DetCurve], limit: float) -> float:
+    """Mean nAUDC over the curves with references; 1.0 when none has one."""
+    values = [naudc(c, limit) for c in curves.values() if not c.no_reference]
     return sum(values) / len(values) if values else 1.0
 
 
@@ -285,7 +265,9 @@ def oracle_lower_bound(annotations: Sequence[ActivityAnnotation],
     classes = _classes_for(annotations, config)
     scored = oracle_scores(gt_cube_proposals(annotations, config), classes)
     instances = deduplicate(scored, config.with_classes(activity_classes=classes))
-    return _mean_naudc(instances, annotations, config, video_lengths, classes)
+    return _mean_naudc(det_curve(instances, annotations, video_lengths,
+                                 config.temporal_overlap_frames, classes),
+                       config.naudc_limit)
 
 
 def proposal_quality(proposals: Sequence[Cube],
@@ -335,8 +317,10 @@ def proposal_quality(proposals: Sequence[Cube],
                         video, pid, [scored[i] for i in key[2]], dedup_config)
                 instances += cache[key]
             instances.sort(key=instance_order)
-            out[level] = _mean_naudc(instances, annotations, config,
-                                     video_lengths, classes)
+            out[level] = _mean_naudc(
+                det_curve(instances, annotations, video_lengths,
+                          config.temporal_overlap_frames, classes),
+                config.naudc_limit)
         return out
 
     iou_levels = sweep(best_iou)
@@ -382,8 +366,7 @@ def evaluation_report(predictions: Sequence[ActivityInstance],
     referenced = [c for c in curves.values() if not c.no_reference]
     summary = {
         "classes": per_class,
-        "mean_naudc": (sum(naudc(c, config.naudc_limit) for c in referenced)
-                       / len(referenced) if referenced else 1.0),
+        "mean_naudc": _mean_naudc(curves, config.naudc_limit),
         "matching": {
             "min_temporal_overlap": config.temporal_overlap_frames,
             "note": "simplified loosened matching: fixed temporal-overlap "

@@ -108,15 +108,16 @@ class PipelineResult:
 
 def infer_video_lengths(inputs: PipelineInputs,
                         videos: Optional[Iterable[str]] = None,
-                        annotations: Optional[Callable[[], list]] = None
+                        windows: Optional[Callable[[], Iterable]] = None
                         ) -> Dict[str, int]:
     """Per-video frame counts: explicit lengths, the rest from record files.
 
     Videos without an explicit length get the maximum frame index seen plus
-    one (annotation ends count too) and are logged; this can undercount
+    one (window ends count too) and are logged; this can undercount
     trailing activity-free frames and so shift false-alarm denominators.
     No file is read when each of ``videos`` has an explicit length.
-    ``annotations``, when given, returns the already parsed annotations.
+    ``windows``, when given, returns the already parsed records whose
+    ``video_id`` and ``t1`` count in place of the annotations file's.
     """
     lengths: Dict[str, int] = dict(inputs.video_lengths)
     if lengths and videos is not None and all(v in lengths for v in videos):
@@ -134,9 +135,9 @@ def infer_video_lengths(inputs: PipelineInputs,
         for mask in read_records(inputs.masks, "masks"):
             bump(mask.video_id, mask.frame + 1)
     if inputs.annotations and Path(inputs.annotations).exists():
-        for ann in (annotations() if annotations
-                    else read_records(inputs.annotations, "annotations")):
-            bump(ann.video_id, ann.t1)
+        for record in (windows() if windows
+                       else read_records(inputs.annotations, "annotations")):
+            bump(record.video_id, record.t1)
     if inferred:
         logger.warning("video lengths inferred from record files for %s; pass "
                        "explicit lengths for exact false-alarm rates",

@@ -20,8 +20,6 @@ from .tracking import Track
 
 __all__ = [
     "sample_windows",
-    "central_seeds",
-    "refine_union",
     "generate_video_proposals",
     "generate_proposals",
 ]
@@ -83,31 +81,14 @@ def _seed_pairs(windows: Sequence[Window], tracks: Sequence[Track],
     return w_idx[seeds], k_idx[seeds], lo[seeds], hi[seeds]
 
 
-def central_seeds(window: Window, tracks: Sequence[Track],
-                  s_det: int) -> List[Track]:
-    """Tracks seeding a window: those with a box near its central frame.
-
-    A track qualifies when its nearest in-window box is within s_det/2
-    frames of the central frame (detections only exist every s_det frames).
-    """
-    seeds = _seed_pairs([window], tracks, s_det)[1].tolist() if tracks else []
-    return [tracks[k] for k in seeds]
-
-
-def refine_union(seed: Track, window: Window) -> BBox:
-    """Union of all of the seed track's boxes with frames in the window."""
-    lo, hi = np.searchsorted(seed.frames, window)
-    if lo == hi:
-        raise ValueError(f"track {seed.track_id} has no boxes in "
-                         f"[{window[0]}, {window[1]})")
-    return BBox(*window_unions(seed.boxes, [lo], [hi])[0].tolist())
-
-
 def generate_video_proposals(video_id: str, tracks: Sequence[Track],
                              video_len: int, frame_size: Tuple[float, float],
                              config: PipelineConfig) -> List[Cube]:
     """All cube proposals for one video, ordered by (t0, seed_track).
 
+    A track seeds a window when it has an in-window box within ``s_det / 2``
+    frames of its central frame (detections exist only every ``s_det``
+    frames); the cube's box is the union of the track's in-window boxes.
     Boxes are stored already enlarged by ``r_enl`` so downstream stages see
     one canonical geometry. Tracks of classes outside ``object_classes`` are
     skipped when that list is non-empty.

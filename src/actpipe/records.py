@@ -244,14 +244,13 @@ def _box_from(obj: dict) -> BBox:
     return BBox(*coords)
 
 
-def _int(obj: dict, key: str) -> int:
-    """``obj[key]`` as an int: 4 and 4.0 pass; 4.5, "4", true and non-finite
-    values raise, as for tube frames."""
-    value = obj[key]
+def _int(value, name: str) -> int:
+    """A JSON number as an int: 4 and 4.0 pass; 4.5, "4", true and
+    non-finite values raise, as for tube frames."""
     if type(value) is float and value.is_integer():
         return int(value)
     if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 
 
@@ -264,7 +263,7 @@ def _float(value, name: str) -> float:
 
 
 def _optional_int(obj: dict, key: str) -> Optional[int]:
-    return None if obj.get(key) is None else _int(obj, key)
+    return None if obj.get(key) is None else _int(obj[key], key)
 
 
 def _tube_to_json(frames: Optional[np.ndarray], boxes: Optional[np.ndarray]):
@@ -300,7 +299,7 @@ def _detection_to_json(r: DetectionRecord) -> dict:
 def _detection_from_json(obj: dict) -> DetectionRecord:
     return DetectionRecord(
         video_id=obj["video_id"],
-        frame=_int(obj, "frame"),
+        frame=_int(obj["frame"], "frame"),
         object_class=obj["object_class"],
         bbox=_box_from(obj),
         confidence=_float(obj["confidence"], "confidence"),
@@ -319,7 +318,8 @@ def _annotation_to_json(r: ActivityAnnotation) -> dict:
 
 
 def _annotation_from_json(obj: dict) -> ActivityAnnotation:
-    args = (obj["video_id"], obj["activity_class"], _int(obj, "t0"), _int(obj, "t1"))
+    args = (obj["video_id"], obj["activity_class"], _int(obj["t0"], "t0"),
+            _int(obj["t1"], "t1"))
     if obj.get("tube") is not None:
         frames, boxes = _tube_from_json(obj["tube"])
         return ActivityAnnotation(*args, frames=frames, boxes=boxes)
@@ -338,10 +338,13 @@ def _mask_to_json(r: MaskFrame) -> dict:
 
 
 def _mask_from_json(obj: dict) -> MaskFrame:
-    return MaskFrame(
-        obj["video_id"], _int(obj, "frame"), _int(obj, "width"), _int(obj, "height"),
-        tuple(int(x) for x in obj["rle"]),
-    )
+    rle = obj["rle"]
+    # one C-level pass over the run types serves the all-int case
+    if not set(map(type, rle)) <= {int}:
+        rle = [_int(run, "rle run") for run in rle]
+    return MaskFrame(obj["video_id"], _int(obj["frame"], "frame"),
+                     _int(obj["width"], "width"), _int(obj["height"], "height"),
+                     tuple(rle))
 
 
 def _labels_to_json(labels: Optional[frozenset]) -> Optional[list]:
@@ -365,8 +368,8 @@ def _cube_from_json(obj: dict) -> Cube:
     return Cube(
         video_id=obj["video_id"],
         bbox=_box_from(obj),
-        t0=_int(obj, "t0"),
-        t1=_int(obj, "t1"),
+        t0=_int(obj["t0"], "t0"),
+        t1=_int(obj["t1"], "t1"),
         seed_track=_optional_int(obj, "seed_track"),
         object_class=obj.get("object_class", ""),
         fg_score=None if fg_score is None else _float(fg_score, "fg_score"),
@@ -404,8 +407,8 @@ def _instance_from_json(obj: dict) -> ActivityInstance:
     return ActivityInstance(
         video_id=obj["video_id"],
         activity_class=obj["activity_class"],
-        t0=_int(obj, "t0"),
-        t1=_int(obj, "t1"),
+        t0=_int(obj["t0"], "t0"),
+        t1=_int(obj["t1"], "t1"),
         bbox=_box_from(obj),
         score=_float(obj["score"], "score"),
         seed_track=_optional_int(obj, "seed_track"),

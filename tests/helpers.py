@@ -1,7 +1,7 @@
 """Scene builders shared by the pipeline and acceptance tests, plus plain
 per-``BBox`` reference versions of the array-backed proposal, labeling and
-tube steps, and the per-class dedup and per-level proposal-quality sweep,
-for differential tests."""
+tube steps, the per-class dedup and per-level proposal-quality sweep, and
+the coverage-counter DET sweep, for differential tests."""
 
 import bisect
 import random
@@ -10,7 +10,8 @@ import numpy as np
 
 from actpipe.dedup import CHAIN_IOU, SegmentCube, merge_groups, \
     select_group, split_segments
-from actpipe.evaluation import QUALITY_LEVELS, det_curve, naudc
+from actpipe.evaluation import QUALITY_LEVELS, DetCurve, DetPoint, \
+    _check_videos, det_curve, naudc
 from actpipe.geometry import BBox, Cube, bbox_enlarge, bbox_intersection, \
     bbox_iou, bbox_union, tube_arrays
 from actpipe.labeling import SAME_WINDOW_TIOU, GtCube, LabelAssignment, \
@@ -424,3 +425,66 @@ def ref_proposal_quality(proposals, annotations, config, video_lengths,
         "coverage": {"average": sum(cov_levels.values()) / len(cov_levels),
                      "levels": cov_levels},
     }
+
+
+# ---------------------------------------------------------------------------
+# DET reference: predictions walked in score order through per-video coverage
+# counters, misses counted over every ground truth at every threshold
+
+
+def ref_det_curve(predictions, annotations, video_lengths, min_temporal_overlap,
+                  classes=None):
+    """The DET sweep as before the per-frame best-score arrays."""
+    _check_videos(video_lengths, predictions, annotations)
+    if classes is None:
+        classes = sorted({a.activity_class for a in annotations}
+                         | {p.activity_class for p in predictions})
+
+    curves = {}
+    for activity_class in classes:
+        gts = [a for a in annotations if a.activity_class == activity_class]
+        preds = [p for p in predictions if p.activity_class == activity_class]
+        if not gts:
+            curves[activity_class] = DetCurve(activity_class, (), True)
+            continue
+
+        positive = {
+            video_id: np.zeros(length, dtype=bool)
+            for video_id, length in video_lengths.items()
+        }
+        for gt in gts:
+            positive[gt.video_id][gt.t0:gt.t1] = True
+        total_neg = sum(int(length) - int(positive[v].sum())
+                        for v, length in video_lengths.items())
+
+        best_scores = []
+        for gt in gts:
+            best = None
+            for pred in preds:
+                if pred.video_id != gt.video_id:
+                    continue
+                overlap = min(pred.t1, gt.t1) - max(pred.t0, gt.t0)
+                if overlap >= min_temporal_overlap:
+                    if best is None or pred.score > best:
+                        best = pred.score
+            best_scores.append(best)
+
+        coverage_count = {v: np.zeros(length, dtype=np.int32)
+                          for v, length in video_lengths.items()}
+        fa_frames = 0
+        points = []
+        preds_sorted = sorted(preds, key=lambda p: -p.score)
+        i = 0
+        for threshold in sorted({p.score for p in preds}, reverse=True):
+            while i < len(preds_sorted) and preds_sorted[i].score >= threshold:
+                pred = preds_sorted[i]
+                cov = coverage_count[pred.video_id][pred.t0:pred.t1]
+                pos = positive[pred.video_id][pred.t0:pred.t1]
+                fa_frames += int(((cov == 0) & ~pos).sum())
+                cov += 1
+                i += 1
+            misses = sum(1 for b in best_scores if b is None or b < threshold)
+            tfa = fa_frames / total_neg if total_neg else 0.0
+            points.append(DetPoint(threshold, tfa, misses / len(gts)))
+        curves[activity_class] = DetCurve(activity_class, tuple(points), False)
+    return curves

@@ -1,11 +1,12 @@
 """Array-backed proposal, labeling and tube steps against per-BBox references,
-and dedup and proposal quality against their plain sweeps.
+and dedup, proposal quality and DET curves against their plain sweeps.
 
 The references in ``helpers`` compute one ``BBox`` at a time, as the steps
 did before tracks and tubes became arrays; the dedup reference runs every
-class of every partition, and the quality reference scores and
-deduplicates every level afresh. Every comparison is exact: equal values
-and equal ``write_records`` bytes.
+class of every partition, the quality reference scores and deduplicates
+every level afresh, and the DET reference walks predictions through
+per-video coverage counters. Every comparison is exact: equal values and
+equal ``write_records`` bytes.
 """
 
 import json
@@ -18,20 +19,18 @@ from hypothesis import given, settings, strategies as st
 from actpipe import evaluation
 from actpipe.config import PipelineConfig
 from actpipe.dedup import deduplicate, merge_adjacent
-from actpipe.evaluation import proposal_quality
+from actpipe.evaluation import det_curve, proposal_quality
 from actpipe.geometry import BBox, Cube, bbox_iou, coverage, tube_iou_3d
 from actpipe.labeling import (SAME_WINDOW_TIOU, GtCube, apply_assignments,
                               assign_labels, gt_to_cubes, same_window_blocks,
                               temporal_iou)
-from actpipe.proposals import (central_seeds, generate_video_proposals,
-                               refine_union, sample_windows)
+from actpipe.proposals import generate_video_proposals, sample_windows
 from actpipe.records import (ActivityAnnotation, ActivityInstance, ScoredCube,
                              write_records)
-from helpers import (make_track, ref_assign_labels, ref_central_seeds,
-                     ref_deduplicate, ref_frame_boxes,
+from helpers import (make_track, ref_assign_labels, ref_deduplicate,
+                     ref_det_curve, ref_frame_boxes,
                      ref_generate_video_proposals, ref_gt_to_cubes,
-                     ref_proposal_quality, ref_refine_union, ref_tube_iou_3d,
-                     tube_of)
+                     ref_proposal_quality, ref_tube_iou_3d, tube_of)
 
 # a few fixed boxes make exact IoU ties (and an IoU of exactly 0.5) likely
 FIXED_BOXES = (BBox(0, 2, 0, 1), BBox(0, 1, 0, 1), BBox(1, 2, 0, 1),
@@ -106,18 +105,6 @@ def written(records, kind):
 
 
 class TestProposals:
-    @settings(max_examples=120, deadline=None)
-    @given(data=st.data(), t0=st.integers(0, 120), length=st.integers(1, 80),
-           s_det=st.integers(1, 16))
-    def test_central_seeds_and_union(self, data, t0, length, s_det):
-        window = (t0, t0 + length)
-        ts = data.draw(tracks(max_frame=210))
-        seeds = central_seeds(window, ts, s_det)
-        assert seeds == ref_central_seeds(window, ts, s_det)
-        for track in ts:
-            assert outcome(refine_union, track, window) == \
-                outcome(ref_refine_union, track, window)
-
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), video_len=st.integers(1, 200), fmt=formats,
            s_det=st.integers(1, 16), r_enl=st.sampled_from([0.0, 0.13]),
@@ -503,3 +490,62 @@ class TestProposalQuality:
                           labels=frozenset({"walk"}))
                      for t0, dx in zip(range(0, 80, 16), (0, 30, 0, 12, 40))]
         self.check(proposals, [gt], monkeypatch)
+
+
+# a few scores so ties between predictions are common
+SCORES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                   st.floats(0, 1))
+DET_BOX = BBox(0, 10, 0, 10)
+
+
+@st.composite
+def det_inputs(draw):
+    """Videos of different lengths with short windows that nest, overlap and
+    share ends; "sit" is only predicted, and videos may lack a class's
+    ground truth or be wholly positive."""
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    video_lengths = {f"v{i}": n for i, n in enumerate(lengths)}
+
+    def window(video):
+        t0 = draw(st.integers(0, video_lengths[video] - 1))
+        return t0, draw(st.integers(t0 + 1, video_lengths[video]))
+
+    videos = st.sampled_from(sorted(video_lengths))
+    annotations = []
+    for _ in range(draw(st.integers(0, 5))):
+        video = draw(videos)
+        annotations.append(ActivityAnnotation.with_static_box(
+            video, draw(st.sampled_from(["walk", "ride"])), *window(video),
+            DET_BOX))
+    if draw(st.booleans()):
+        # every frame of every video positive: no negative frames
+        annotations += [ActivityAnnotation.with_static_box(v, "walk", 0, n, DET_BOX)
+                        for v, n in video_lengths.items()]
+    predictions = []
+    for _ in range(draw(st.integers(0, 10))):
+        if annotations and draw(st.booleans()):
+            # on a ground-truth window, maybe of another class
+            gt = draw(st.sampled_from(annotations))
+            video, t0, t1 = gt.video_id, gt.t0, gt.t1
+        else:
+            video = draw(videos)
+            t0, t1 = window(video)
+        predictions.append(ActivityInstance(
+            video, draw(st.sampled_from(["walk", "ride", "sit"])), t0, t1,
+            DET_BOX, draw(SCORES), seed_track=1))
+    # "jump" is configured but neither annotated nor predicted
+    classes = draw(st.sampled_from([None, ("ride",),
+                                    ("jump", "ride", "sit", "walk")]))
+    return (predictions, annotations, video_lengths,
+            draw(st.integers(0, 30)), classes)
+
+
+class TestDetCurve:
+    @settings(max_examples=300, deadline=None)
+    @given(case=det_inputs())
+    def test_matches_coverage_sweep_reference(self, case):
+        got, want = det_curve(*case), ref_det_curve(*case)
+        assert list(got) == list(want)
+        assert got == want
+        assert written([got[c] for c in got], "det-curves") == \
+            written([want[c] for c in want], "det-curves")

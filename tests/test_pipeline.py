@@ -15,7 +15,8 @@ from actpipe.evaluation import QUALITY_LEVELS
 from actpipe.geometry import BBox, Cube
 from actpipe.pipeline import (DEFAULT_FRAME_SIZE, PipelineInputs, _frame_sizes,
                               infer_video_lengths, run_pipeline)
-from actpipe.records import (DetectionRecord, MaskFrame, ScoredCube,
+from actpipe.records import (ActivityAnnotation, ActivityInstance,
+                             DetectionRecord, MaskFrame, ScoredCube,
                              read_records, write_records)
 from actpipe.synth import generate_corpus
 from helpers import closure_scenes
@@ -342,6 +343,28 @@ class TestCli:
                         "-o", d / "f2.jsonl", "--thresholds-in",
                         d / "thr.jsonl") == 0
         assert (d / "f1.jsonl").read_bytes() == (d / "f2.jsonl").read_bytes()
+
+    def test_evaluate_infers_lengths_from_what_it_reads(self, tmp_path):
+        # the annotation ends at frame 50, the prediction at 80
+        box = BBox(0, 10, 0, 10)
+        write_records([ActivityAnnotation.with_static_box("v", "walk", 0, 50, box)],
+                      tmp_path / "ann.jsonl", "annotations")
+        write_records([ActivityInstance("v", "walk", 40, 80, box, 0.9)],
+                      tmp_path / "inst.jsonl", "instances")
+        argv = ("evaluate", tmp_path / "inst.jsonl", "--annotations",
+                tmp_path / "ann.jsonl", "-o", tmp_path / "rep.jsonl",
+                "--curves", tmp_path / "cur.jsonl")
+        assert self.run(*argv) == 0
+        (curve,) = read_records(tmp_path / "cur.jsonl", "det-curves")
+        # 80 frames, 50 positive: the prediction flags all 30 negatives
+        assert curve.points[0].tfa == 1.0
+        # proposal quality scores this proposal, which ends at frame 90
+        write_records([Cube("v", box, 60, 90, seed_track=1,
+                            labels=frozenset({"walk"}))],
+                      tmp_path / "props.jsonl", "proposals")
+        assert self.run(*argv, "--proposals", tmp_path / "props.jsonl") == 0
+        # an explicit length still wins, and the prediction ends past it
+        assert self.run(*argv, "--video-frames", "v=60") == 1
 
     def test_evaluate_with_proposal_quality(self, tmp_path):
         spec_path = tmp_path / "scenes.json"

@@ -3,8 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from actpipe.config import PipelineConfig
 from actpipe.geometry import BBox
-from actpipe.proposals import (central_seeds, generate_video_proposals,
-                               refine_union, sample_windows)
+from actpipe.proposals import generate_video_proposals, sample_windows
 from helpers import make_track, track_boxes
 
 
@@ -43,55 +42,64 @@ class TestSampleWindows:
         assert windows == [(0, 64), (64, 128), (128, 192), (192, 256)]
 
 
+def window_cubes(tracks, video_len):
+    """Unenlarged cubes of a video at most ``d_prop`` frames long, whose one
+    window is [0, video_len), in a frame larger than every box."""
+    config = PipelineConfig(s_det=8, r_enl=0.0)
+    return generate_video_proposals("v", tracks, video_len, (1920, 1080), config)
+
+
+def seeds(tracks, video_len):
+    return [c.seed_track for c in window_cubes(tracks, video_len)]
+
+
+def union(t):
+    (cube,) = window_cubes([t], 64)
+    return cube.bbox
+
+
 class TestCentralSeeds:
     def test_box_on_central_frame(self):
-        t = track(1, [32])
-        assert central_seeds((0, 64), [t], s_det=8) == [t]
+        assert seeds([track(1, [32])], 64) == [1]
 
     def test_track_outside_tolerance(self):
         # nearest box at frame 40 is farther than 32 +/- 4
-        t = track(1, range(40, 80, 8))
-        assert central_seeds((0, 64), [t], s_det=8) == []
+        assert seeds([track(1, range(40, 80, 8))], 64) == []
 
     def test_empty_central_region(self):
-        assert central_seeds((0, 64), [], s_det=8) == []
-        t = track(1, [0, 8])
-        assert central_seeds((0, 64), [t], s_det=8) == []
+        assert seeds([], 64) == []
+        assert seeds([track(1, [0, 8])], 64) == []
 
     def test_nearby_frame_counts(self):
-        t = track(1, [28])
-        assert central_seeds((0, 64), [t], s_det=8) == [t]
+        assert seeds([track(1, [28])], 64) == [1]
 
     def test_box_outside_window_ignored(self):
         # frame 4 is within tolerance of t_c=1 but outside the window
-        t = track(1, [4])
-        assert central_seeds((0, 3), [t], s_det=8) == []
+        assert seeds([track(1, [4])], 3) == []
 
 
 class TestRefineUnion:
     def test_stationary(self):
         box = BBox(10, 50, 10, 50)
-        assert refine_union(track(1, [0, 16, 32], box), (0, 64)) == box
+        assert union(track(1, [0, 16, 32], box)) == box
 
     def test_moving_union(self):
-        t = make_track(1, "person", {0: BBox(0, 10, 0, 10), 63: BBox(50, 60, 0, 10)})
-        assert refine_union(t, (0, 64)) == BBox(0, 60, 0, 10)
+        t = make_track(1, "person", {0: BBox(0, 10, 0, 10), 32: BBox(20, 30, 0, 10),
+                                     63: BBox(50, 60, 0, 10)})
+        assert union(t) == BBox(0, 60, 0, 10)
 
     def test_superset_of_member_boxes(self):
         t = make_track(1, "person", {0: BBox(0, 10, 0, 10), 30: BBox(5, 25, 2, 12),
                                      63: BBox(50, 60, 0, 10)})
-        union = refine_union(t, (0, 64))
+        box = union(t)
         for f, b in track_boxes(t).items():
-            assert union.x0 <= b.x0 and union.x1 >= b.x1
-            assert union.y0 <= b.y0 and union.y1 >= b.y1
+            assert box.x0 <= b.x0 and box.x1 >= b.x1
+            assert box.y0 <= b.y0 and box.y1 >= b.y1
 
     def test_only_window_boxes_count(self):
-        t = make_track(1, "person", {0: BBox(0, 10, 0, 10), 100: BBox(50, 60, 0, 10)})
-        assert refine_union(t, (0, 64)) == BBox(0, 10, 0, 10)
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            refine_union(track(1, [100]), (0, 64))
+        t = make_track(1, "person", {0: BBox(0, 10, 0, 10), 32: BBox(2, 8, 2, 8),
+                                     100: BBox(50, 60, 0, 10)})
+        assert union(t) == BBox(0, 10, 0, 10)
 
 
 class TestGenerateProposals:

@@ -147,6 +147,29 @@ class TestReaderErrors:
                            match=r"neg\.jsonl:3: negative run length"):
             list(read_records(path, "masks"))
 
+    @pytest.mark.parametrize("runs, shown", [
+        ('12,"4"', "'4'"), ("15,true", "True"), ("11.5,4.5", "11.5"),
+        ("16,Infinity", "inf"), ("16,NaN", "nan"),
+    ], ids=["string", "bool", "fraction", "infinite", "nan"])
+    def test_mask_runs_are_integers(self, tmp_path, runs, shown):
+        path = tmp_path / "runs.jsonl"
+        path.write_text(
+            "#actpipe/masks/v1\n"
+            f'{{"video_id":"v","frame":0,"width":4,"height":4,"rle":[{runs}]}}\n'
+        )
+        with pytest.raises(RecordError, match=rf"runs\.jsonl:2: rle run must be "
+                                              rf"an integer, got {shown}"):
+            list(read_records(path, "masks"))
+
+    def test_integral_float_mask_run_reads_as_int(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        path.write_text(
+            "#actpipe/masks/v1\n"
+            '{"video_id":"v","frame":0,"width":4,"height":4,"rle":[12,4.0]}\n'
+        )
+        (mask,) = read_records(path, "masks")
+        assert mask.rle == (12, 4) and type(mask.rle[1]) is int
+
     @pytest.mark.parametrize("tube, message", [
         ("[[4,0,1,0,1],[5,0,1,0]]", "tube entries must be"),
         ("[[4,0,1,0,1],[5,0,1]]", "tube entries must be"),
