@@ -1,13 +1,13 @@
 """Command-line front-end: one subcommand per pipeline stage.
 
 Each subcommand runs its stage by the rules :func:`run_pipeline` uses:
-``track`` closes tracks after ``s_det`` frames, and ``propose`` infers
-missing frame sizes. ``propose`` and ``evaluate`` infer missing video
-lengths by the pipeline's rule, but only from the records they read:
-``propose`` from its tracked detections, ``evaluate`` from its predictions,
-annotations and proposals. ``score`` and ``dedup`` read no annotations to
-derive the activity classes from, so they need ``activity_classes``
-configured.
+``track`` closes tracks after ``s_det`` frames. Explicit video lengths and
+frame sizes win; otherwise a length is the largest frame + 1 or ``t1`` among
+the records the subcommand reads (``propose``: its tracked detections;
+``evaluate``: its predictions, annotations and proposals), and ``propose``,
+which reads no masks, uses the default frame size with a warning. ``score``
+and ``dedup`` read no annotations to derive the activity classes from, so
+they need ``activity_classes`` configured.
 
 Exit codes: 0 success, 1 contract error (bad records, bad config, stage
 precondition), 2 I/O error.
@@ -19,6 +19,7 @@ import argparse
 import json
 import logging
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -29,8 +30,8 @@ from .dedup import deduplicate, merge_adjacent
 from .evaluation import evaluation_report, proposal_quality
 from .filtering import filter_stage
 from .labeling import label_stage
-from .pipeline import (CANONICAL_STAGES, PipelineInputs, _frame_sizes, bench,
-                       infer_video_lengths, run_pipeline)
+from .pipeline import (CANONICAL_STAGES, PipelineInputs, bench, frame_sizes,
+                       infer_video_lengths, run_pipeline, track_ends)
 from .proposals import generate_proposals
 from .records import ReportRecord, read_records, write_records
 from .scoring import score_stage
@@ -98,12 +99,12 @@ def _cmd_track(args) -> None:
 def _cmd_propose(args) -> None:
     config = _load_config(args)
     tracks = tracks_from_records(read_records(args.input, "detections"))
-    inputs = PipelineInputs(detections=args.input,
-                            video_lengths=_parse_video_lengths(args.video_frames))
-    if args.frame_size:
-        inputs.frame_sizes = dict.fromkeys(tracks, _parse_frame_size(args.frame_size))
-    proposals = generate_proposals(tracks, infer_video_lengths(inputs, tracks),
-                                   _frame_sizes(inputs, list(tracks)), config)
+    lengths = infer_video_lengths(_parse_video_lengths(args.video_frames),
+                                  track_ends(tracks))
+    known = (dict.fromkeys(tracks, _parse_frame_size(args.frame_size))
+             if args.frame_size else {})
+    proposals = generate_proposals(tracks, lengths, frame_sizes(tracks, known),
+                                   config)
     write_records(proposals, args.output, "proposals")
     print(f"generated {len(proposals)} proposals")
 
@@ -179,11 +180,9 @@ def _cmd_evaluate(args) -> None:
     annotations = list(read_records(args.annotations, "annotations"))
     proposals = (list(read_records(args.proposals, "proposals"))
                  if args.proposals else [])
-    inputs = PipelineInputs(annotations=args.annotations,
-                            video_lengths=_parse_video_lengths(args.video_frames))
-    windows = annotations + predictions + proposals
-    lengths = infer_video_lengths(inputs, {r.video_id for r in windows},
-                                  lambda: windows)
+    lengths = infer_video_lengths(
+        _parse_video_lengths(args.video_frames),
+        ((r.video_id, r.t1) for r in chain(annotations, predictions, proposals)))
     curves, summary = evaluation_report(predictions, annotations, config,
                                         lengths, strict=args.strict)
     if args.proposals:
@@ -203,12 +202,8 @@ def _cmd_evaluate(args) -> None:
 
 def _cmd_run(args) -> None:
     config = _load_config(args)
-    inputs = PipelineInputs(
-        detections=args.detections,
-        annotations=args.annotations,
-        masks=args.masks,
-        video_lengths=_parse_video_lengths(args.video_frames),
-    )
+    inputs = PipelineInputs(args.detections, args.annotations, args.masks,
+                            _parse_video_lengths(args.video_frames))
     stages = args.stages.split(",") if args.stages else None
     result = run_pipeline(config, inputs, args.out_dir, stages=stages,
                           scores=args.scores)

@@ -92,6 +92,7 @@ _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_LIST_KEYS | _FLOAT_LIST_KEYS
 
 
 def _parse_value(key: str, raw: str, where: str):
+    """The value of a known key (:func:`_build` rejects the others)."""
     try:
         if key in _INT_KEYS:
             return int(raw)
@@ -99,11 +100,9 @@ def _parse_value(key: str, raw: str, where: str):
             return float(raw)
         if key in _STR_LIST_KEYS:
             return tuple(s.strip() for s in raw.split(",") if s.strip())
-        if key in _FLOAT_LIST_KEYS:
-            return tuple(float(s) for s in raw.split(",") if s.strip())
+        return tuple(float(s) for s in raw.split(",") if s.strip())  # float lists
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key!r}: {raw!r}") from exc
-    raise ConfigError(f"{where}: unknown config key {key!r}")
 
 
 def _build(pairs: Mapping[str, str], where: str) -> dict:

@@ -12,6 +12,11 @@ and no stage re-reads what an earlier one wrote. The canonical chain is
 and any in-order subset of it is accepted. Label assignment sits between
 propose and filter because both filter calibration and oracle scoring
 consume assigned labels.
+
+Explicit video lengths and frame sizes win. The propose stage fills in the
+rest: a length is the video's largest track or mask frame + 1 or annotation
+``t1``, a size its first mask's, else :data:`DEFAULT_FRAME_SIZE` (logged).
+Evaluate fills the lengths of videos that only annotations name.
 """
 
 from __future__ import annotations
@@ -21,9 +26,11 @@ import json
 import logging
 import time
 from contextlib import ExitStack, closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Collection, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -37,10 +44,11 @@ from .proposals import generate_proposals
 from .records import RECORD_KINDS, ReportRecord, read_records, write_records
 from .scoring import score_stage
 from .synth import ActivitySpec, ObjectSpec, SceneSpec, generate_scene
-from .tracking import greedy_iou_track, tracks_from_records
+from .tracking import Track, greedy_iou_track, tracks_from_records
 
 __all__ = ["PipelineInputs", "StageTiming", "PipelineResult", "run_pipeline",
-           "bench", "CANONICAL_STAGES", "infer_video_lengths"]
+           "bench", "CANONICAL_STAGES", "infer_video_lengths", "track_ends",
+           "frame_sizes"]
 
 logger = logging.getLogger(__name__)
 
@@ -106,38 +114,21 @@ class PipelineResult:
         }
 
 
-def infer_video_lengths(inputs: PipelineInputs,
-                        videos: Optional[Iterable[str]] = None,
-                        windows: Optional[Callable[[], Iterable]] = None
-                        ) -> Dict[str, int]:
-    """Per-video frame counts: explicit lengths, the rest from record files.
+def infer_video_lengths(explicit: Mapping[str, int],
+                        ends: Iterable[Tuple[str, int]]) -> Dict[str, int]:
+    """Per-video frame counts: the explicit ones, else the largest end seen.
 
-    Videos without an explicit length get the maximum frame index seen plus
-    one (window ends count too) and are logged; this can undercount
-    trailing activity-free frames and so shift false-alarm denominators.
-    No file is read when each of ``videos`` has an explicit length.
-    ``windows``, when given, returns the already parsed records whose
-    ``video_id`` and ``t1`` count in place of the annotations file's.
+    ``ends`` are ``(video_id, end)`` pairs from records the caller already
+    holds: a detection's or mask's ``frame + 1``, a track's last frame plus
+    one, a window's ``t1``. Videos without an explicit length get their
+    largest end and are logged; this can undercount trailing activity-free
+    frames and so shift false-alarm denominators.
     """
-    lengths: Dict[str, int] = dict(inputs.video_lengths)
-    if lengths and videos is not None and all(v in lengths for v in videos):
-        return lengths
+    lengths = dict(explicit)
     inferred: Dict[str, int] = {}
-
-    def bump(video_id: str, bound: int) -> None:
+    for video_id, end in ends:
         if video_id not in lengths:
-            inferred[video_id] = max(inferred.get(video_id, 0), bound)
-
-    if inputs.detections and Path(inputs.detections).exists():
-        for det in read_records(inputs.detections, "detections"):
-            bump(det.video_id, det.frame + 1)
-    if inputs.masks and Path(inputs.masks).exists():
-        for mask in read_records(inputs.masks, "masks"):
-            bump(mask.video_id, mask.frame + 1)
-    if inputs.annotations and Path(inputs.annotations).exists():
-        for record in (windows() if windows
-                       else read_records(inputs.annotations, "annotations")):
-            bump(record.video_id, record.t1)
+            inferred[video_id] = max(inferred.get(video_id, 0), end)
     if inferred:
         logger.warning("video lengths inferred from record files for %s; pass "
                        "explicit lengths for exact false-alarm rates",
@@ -146,25 +137,20 @@ def infer_video_lengths(inputs: PipelineInputs,
     return lengths
 
 
-def _frame_sizes(inputs: PipelineInputs,
-                 video_ids: Sequence[str]) -> Dict[str, Tuple[int, int]]:
-    """Explicit sizes, else each video's first mask (read no further)."""
-    sizes = dict(inputs.frame_sizes)
-    missing = {v for v in video_ids if v not in sizes}
-    if missing and inputs.masks and Path(inputs.masks).exists():
-        with closing(read_records(inputs.masks, "masks")) as masks:
-            for mask in masks:
-                if mask.video_id in missing:
-                    missing.discard(mask.video_id)
-                    sizes[mask.video_id] = (mask.width, mask.height)
-                    if not missing:
-                        break
+def track_ends(tracks: Mapping[str, Sequence[Track]]) -> Iterator[Tuple[str, int]]:
+    """The ``(video_id, last frame + 1)`` end of every track."""
+    return ((video_id, int(t.frames[-1]) + 1)
+            for video_id, video_tracks in tracks.items() for t in video_tracks)
+
+
+def frame_sizes(video_ids: Collection[str], known: Mapping[str, Tuple[int, int]]
+                ) -> Dict[str, Tuple[int, int]]:
+    """Each video's known size, else :data:`DEFAULT_FRAME_SIZE` (logged)."""
     for video_id in video_ids:
-        if video_id not in sizes:
+        if video_id not in known:
             logger.warning("no frame size for %r; assuming %s", video_id,
                            DEFAULT_FRAME_SIZE)
-            sizes[video_id] = DEFAULT_FRAME_SIZE
-    return sizes
+    return {v: known.get(v, DEFAULT_FRAME_SIZE) for v in video_ids}
 
 
 def run_pipeline(config: PipelineConfig, inputs: PipelineInputs,
@@ -177,7 +163,10 @@ def run_pipeline(config: PipelineConfig, inputs: PipelineInputs,
     records it wrote to the stage that consumes them. ``scores`` are
     external score files, fused when there are several; without them the
     oracle scores. A stage contract violation aborts with the stage named.
+    One running clock times the run, so a stage's seconds also count any
+    work since the previous stage ended (the first stage: since the call).
     """
+    clock = time.perf_counter()
     stage_list = list(stages) if stages is not None else list(CANONICAL_STAGES)
     order = {name: i for i, name in enumerate(CANONICAL_STAGES)}
     unknown = [s for s in stage_list if s not in order]
@@ -200,15 +189,11 @@ def run_pipeline(config: PipelineConfig, inputs: PipelineInputs,
             raise ValueError("annotations input required")
         return list(read_records(inputs.annotations, "annotations"))
 
-    def lengths_for(videos: Iterable[str]) -> Dict[str, int]:
-        known = replace(inputs, video_lengths=video_lengths)
-        return infer_video_lengths(known, videos, annotations_list)
-
-    if (not config.activity_classes and inputs.annotations
-            and Path(inputs.annotations).exists()):
+    has_annotations = bool(inputs.annotations) and Path(inputs.annotations).exists()
+    if not config.activity_classes and has_annotations:
         config = config.with_classes(
             activity_classes=_classes_for(annotations_list(), config))
-    video_lengths = infer_video_lengths(inputs, (), annotations_list)
+    video_lengths = dict(inputs.video_lengths)
 
     # records written by one stage, kept until the stage that consumes them
     handoff: Dict[str, list] = {}
@@ -244,8 +229,27 @@ def run_pipeline(config: PipelineConfig, inputs: PipelineInputs,
 
         if stage == "propose":
             tracks = tracks_from_records(take("detections", stage))
-            sizes = _frame_sizes(inputs, list(tracks))
-            video_lengths = lengths_for(tracks)
+            # one masks pass finds the first mask of each unsized video and,
+            # when a length is missing, every mask's end (else it stops early)
+            infer = any(v not in video_lengths for v in tracks)
+            unsized = {v for v in tracks if v not in inputs.frame_sizes}
+            first_masks, mask_ends = {}, []
+            if (infer or unsized) and inputs.masks and Path(inputs.masks).exists():
+                with closing(read_records(inputs.masks, "masks")) as masks:
+                    for mask in masks:
+                        if infer:
+                            mask_ends.append((mask.video_id, mask.frame + 1))
+                        if mask.video_id in unsized:
+                            unsized.discard(mask.video_id)
+                            first_masks[mask.video_id] = (mask.width, mask.height)
+                            if not (unsized or infer):
+                                break
+            if infer:
+                annotations = annotations_list() if has_annotations else ()
+                video_lengths = infer_video_lengths(video_lengths, chain(
+                    track_ends(tracks), mask_ends,
+                    ((a.video_id, a.t1) for a in annotations)))
+            sizes = frame_sizes(tracks, {**first_masks, **inputs.frame_sizes})
             proposals = generate_proposals(tracks, video_lengths, sizes, config)
             return (sum(len(t.boxes) for ts in tracks.values() for t in ts),
                     emit("propose", proposals, "proposals.jsonl", "proposals",
@@ -290,8 +294,9 @@ def run_pipeline(config: PipelineConfig, inputs: PipelineInputs,
         # evaluate
         instances = take("instances", stage)
         annotations = annotations_list()
-        video_lengths = lengths_for({i.video_id for i in instances}
-                                    | {a.video_id for a in annotations})
+        # only videos that no track named can still lack a length here
+        video_lengths = infer_video_lengths(video_lengths, (
+            (r.video_id, r.t1) for r in chain(annotations, instances)))
         use_strict = strict if strict is not None else "merge-adjacent" in stage_list
         curves, summary = evaluation_report(instances, annotations, config,
                                             video_lengths, strict=use_strict)
@@ -302,10 +307,9 @@ def run_pipeline(config: PipelineConfig, inputs: PipelineInputs,
         return len(instances), records_out
 
     for stage in stage_list:
-        start = time.perf_counter()
         records_in, records_out = run_stage(stage)
-        timings.append(StageTiming(stage, time.perf_counter() - start,
-                                   records_in, records_out))
+        start, clock = clock, time.perf_counter()
+        timings.append(StageTiming(stage, clock - start, records_in, records_out))
 
     result = PipelineResult(out_dir, timings, outputs, summary,
                             sum(video_lengths.values()), config.video_fps)

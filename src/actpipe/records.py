@@ -262,6 +262,20 @@ def _float(value, name: str) -> float:
     return float(value)
 
 
+def _str(value, name: str) -> str:
+    """A JSON string; numbers, lists, objects and null raise."""
+    if type(value) is not str:
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _list(value, name: str) -> list:
+    """A JSON array; a string or an object, which also iterate, raises."""
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def _optional_int(obj: dict, key: str) -> Optional[int]:
     return None if obj.get(key) is None else _int(obj[key], key)
 
@@ -298,9 +312,9 @@ def _detection_to_json(r: DetectionRecord) -> dict:
 
 def _detection_from_json(obj: dict) -> DetectionRecord:
     return DetectionRecord(
-        video_id=obj["video_id"],
+        video_id=_str(obj["video_id"], "video_id"),
         frame=_int(obj["frame"], "frame"),
-        object_class=obj["object_class"],
+        object_class=_str(obj["object_class"], "object_class"),
         bbox=_box_from(obj),
         confidence=_float(obj["confidence"], "confidence"),
         track_id=_optional_int(obj, "track_id"),
@@ -318,8 +332,9 @@ def _annotation_to_json(r: ActivityAnnotation) -> dict:
 
 
 def _annotation_from_json(obj: dict) -> ActivityAnnotation:
-    args = (obj["video_id"], obj["activity_class"], _int(obj["t0"], "t0"),
-            _int(obj["t1"], "t1"))
+    args = (_str(obj["video_id"], "video_id"),
+            _str(obj["activity_class"], "activity_class"),
+            _int(obj["t0"], "t0"), _int(obj["t1"], "t1"))
     if obj.get("tube") is not None:
         frames, boxes = _tube_from_json(obj["tube"])
         return ActivityAnnotation(*args, frames=frames, boxes=boxes)
@@ -342,7 +357,7 @@ def _mask_from_json(obj: dict) -> MaskFrame:
     # one C-level pass over the run types serves the all-int case
     if not set(map(type, rle)) <= {int}:
         rle = [_int(run, "rle run") for run in rle]
-    return MaskFrame(obj["video_id"], _int(obj["frame"], "frame"),
+    return MaskFrame(_str(obj["video_id"], "video_id"), _int(obj["frame"], "frame"),
                      _int(obj["width"], "width"), _int(obj["height"], "height"),
                      tuple(rle))
 
@@ -365,13 +380,16 @@ def _cube_to_json(c: Cube) -> dict:
 
 def _cube_from_json(obj: dict) -> Cube:
     labels, fg_score = obj.get("labels"), obj.get("fg_score")
+    if labels is not None and not all(
+            type(label) is str for label in _list(labels, "labels")):
+        raise ValueError(f"labels must be strings, got {labels!r}")
     return Cube(
-        video_id=obj["video_id"],
+        video_id=_str(obj["video_id"], "video_id"),
         bbox=_box_from(obj),
         t0=_int(obj["t0"], "t0"),
         t1=_int(obj["t1"], "t1"),
         seed_track=_optional_int(obj, "seed_track"),
-        object_class=obj.get("object_class", ""),
+        object_class=_str(obj.get("object_class", ""), "object_class"),
         fg_score=None if fg_score is None else _float(fg_score, "fg_score"),
         labels=None if labels is None else frozenset(labels),
     )
@@ -385,7 +403,8 @@ def _scored_to_json(r: ScoredCube) -> dict:
 
 def _scored_from_json(obj: dict) -> ScoredCube:
     return ScoredCube(cube=_cube_from_json(obj),
-                      scores=tuple(_float(s, "scores entry") for s in obj["scores"]))
+                      scores=tuple(_float(s, "scores entry")
+                                   for s in _list(obj["scores"], "scores")))
 
 
 def _instance_to_json(r: ActivityInstance) -> dict:
@@ -405,8 +424,8 @@ def _instance_to_json(r: ActivityInstance) -> dict:
 def _instance_from_json(obj: dict) -> ActivityInstance:
     frames, boxes = _tube_from_json(obj.get("tube"))
     return ActivityInstance(
-        video_id=obj["video_id"],
-        activity_class=obj["activity_class"],
+        video_id=_str(obj["video_id"], "video_id"),
+        activity_class=_str(obj["activity_class"], "activity_class"),
         t0=_int(obj["t0"], "t0"),
         t1=_int(obj["t1"], "t1"),
         bbox=_box_from(obj),
@@ -438,7 +457,9 @@ def _report_to_json(r: ReportRecord) -> dict:
 
 
 def _report_from_json(obj: dict) -> ReportRecord:
-    return ReportRecord(obj["section"], obj["data"])
+    if type(obj["data"]) is not dict:
+        raise ValueError(f"report data must be an object, got {obj['data']!r}")
+    return ReportRecord(_str(obj["section"], "section"), obj["data"])
 
 
 # kind -> (serializer, parser, frame-order enforced)
@@ -518,7 +539,8 @@ def read_records(path: Union[str, Path], kind: str) -> Iterator:
                     record = parser(json.loads(line))
                 except RecordError:
                     raise
-                except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                except (ValueError, KeyError, TypeError, OverflowError,
+                        RecursionError) as exc:
                     raise RecordError(f"{path}:{lineno}: {exc}") from exc
                 if order is not None:
                     order.check(record.video_id, record.frame, lineno)

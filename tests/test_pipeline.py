@@ -1,8 +1,11 @@
 import argparse
+import ast
 import json
 import logging
 import re
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +16,13 @@ from actpipe.cli import build_parser, main
 from actpipe.config import PipelineConfig
 from actpipe.evaluation import QUALITY_LEVELS
 from actpipe.geometry import BBox, Cube
-from actpipe.pipeline import (DEFAULT_FRAME_SIZE, PipelineInputs, _frame_sizes,
-                              infer_video_lengths, run_pipeline)
+from actpipe.pipeline import (DEFAULT_FRAME_SIZE, PipelineInputs,
+                              infer_video_lengths, run_pipeline, track_ends)
 from actpipe.records import (ActivityAnnotation, ActivityInstance,
                              DetectionRecord, MaskFrame, ScoredCube,
                              read_records, write_records)
 from actpipe.synth import generate_corpus
+from actpipe.tracking import tracks_from_records
 from helpers import closure_scenes
 
 CONFIG = PipelineConfig()
@@ -122,9 +126,17 @@ class TestRunPipeline:
         assert result.summary["mean_naudc"] == 0.0
         assert kinds.count("annotations") == 1
 
-    def test_inputs_read_once_and_outputs_never(self, tmp_path,
-                                                 closure_corpus, monkeypatch):
+    @pytest.mark.parametrize("mode", ["explicit", "lengths-only", "neither",
+                                      "some-lengths"])
+    def test_inputs_read_once_and_outputs_never(self, tmp_path, closure_corpus,
+                                                 monkeypatch, mode):
+        # lengths and sizes come from records already parsed, plus at most
+        # one pass over the masks when some are missing
         inputs, _ = closure_corpus
+        if mode != "explicit":
+            inputs.frame_sizes = {}
+        if mode in ("neither", "some-lengths"):
+            inputs.video_lengths = {"act00": 192} if mode == "some-lengths" else {}
         out_dir = tmp_path / "out"
         reads = []
 
@@ -137,10 +149,45 @@ class TestRunPipeline:
                 monkeypatch.setattr(module, "read_records", recording_read)
         result = run_pipeline(CONFIG, inputs, out_dir)
         assert result.summary["mean_naudc"] == 0.0
-        assert sorted(reads) == sorted(
+        detections, annotations, masks = (
             Path(p).resolve() for p in (inputs.detections, inputs.annotations,
                                         inputs.masks))
+        counts = Counter(reads)
+        assert set(counts) == {detections, annotations, masks}
+        assert counts[detections] == counts[annotations] == 1
+        assert counts[masks] == 1 if mode == "explicit" else counts[masks] <= 2
         assert not [p for p in reads if out_dir.resolve() in p.parents]
+
+    def test_timings_cover_work_before_the_first_stage(self, tmp_path,
+                                                      closure_corpus,
+                                                      monkeypatch):
+        # no classes configured: the run derives them from the annotations
+        # before its first stage starts
+        inputs, _ = closure_corpus
+
+        def slow_read(path, kind):
+            if kind == "annotations":
+                time.sleep(0.3)
+            return read_records(path, kind)
+
+        monkeypatch.setattr(pipeline, "read_records", slow_read)
+        result = run_pipeline(PipelineConfig(), inputs, tmp_path / "out",
+                              stages=("track",))
+        assert result.wall_seconds >= 0.3
+
+    def test_evaluate_fills_lengths_of_annotation_only_videos(
+            self, tmp_path, closure_corpus, caplog):
+        # every tracked video has a length; one annotated video has no tracks
+        inputs, paths = closure_corpus
+        extra = ActivityAnnotation.with_static_box("zz", "walk", 10, 50,
+                                                   BBox(0, 10, 0, 10))
+        annotations = [*read_records(paths["annotations"], "annotations"), extra]
+        inputs.annotations = tmp_path / "annotations_extra.jsonl"
+        write_records(annotations, inputs.annotations, "annotations")
+        with caplog.at_level(logging.WARNING):
+            result = run_pipeline(CONFIG, inputs, tmp_path / "out")
+        assert result.total_frames == 2 * 192 + 50
+        assert "inferred from record files for zz;" in caplog.text
 
     def test_missing_input_names_stage(self, tmp_path):
         with pytest.raises(ValueError, match="'propose'"):
@@ -161,18 +208,24 @@ class TestVideoLengths:
         return path
 
     def test_partial_lengths_filled_from_records(self, detections_path, caplog):
-        inputs = PipelineInputs(detections=detections_path,
-                                video_lengths={"a": 100})
+        tracks = tracks_from_records(read_records(detections_path, "detections"))
         with caplog.at_level(logging.WARNING):
-            lengths = infer_video_lengths(inputs)
+            lengths = infer_video_lengths({"a": 100}, track_ends(tracks))
         assert lengths == {"a": 100, "b": 58}
         assert "inferred from record files for b;" in caplog.text
 
-    def test_known_videos_read_no_file(self, tmp_path):
-        bad = tmp_path / "detections.jsonl"
+    def test_known_videos_read_no_file(self, tmp_path, detections_path):
+        assert infer_video_lengths({"a": 100, "b": 7}, [("b", 58)]) == {
+            "a": 100, "b": 7}
+        # every length and size given: propose reads no masks or annotations
+        bad = tmp_path / "bad.jsonl"
         bad.write_text("not a record file\n", encoding="utf-8")
-        inputs = PipelineInputs(detections=bad, video_lengths={"a": 100, "b": 7})
-        assert infer_video_lengths(inputs, ["b", "a"]) == {"a": 100, "b": 7}
+        inputs = PipelineInputs(detections=detections_path, annotations=bad,
+                                masks=bad, video_lengths={"a": 100, "b": 58},
+                                frame_sizes={"a": (64, 48), "b": (64, 48)})
+        result = run_pipeline(CONFIG.with_classes(activity_classes=("walk",)),
+                              inputs, tmp_path / "out", stages=("propose",))
+        assert result.total_frames == 158
 
     def test_pipeline_proposes_on_video_without_length(self, tmp_path,
                                                        detections_path):
@@ -187,37 +240,54 @@ class TestVideoLengths:
 
 class TestFrameSizes:
     @pytest.fixture
-    def masks_path(self, tmp_path):
+    def propose(self, tmp_path, monkeypatch):
+        """Run the propose stage on one track in each of ``videos``, every
+        length given; returns the frame sizes it used and the masks it
+        parsed, in order."""
         shapes = {"a": (6, 4), "b": (9, 5), "c": (3, 7)}
         masks = [MaskFrame.from_array(v, f, np.zeros((h, w), dtype=np.uint8))
                  for v, (w, h) in shapes.items() for f in (0, 8, 16)]
-        path = tmp_path / "masks.jsonl"
-        write_records(masks, path, "masks")
-        return path
-
-    @pytest.fixture
-    def parsed(self, monkeypatch):
-        """Masks parsed by ``_frame_sizes``, in order."""
-        seen = []
+        write_records(masks, tmp_path / "masks.jsonl", "masks")
+        parsed, used = [], {}
 
         def counting_read(path, kind):
             for record in read_records(path, kind):
-                seen.append(record)
+                if kind == "masks":
+                    parsed.append(record)
                 yield record
 
-        monkeypatch.setattr(pipeline, "read_records", counting_read)
-        return seen
+        def recording_proposals(tracks, lengths, sizes, config):
+            used.update(sizes)
+            return generate_proposals(tracks, lengths, sizes, config)
 
-    def test_first_mask_per_video_and_stops_early(self, masks_path, parsed):
-        inputs = PipelineInputs(masks=masks_path, frame_sizes={"c": (64, 48)})
-        sizes = _frame_sizes(inputs, ["b", "a", "c"])
+        generate_proposals = pipeline.generate_proposals
+        monkeypatch.setattr(pipeline, "read_records", counting_read)
+        monkeypatch.setattr(pipeline, "generate_proposals", recording_proposals)
+
+        def run(videos, frame_sizes):
+            detections = [DetectionRecord(v, 0, "person", BBox(0, 2, 0, 2), 0.9, 1)
+                          for v in videos]
+            write_records(detections, tmp_path / "detections.jsonl", "detections")
+            inputs = PipelineInputs(detections=tmp_path / "detections.jsonl",
+                                    masks=tmp_path / "masks.jsonl",
+                                    video_lengths=dict.fromkeys(videos, 64),
+                                    frame_sizes=frame_sizes)
+            run_pipeline(CONFIG, inputs, tmp_path / "out", stages=("propose",))
+            return used, parsed
+
+        return run
+
+    def test_first_mask_per_video_and_stops_early(self, propose):
+        sizes, parsed = propose(["b", "a", "c"], {"c": (64, 48)})
         assert sizes == {"a": (6, 4), "b": (9, 5), "c": (64, 48)}
         # b's first mask is the fourth record; nothing after it is parsed
         assert len(parsed) == 4
 
-    def test_video_without_masks_gets_default(self, masks_path, parsed):
-        sizes = _frame_sizes(PipelineInputs(masks=masks_path), ["c", "zz"])
+    def test_video_without_masks_gets_default(self, propose, caplog):
+        with caplog.at_level(logging.WARNING):
+            sizes, parsed = propose(["c", "zz"], {})
         assert (sizes["c"], sizes["zz"]) == ((3, 7), DEFAULT_FRAME_SIZE)
+        assert "no frame size for 'zz'" in caplog.text
         assert len(parsed) == 9
 
 
@@ -343,6 +413,27 @@ class TestCli:
                         "-o", d / "f2.jsonl", "--thresholds-in",
                         d / "thr.jsonl") == 0
         assert (d / "f1.jsonl").read_bytes() == (d / "f2.jsonl").read_bytes()
+
+    def test_propose_parses_its_input_once(self, tmp_path, closure_corpus,
+                                           monkeypatch, caplog):
+        # no lengths or frame size given: both come from the tracks it parsed
+        _, paths = closure_corpus
+        tracked = tmp_path / "tracked.jsonl"
+        assert self.run("track", paths["detections"], "-o", tracked) == 0
+        reads = []
+
+        def recording_read(path, kind):
+            reads.append(Path(path))
+            return read_records(path, kind)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("actpipe") and hasattr(module, "read_records"):
+                monkeypatch.setattr(module, "read_records", recording_read)
+        with caplog.at_level(logging.WARNING):
+            assert self.run("propose", tracked, "-o", tmp_path / "props.jsonl") == 0
+        assert reads == [tracked]
+        assert "inferred from record files for act00, bg00;" in caplog.text
+        assert "no frame size for 'act00'" in caplog.text
 
     def test_evaluate_infers_lengths_from_what_it_reads(self, tmp_path):
         # the annotation ends at frame 50, the prediction at 80
@@ -502,6 +593,12 @@ class TestCli:
         bad.write_text("#actpipe/detections/v1\nnot json\n")
         assert self.run("track", bad, "-o", tmp_path / "out.jsonl") == 1
 
+    def test_deeply_nested_line_is_contract_error(self, tmp_path, capsys):
+        bad = tmp_path / "det.jsonl"
+        bad.write_text("#actpipe/detections/v1\n" + "[" * 200_000 + "\n")
+        assert self.run("track", bad, "-o", tmp_path / "out.jsonl") == 1
+        assert "det.jsonl:2: maximum recursion" in capsys.readouterr().err
+
 
 def test_every_cli_flag_has_a_caller():
     """A flag that no test or benchmark passes is a setting nothing checks."""
@@ -525,3 +622,15 @@ def test_every_cli_flag_has_a_caller():
                 if not any(re.search(rf"[\"']{re.escape(flag)}[\"'=]", code)
                            for flag in action.option_strings)}
     assert sorted(uncalled) == []
+
+
+def test_only_the_cli_prints():
+    """Library modules report through ``logging``; only ``cli.py`` prints."""
+    package = Path(__file__).resolve().parent.parent / "src" / "actpipe"
+    printing = sorted(
+        f"{path.name}:{node.lineno}" for path in package.glob("*.py")
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "print")
+    assert printing == []

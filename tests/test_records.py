@@ -1,7 +1,11 @@
+import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from actpipe.geometry import BBox, Cube
 from actpipe.records import (ActivityAnnotation, ActivityInstance,
@@ -287,6 +291,33 @@ class TestReaderErrors:
         with pytest.raises(RecordError, match=rf"num\.jsonl:2: {re.escape(message)}"):
             list(read_records(path, kind))
 
+    @pytest.mark.parametrize("kind, fields, message", [
+        ("proposals", PROPOSAL + ',"t0":0,"t1":4,"labels":"walk"',
+         "labels must be a list, got 'walk'"),
+        ("proposals", PROPOSAL + ',"t0":0,"t1":4,"labels":[1]',
+         "labels must be strings, got [1]"),
+        ("detections", DETECTION.replace('"v"', "5") + ',"frame":4',
+         "video_id must be a string, got 5"),
+        ("detections", DETECTION.replace('"p"', '["a"]') + ',"frame":4',
+         "object_class must be a string, got ['a']"),
+        ("reports", '"section":"evaluation","data":[1]',
+         "report data must be an object, got [1]"),
+    ], ids=["labels-string", "labels-number", "video-id-number",
+            "object-class-list", "report-data-list"])
+    def test_strings_and_labels_have_their_types(self, tmp_path, kind, fields,
+                                                 message):
+        path = tmp_path / "types.jsonl"
+        path.write_text(f"#actpipe/{kind}/v1\n{{{fields}}}\n")
+        with pytest.raises(RecordError,
+                           match=rf"types\.jsonl:2: {re.escape(message)}"):
+            list(read_records(path, kind))
+
+    def test_deep_nesting_names_line(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text("#actpipe/detections/v1\n" + "[" * 200_000 + "\n")
+        with pytest.raises(RecordError, match=r"deep\.jsonl:2: maximum recursion"):
+            list(read_records(path, "detections"))
+
     def test_integral_floats_read_as_ints(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text("#actpipe/detections/v1\n{" + self.DETECTION
@@ -369,3 +400,93 @@ class TestAnnotationType:
     def test_needs_one_box(self):
         with pytest.raises(ValueError):
             ActivityAnnotation("v", "walk", 2, 6, ())
+
+
+FUZZ_DIR = tempfile.TemporaryDirectory()
+
+# per kind a valid record, then per field whether it is required and the
+# JSON types its schema allows ("float" stands for a non-integral number)
+NUMBER = {"int", "float"}
+BOX = {k: (True, NUMBER) for k in ("x0", "x1", "y0", "y1")}
+CUBE_FIELDS = {"video_id": (True, {"str"}), "t0": (True, {"int"}),
+               "t1": (True, {"int"}), **BOX,
+               "seed_track": (False, {"int", "null"}),
+               "object_class": (False, {"str"}),
+               "fg_score": (False, NUMBER | {"null"}),
+               "labels": (False, {"list", "null"})}
+CUBE = {"video_id": "v", "t0": 0, "t1": 4, "x0": 0, "x1": 1, "y0": 0, "y1": 1,
+        "seed_track": 1, "object_class": "person", "fg_score": 0.5,
+        "labels": ["walk"]}
+SCHEMAS = {
+    "detections": (
+        {"video_id": "v", "frame": 4, "object_class": "person", "x0": 0,
+         "x1": 1, "y0": 0, "y1": 1, "confidence": 0.5, "track_id": 1},
+        {"video_id": (True, {"str"}), "frame": (True, {"int"}),
+         "object_class": (True, {"str"}), **BOX,
+         "confidence": (True, NUMBER), "track_id": (False, {"int", "null"})}),
+    "annotations": (
+        {"video_id": "v", "activity_class": "walk", "t0": 0, "t1": 4,
+         "tube": [[1, 0, 1, 0, 1]]},
+        # without a tube the reader takes the "box" shorthand, absent here
+        {"video_id": (True, {"str"}), "activity_class": (True, {"str"}),
+         "t0": (True, {"int"}), "t1": (True, {"int"}), "tube": (True, {"list"})}),
+    "masks": (
+        {"video_id": "v", "frame": 0, "width": 3, "height": 2,
+         "rle": [2, 3, 1]},
+        {"video_id": (True, {"str"}), "frame": (True, {"int"}),
+         "width": (True, {"int"}), "height": (True, {"int"}),
+         "rle": (True, {"list"})}),
+    "proposals": (CUBE, CUBE_FIELDS),
+    "scored-proposals": ({**CUBE, "scores": [0.5]},
+                         {**CUBE_FIELDS, "scores": (True, {"list"})}),
+    "instances": (
+        {"video_id": "v", "activity_class": "walk", "t0": 0, "t1": 4, "x0": 0,
+         "x1": 1, "y0": 0, "y1": 1, "score": 0.5, "seed_track": 1,
+         "tube": [[1, 0, 1, 0, 1]]},
+        {"video_id": (True, {"str"}), "activity_class": (True, {"str"}),
+         "t0": (True, {"int"}), "t1": (True, {"int"}), **BOX,
+         "score": (True, NUMBER), "seed_track": (False, {"int", "null"}),
+         "tube": (False, {"list", "null"})}),
+    "reports": ({"section": "evaluation", "data": {"mean_naudc": 0.5}},
+                {"section": (True, {"str"}), "data": (True, {"object"})}),
+}
+SCALARS = st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+# empty strings, lists and objects iterate like empty lists of runs or scores
+JSON_TYPES = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-2**40, 2**40),
+    "float": st.floats(allow_nan=False, allow_infinity=False).filter(
+        lambda x: not x.is_integer()),
+    "str": st.just("") | st.text(max_size=8),
+    "list": st.just([]) | st.lists(SCALARS, max_size=3),
+    "object": st.just({}) | st.dictionaries(st.text(max_size=4), SCALARS,
+                                             max_size=3),
+}
+FIELDS = [(kind, name) for kind in sorted(SCHEMAS) for name in SCHEMAS[kind][1]]
+
+
+class TestReaderFuzz:
+    @pytest.mark.parametrize("kind", sorted(SCHEMAS))
+    def test_valid_records_read(self, tmp_path, kind):
+        path = tmp_path / "valid.jsonl"
+        path.write_text(f"#actpipe/{kind}/v1\n{json.dumps(SCHEMAS[kind][0])}\n")
+        assert len(list(read_records(path, kind))) == 1
+
+    @pytest.mark.parametrize("kind, name", FIELDS,
+                             ids=[f"{kind}-{name}" for kind, name in FIELDS])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_broken_field_names_path_and_line(self, kind, name, data):
+        # the field goes missing (when required) or takes each forbidden type
+        record, fields = SCHEMAS[kind]
+        needed, allowed = fields[name]
+        broken = [{**record, name: data.draw(JSON_TYPES[t], label=t)}
+                  for t in sorted(set(JSON_TYPES) - allowed)]
+        if needed:
+            broken.append({k: v for k, v in record.items() if k != name})
+        path = Path(FUZZ_DIR.name) / "broken.jsonl"
+        for line in map(json.dumps, broken):
+            path.write_text(f"#actpipe/{kind}/v1\n\n{line}\n", encoding="utf-8")
+            with pytest.raises(RecordError, match=rf"^{re.escape(str(path))}:3: "):
+                list(read_records(path, kind))
