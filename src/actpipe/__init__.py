@@ -2,7 +2,7 @@
 
 from .config import ConfigError, PipelineConfig, parse_config
 from .geometry import BBox, Cube, bbox_enlarge, bbox_intersection, bbox_iou, \
-    bbox_union, coverage, tube_iou_3d
+    bbox_union, tube_iou_3d
 from .records import (ActivityAnnotation, ActivityInstance, DetectionRecord,
                       MaskFrame, RecordError, ReportRecord, ScoredCube,
                       read_records, write_records)
@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BBox", "Cube", "bbox_iou", "bbox_union", "bbox_intersection",
-    "bbox_enlarge", "coverage", "tube_iou_3d",
+    "bbox_enlarge", "tube_iou_3d",
     "DetectionRecord", "ActivityAnnotation", "MaskFrame", "ScoredCube",
     "ActivityInstance", "ReportRecord", "RecordError",
     "read_records", "write_records",

@@ -128,10 +128,13 @@ def _cmd_filter(args) -> None:
     proposals = list(read_records(args.input, "proposals"))
     thresholds = None
     if args.thresholds_in:
-        thresholds = {}
-        for record in read_records(args.thresholds_in, "reports"):
-            if record.section == "filter_thresholds":
-                thresholds.update(record.data["thresholds"])
+        tables = [record.data["thresholds"]
+                  for record in read_records(args.thresholds_in, "reports")
+                  if record.section == "filter_thresholds"]
+        if not tables:
+            raise ConfigError(
+                f"--thresholds-in {args.thresholds_in}: no filter_thresholds section")
+        thresholds = {cls: value for table in tables for cls, value in table.items()}
     kept, report = filter_stage(proposals, read_records(args.masks, "masks"),
                                 config, thresholds)
     write_records(kept, args.output, "proposals")

@@ -348,11 +348,9 @@ def evaluation_report(predictions: Sequence[ActivityInstance],
     The loosened matching here is a simplification of the full evaluation
     protocol: one temporal-overlap tolerance, no weighting.
     """
-    classes = (config.activity_classes
-               or tuple(sorted({a.activity_class for a in annotations}
-                               | {p.activity_class for p in predictions})))
     curves = det_curve(predictions, annotations, video_lengths,
-                       config.temporal_overlap_frames, classes)
+                       config.temporal_overlap_frames,
+                       config.activity_classes or None)
     per_class = {}
     for name, curve in curves.items():
         if curve.no_reference:

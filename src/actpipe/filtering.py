@@ -1,13 +1,12 @@
 """Foreground scoring, threshold calibration, and proposal filtering.
 
-A proposal's foreground score is the mean of binary motion-mask values over
-the integer pixel cells fully inside its box, across the mask frames
-sampled within its window. Each box sum slices the decoded raster directly.
-:func:`score_foreground` scores many cubes in one pass over a mask stream;
-:func:`foreground_score` is its per-cube reference, and the two return
-exactly equal scores. Per object class, the filter threshold is
-calibrated so that at most a ``p_pos`` fraction of true (positively
-labeled) proposals falls at or below it.
+A proposal's foreground score is the share of set cells among the integer
+pixel cells ``[i, i+1)`` fully inside its box, counted over the mask frames
+sampled within its window; a box too thin to hold a full cell scores 0.
+:func:`score_foreground` scores every cube in one pass over a frame-ordered
+mask stream. Per object class, the filter threshold is calibrated so that
+at most a ``p_pos`` fraction of true (positively labeled) proposals falls
+at or below it.
 """
 
 from __future__ import annotations
@@ -20,11 +19,10 @@ import numpy as np
 
 from .config import PipelineConfig
 from .geometry import BBox, Cube
-from .records import MaskFrame
+from .records import FrameOrder, MaskFrame
 
 __all__ = [
     "SENTINEL_THRESHOLD",
-    "foreground_score",
     "score_foreground",
     "collect_positive_scores",
     "calibrate_threshold",
@@ -36,60 +34,22 @@ __all__ = [
 SENTINEL_THRESHOLD = float("-inf")
 
 
-def _cell_range(lo: float, hi: float, limit: int) -> Tuple[int, int]:
-    """Integer cells [i, i+1) fully inside [lo, hi), clipped to [0, limit)."""
-    start = max(0, int(math.ceil(lo)))
-    stop = min(limit, int(math.floor(hi)))
-    return start, stop
-
-
-def _box_pixel_stats(raster: np.ndarray, bbox: BBox) -> Tuple[float, int]:
-    h, w = raster.shape
-    x0, x1 = _cell_range(bbox.x0, bbox.x1, w)
-    y0, y1 = _cell_range(bbox.y0, bbox.y1, h)
-    if x0 >= x1 or y0 >= y1:
-        return 0.0, 0
-    patch = raster[y0:y1, x0:x1]
-    # decoded rasters hold only 0 and 1, so the set-cell count is the sum
-    return float(np.count_nonzero(patch)), patch.size
-
-
-def _mean_score(cube: Cube, total: float, count: int, used: int) -> float:
-    if used == 0:
-        raise ValueError(
-            f"no masks inside [{cube.t0}, {cube.t1}) for video {cube.video_id!r}"
-        )
-    return total / count if count else 0.0
-
-
-def foreground_score(cube: Cube, masks: Sequence[MaskFrame]) -> float:
-    """Mean mask value inside the cube over its sampled frames.
-
-    Masks outside [t0, t1) are ignored. Raises when no mask frame falls in
-    the window. Boxes too thin to contain a full pixel cell score 0.
-    """
-    total = 0.0
-    count = 0
-    used = 0
-    for mask in masks:
-        if mask.video_id != cube.video_id or not cube.t0 <= mask.frame < cube.t1:
-            continue
-        s, n = _box_pixel_stats(mask.decode(), cube.bbox)
-        total += s
-        count += n
-        used += 1
-    return _mean_score(cube, total, count, used)
+def _cells(bbox: BBox) -> Tuple[slice, slice]:
+    """Rows and columns of the cells fully inside ``bbox``. Stops clamp at 0,
+    so a box above or left of the mask slices nothing rather than counting
+    from the far edge; numpy clips them to the mask, so they fit every size."""
+    return (slice(max(0, math.ceil(bbox.y0)), max(0, math.floor(bbox.y1))),
+            slice(max(0, math.ceil(bbox.x0)), max(0, math.floor(bbox.x1))))
 
 
 def score_foreground(cubes: Sequence[Cube],
                      masks: Iterable[MaskFrame]) -> List[Cube]:
-    """Foreground scores for many cubes with one pass over the mask stream.
+    """The cubes with their foreground scores, from one pass over the masks.
 
     The mask stream must be frame-ordered with contiguous videos, as record
     files are. Each mask is decoded once, and every cube whose window covers
-    its frame adds its box sum there. Each score equals
-    ``foreground_score(cube, masks)`` exactly: both add the same integer box
-    sums, in the same frame order, into float accumulators.
+    its frame adds its set and total cell counts there. Raises when no mask
+    frame falls in a cube's window.
     """
     order = list(cubes)
     pending: Dict[str, List[int]] = {}
@@ -98,32 +58,23 @@ def score_foreground(cubes: Sequence[Cube],
     for ids in pending.values():
         ids.sort(key=lambda i: order[i].t0)
 
-    sums = [0.0] * len(order)
+    cells = [_cells(cube.bbox) for cube in order]
+    ones = [0] * len(order)
     counts = [0] * len(order)
-    seen = [0] * len(order)
+    seen = [False] * len(order)
 
-    done_videos: set = set()
+    frame_order = FrameOrder("mask stream")
     video = None
     queue: List[int] = []
     ptr = 0
     active: List[Tuple[int, int]] = []
-    last_frame = -1
-    for mask in masks:
+    for n, mask in enumerate(masks, start=1):
+        frame_order.check(mask.video_id, mask.frame, n)
         if mask.video_id != video:
-            if mask.video_id in done_videos:
-                raise ValueError(
-                    f"mask stream revisits video {mask.video_id!r}; "
-                    "masks must be contiguous per video"
-                )
-            done_videos.add(mask.video_id)
             video = mask.video_id
             queue = pending.get(video, [])
             ptr = 0
             active = []
-            last_frame = -1
-        if mask.frame < last_frame:
-            raise ValueError(f"mask stream out of frame order in {video!r}")
-        last_frame = mask.frame
 
         while ptr < len(queue) and order[queue[ptr]].t0 <= mask.frame:
             i = queue[ptr]
@@ -136,17 +87,22 @@ def score_foreground(cubes: Sequence[Cube],
 
         raster = mask.decode()
         for _, i in active:
-            s, n = _box_pixel_stats(raster, order[i].bbox)
-            sums[i] += s
-            counts[i] += n
-            seen[i] += 1
+            patch = raster[cells[i]]
+            ones[i] += np.count_nonzero(patch)
+            counts[i] += patch.size
+            seen[i] = True
 
-    return [
-        Cube(cube.video_id, cube.bbox, cube.t0, cube.t1, cube.seed_track,
-             cube.object_class, _mean_score(cube, sums[i], counts[i], seen[i]),
-             cube.labels)
-        for i, cube in enumerate(order)
-    ]
+    scored = []
+    for i, cube in enumerate(order):
+        if not seen[i]:
+            raise ValueError(
+                f"no masks inside [{cube.t0}, {cube.t1}) for video {cube.video_id!r}"
+            )
+        # exact integer counts; int() keeps the score a plain float
+        score = int(ones[i]) / counts[i] if counts[i] else 0.0
+        scored.append(Cube(cube.video_id, cube.bbox, cube.t0, cube.t1,
+                           cube.seed_track, cube.object_class, score, cube.labels))
+    return scored
 
 
 def collect_positive_scores(cubes: Iterable[Cube]) -> Dict[str, List[float]]:

@@ -20,7 +20,6 @@ __all__ = [
     "bbox_union",
     "bbox_intersection",
     "bbox_enlarge",
-    "coverage",
     "tube_iou_3d",
     "tube_arrays",
     "window_unions",
@@ -128,11 +127,6 @@ def bbox_enlarge(b: BBox, rate: float, frame: Tuple[float, float]) -> BBox:
         max(0.0, b.y0 - my),
         min(float(height), b.y1 + my),
     )
-
-
-def coverage(pred: BBox, ref: BBox) -> float:
-    """Fraction of the reference box covered by the prediction."""
-    return _intersection_area(pred, ref) / ref.area
 
 
 def tube_iou_3d(frames_a: np.ndarray, boxes_a: np.ndarray,

@@ -109,8 +109,9 @@ def same_window_blocks(proposals: Sequence[Cube], gt_cubes: Sequence[GtCube]
                        ) -> Iterator[Tuple[np.ndarray, ...]]:
     """Per distinct GT-cube window, the proposals of the same video at
     temporal IoU >= 0.5: proposal indices (ascending), GT indices, and the
-    IoU and GT-coverage matrices, computed in the operation order of
-    :func:`bbox_iou` and :func:`coverage`, so bit-identical to them.
+    IoU and GT-coverage (intersection over the GT box's area) matrices,
+    computed in the operation order of :func:`bbox_iou`, so bit-identical to
+    the per-pair formulas.
     """
     windows: Dict[str, Dict[Tuple[int, int], List[int]]] = {}
     for i, p in enumerate(proposals):

@@ -112,15 +112,20 @@ def generate_proposals(tracks_by_video: Mapping[str, Sequence[Track]],
                        video_lengths: Mapping[str, int],
                        frame_sizes: Mapping[str, Tuple[float, float]],
                        config: PipelineConfig) -> List[Cube]:
-    """Corpus-level proposal generation, videos in sorted id order."""
+    """Corpus-level proposal generation, videos in sorted id order.
+
+    Every video needs a length, and no track may end at or past it.
+    """
     cubes: List[Cube] = []
     for video_id in sorted(tracks_by_video):
         if video_id not in video_lengths:
             raise ValueError(f"no video length for {video_id!r}")
-        cubes.extend(
-            generate_video_proposals(
-                video_id, tracks_by_video[video_id], video_lengths[video_id],
-                frame_sizes[video_id], config,
-            )
-        )
+        tracks, length = tracks_by_video[video_id], video_lengths[video_id]
+        late = [t for t in tracks if t.frames[-1] >= length]
+        if late:
+            raise ValueError(
+                f"track {late[0].track_id} of video {video_id!r} reaches frame "
+                f"{int(late[0].frames[-1])}, past the video's length of {length}")
+        cubes.extend(generate_video_proposals(video_id, tracks, length,
+                                              frame_sizes[video_id], config))
     return cubes

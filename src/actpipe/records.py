@@ -30,6 +30,7 @@ __all__ = [
     "ReportRecord",
     "rle_encode",
     "rle_decode",
+    "FrameOrder",
     "read_records",
     "write_records",
     "RECORD_KINDS",
@@ -137,15 +138,10 @@ def rle_encode(raster: np.ndarray) -> List[int]:
 
 
 def rle_decode(runs: Sequence[int], width: int, height: int) -> np.ndarray:
-    """Inverse of :func:`rle_encode`; validates the total cell count."""
-    total = sum(runs)
-    if total != width * height:
-        raise ValueError(f"rle covers {total} cells, expected {width * height}")
-    if any(r < 0 for r in runs):
-        raise ValueError("negative run length")
+    """Inverse of :func:`rle_encode`; :class:`MaskFrame` validates the runs,
+    and numpy raises ``ValueError`` on negative or miscounted ones."""
     values = np.resize(np.array([0, 1], dtype=np.uint8), len(runs))
-    flat = np.repeat(values, runs)
-    return flat.reshape(height, width)
+    return np.repeat(values, runs).reshape(height, width)
 
 
 @dataclass(frozen=True)
@@ -484,7 +480,7 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown record kind {kind!r}")
 
 
-class _FrameOrder:
+class FrameOrder:
     """Enforces sorted-by-(video_id, frame) streams with contiguous videos."""
 
     def __init__(self, where: str):
@@ -521,7 +517,7 @@ def read_records(path: Union[str, Path], kind: str) -> Iterator:
     path = Path(path)
 
     def gen() -> Iterator:
-        order = _FrameOrder(str(path)) if ordered else None
+        order = FrameOrder(str(path)) if ordered else None
         with path.open("r", encoding="utf-8") as fh:
             first = fh.readline()
             if not first:
@@ -557,7 +553,7 @@ def write_records(records: Iterable, path: Union[str, Path], kind: str) -> int:
     _check_kind(kind)
     serializer, _, ordered = RECORD_KINDS[kind]
     path = Path(path)
-    order = _FrameOrder(str(path)) if ordered else None
+    order = FrameOrder(str(path)) if ordered else None
     count = 0
     with path.open("w", encoding="utf-8") as fh:
         fh.write(_header(kind) + "\n")

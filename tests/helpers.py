@@ -1,9 +1,11 @@
 """Scene builders shared by the pipeline and acceptance tests, plus plain
 per-``BBox`` reference versions of the array-backed proposal, labeling and
-tube steps, the per-class dedup and per-level proposal-quality sweep, and
-the coverage-counter DET sweep, for differential tests."""
+tube steps and box coverage, the per-class dedup and per-level
+proposal-quality sweep, the coverage-counter DET sweep and the per-cube
+foreground score, for differential tests."""
 
 import bisect
+import math
 import random
 
 import numpy as np
@@ -271,6 +273,12 @@ def ref_assign_labels(proposals, gt_cubes, s_high, s_low):
     return out
 
 
+def ref_coverage(pred, ref):
+    """Fraction of the reference box covered by the prediction."""
+    overlap = bbox_intersection(pred, ref)
+    return 0.0 if overlap is None else overlap.area / ref.area
+
+
 def ref_frame_boxes(instance):
     """An instance's tube as a {frame: BBox} dict; its box on every frame of
     the window when it has no tube."""
@@ -488,3 +496,32 @@ def ref_det_curve(predictions, annotations, video_lengths, min_temporal_overlap,
             points.append(DetPoint(threshold, tfa, misses / len(gts)))
         curves[activity_class] = DetCurve(activity_class, tuple(points), False)
     return curves
+
+
+# ---------------------------------------------------------------------------
+# foreground reference: each cube walks the whole mask list, float box sums
+
+
+def ref_foreground_score(cube, masks):
+    """Mean mask value over the cells fully inside the cube's box, across
+    the masks of its video in [t0, t1); raises when there are none."""
+    total = 0.0
+    count = 0
+    used = 0
+    for mask in masks:
+        if mask.video_id != cube.video_id or not cube.t0 <= mask.frame < cube.t1:
+            continue
+        raster = mask.decode()
+        h, w = raster.shape
+        x0, x1 = max(0, math.ceil(cube.bbox.x0)), min(w, math.floor(cube.bbox.x1))
+        y0, y1 = max(0, math.ceil(cube.bbox.y0)), min(h, math.floor(cube.bbox.y1))
+        if x0 < x1 and y0 < y1:
+            patch = raster[y0:y1, x0:x1]
+            total += float(np.count_nonzero(patch))
+            count += patch.size
+        used += 1
+    if used == 0:
+        raise ValueError(
+            f"no masks inside [{cube.t0}, {cube.t1}) for video {cube.video_id!r}"
+        )
+    return total / count if count else 0.0

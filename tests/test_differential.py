@@ -20,15 +20,15 @@ from actpipe import evaluation
 from actpipe.config import PipelineConfig
 from actpipe.dedup import deduplicate, merge_adjacent
 from actpipe.evaluation import det_curve, proposal_quality
-from actpipe.geometry import BBox, Cube, bbox_iou, coverage, tube_iou_3d
+from actpipe.geometry import BBox, Cube, bbox_iou, tube_iou_3d
 from actpipe.labeling import (SAME_WINDOW_TIOU, GtCube, apply_assignments,
                               assign_labels, gt_to_cubes, same_window_blocks,
                               temporal_iou)
 from actpipe.proposals import generate_video_proposals, sample_windows
 from actpipe.records import (ActivityAnnotation, ActivityInstance, ScoredCube,
                              write_records)
-from helpers import (make_track, ref_assign_labels, ref_deduplicate,
-                     ref_det_curve, ref_frame_boxes,
+from helpers import (make_track, ref_assign_labels, ref_coverage,
+                     ref_deduplicate, ref_det_curve, ref_frame_boxes,
                      ref_generate_video_proposals, ref_gt_to_cubes,
                      ref_proposal_quality, ref_tube_iou_3d, tube_of)
 
@@ -229,7 +229,7 @@ class TestAssignLabels:
                     assert (i, g) not in pairs
                     pairs[(i, g)] = (iou[r, c], cov[r, c])
         want = {
-            (i, g): (bbox_iou(p.bbox, gt.bbox), coverage(p.bbox, gt.bbox))
+            (i, g): (bbox_iou(p.bbox, gt.bbox), ref_coverage(p.bbox, gt.bbox))
             for i, p in enumerate(props) for g, gt in enumerate(gts)
             if p.video_id == gt.video_id
             and temporal_iou((p.t0, p.t1), (gt.t0, gt.t1)) >= SAME_WINDOW_TIOU

@@ -4,9 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from actpipe.filtering import (SENTINEL_THRESHOLD, calibrate_threshold,
                                collect_positive_scores, filter_proposals,
-                               foreground_score, score_foreground)
+                               score_foreground)
 from actpipe.geometry import BBox, Cube
 from actpipe.records import MaskFrame
+
+from helpers import ref_foreground_score
 
 
 def mask(frame, raster, video="v"):
@@ -19,32 +21,44 @@ def cube(t0=0, t1=64, box=BBox(0, 10, 0, 10), video="v", cls="person",
                 fg_score=fg, labels=labels)
 
 
+def score(c, masks):
+    return score_foreground([c], masks)[0].fg_score
+
+
 @st.composite
 def scoring_inputs(draw):
     """Cubes and a frame-ordered mask stream over 1-3 videos.
 
-    Each video has its own mask size. Box edges are fractional and may lie
-    partly or wholly outside the frame or be thinner than one cell; mask
+    Each video has its own mask size, which may change once mid-stream under
+    a cube whose window spans the change. Box edges are fractional and may
+    lie partly or wholly outside the frame or be thinner than one cell; mask
     frames reach past the windows, so some masks fall in none of them.
     """
     cubes, masks = [], []
     for v in range(draw(st.integers(1, 3))):
         video = f"v{v}"
-        w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-        frames = draw(st.lists(st.integers(0, 100), min_size=1, max_size=6,
-                               unique=True))
-        for f in sorted(frames):
+        sizes = [(draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+                 for _ in range(2)]
+        frames = sorted(draw(st.lists(st.integers(0, 100), min_size=1,
+                                      max_size=6, unique=True)))
+        # masks from frames[cut] on take the second size; none when cut is last
+        cut = draw(st.integers(1, len(frames)))
+        for k, f in enumerate(frames):
+            w, h = sizes[k >= cut]
             rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
             density = draw(st.sampled_from([0.1, 0.5, 0.9]))
             masks.append(mask(f, rng.random((h, w)) < density, video))
-        side = max(w, h)
+        side = max(max(size) for size in sizes)
         edge = st.floats(-side / 2, side + 2, allow_nan=False)
         extent = st.floats(0.01, side, allow_nan=False)
-        for _ in range(draw(st.integers(0, 4))):
-            # every window holds at least one mask frame
-            anchor = draw(st.sampled_from(frames))
-            t0 = draw(st.integers(max(0, anchor - 30), anchor))
-            t1 = draw(st.integers(anchor + 1, anchor + 30))
+        # every window holds at least one mask frame
+        windows = [(a, a + 1) for a in draw(st.lists(st.sampled_from(frames),
+                                                    max_size=4))]
+        if cut < len(frames):
+            windows.append((frames[cut - 1], frames[cut] + 1))
+        for first, last in windows:
+            t0 = draw(st.integers(max(0, first - 30), first))
+            t1 = draw(st.integers(last, last + 30))
             x0, y0 = draw(edge), draw(edge)
             box = BBox(x0, x0 + draw(extent), y0, y0 + draw(extent))
             cubes.append(cube(t0, t1, box, video=video, seed=len(cubes)))
@@ -54,33 +68,33 @@ def scoring_inputs(draw):
 class TestForegroundScore:
     def test_all_foreground(self):
         masks = [mask(f, np.ones((20, 20))) for f in (0, 8, 16)]
-        assert foreground_score(cube(0, 24), masks) == 1.0
+        assert score(cube(0, 24), masks) == 1.0
 
     def test_all_background(self):
         masks = [mask(f, np.zeros((20, 20))) for f in (0, 8, 16)]
-        assert foreground_score(cube(0, 24), masks) == 0.0
+        assert score(cube(0, 24), masks) == 0.0
 
     def test_half_covered(self):
         raster = np.zeros((20, 20))
         raster[:, :5] = 1  # left half of a (0,10,0,10) box
         masks = [mask(f, raster) for f in (0, 8)]
-        assert foreground_score(cube(0, 16), masks) == 0.5
+        assert score(cube(0, 16), masks) == 0.5
 
     def test_masks_outside_window_ignored(self):
         inside = [mask(0, np.ones((20, 20)))]
         outside = [mask(100, np.zeros((20, 20)))]
-        assert foreground_score(cube(0, 64), inside + outside) == 1.0
+        assert score(cube(0, 64), inside + outside) == 1.0
 
     def test_no_masks_in_window_rejected(self):
         with pytest.raises(ValueError, match="no masks"):
-            foreground_score(cube(0, 64), [mask(100, np.zeros((4, 4)))])
+            score(cube(0, 64), [mask(100, np.zeros((4, 4)))])
 
     def test_fractional_box_uses_interior_cells(self):
         raster = np.zeros((10, 10))
         raster[2:5, 2:5] = 1
         masks = [mask(0, raster)]
         # cells fully inside (1.5, 5.5) are 2..4 per axis: exactly the ones set
-        assert foreground_score(cube(0, 8, BBox(1.5, 5.5, 1.5, 5.5)), masks) == 1.0
+        assert score(cube(0, 8, BBox(1.5, 5.5, 1.5, 5.5)), masks) == 1.0
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(4)
@@ -92,7 +106,7 @@ class TestForegroundScore:
                  cube(32, 64, BBox(10, 11.5, 10, 11.5))]
         batched = score_foreground(cubes, masks)
         for original, scored in zip(cubes, batched):
-            assert scored.fg_score == foreground_score(original, masks)
+            assert scored.fg_score == ref_foreground_score(original, masks)
 
     @given(scoring_inputs())
     @settings(max_examples=200, deadline=None)
@@ -100,7 +114,7 @@ class TestForegroundScore:
         cubes, masks = inputs
         batched = score_foreground(cubes, masks)
         assert [c.fg_score for c in batched] == \
-            [foreground_score(c, masks) for c in cubes]
+            [ref_foreground_score(c, masks) for c in cubes]
 
     def test_batched_missing_masks_rejected(self):
         with pytest.raises(ValueError, match="no masks"):
@@ -109,12 +123,12 @@ class TestForegroundScore:
     def test_batched_rejects_revisited_video(self):
         masks = [mask(0, np.ones((4, 4))), mask(0, np.ones((4, 4)), video="w"),
                  mask(8, np.ones((4, 4)))]
-        with pytest.raises(ValueError, match="revisits video 'v'"):
+        with pytest.raises(ValueError, match="video 'v' reappears out of order"):
             score_foreground([cube(0, 16)], masks)
 
     def test_batched_rejects_frames_out_of_order(self):
         masks = [mask(8, np.ones((4, 4))), mask(0, np.ones((4, 4)))]
-        with pytest.raises(ValueError, match="out of frame order in 'v'"):
+        with pytest.raises(ValueError, match="frame 0 out of order in video 'v'"):
             score_foreground([cube(0, 16)], masks)
 
 

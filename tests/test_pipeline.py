@@ -19,8 +19,8 @@ from actpipe.geometry import BBox, Cube
 from actpipe.pipeline import (DEFAULT_FRAME_SIZE, PipelineInputs,
                               infer_video_lengths, run_pipeline, track_ends)
 from actpipe.records import (ActivityAnnotation, ActivityInstance,
-                             DetectionRecord, MaskFrame, ScoredCube,
-                             read_records, write_records)
+                             DetectionRecord, MaskFrame, ReportRecord,
+                             ScoredCube, read_records, write_records)
 from actpipe.synth import generate_corpus
 from actpipe.tracking import tracks_from_records
 from helpers import closure_scenes
@@ -227,6 +227,13 @@ class TestVideoLengths:
                               inputs, tmp_path / "out", stages=("propose",))
         assert result.total_frames == 158
 
+    def test_track_past_explicit_length_rejected(self, tmp_path, detections_path):
+        inputs = PipelineInputs(detections=detections_path,
+                                video_lengths={"a": 100, "b": 57})
+        with pytest.raises(ValueError, match="track 2 of video 'b' reaches frame "
+                                             "57, past the video's length of 57"):
+            run_pipeline(CONFIG, inputs, tmp_path / "out", stages=("propose",))
+
     def test_pipeline_proposes_on_video_without_length(self, tmp_path,
                                                        detections_path):
         inputs = PipelineInputs(detections=detections_path,
@@ -413,6 +420,31 @@ class TestCli:
                         "-o", d / "f2.jsonl", "--thresholds-in",
                         d / "thr.jsonl") == 0
         assert (d / "f1.jsonl").read_bytes() == (d / "f2.jsonl").read_bytes()
+
+    def test_propose_rejects_track_past_video_length(self, tmp_path, capsys):
+        detections = [DetectionRecord("v", f, "person", BBox(0, 10, 0, 10), 0.9, 1)
+                      for f in range(0, 57, 8)]
+        write_records(detections, tmp_path / "det.jsonl", "detections")
+        assert self.run("propose", tmp_path / "det.jsonl", "-o",
+                        tmp_path / "props.jsonl", "--video-frames", "v=7") == 1
+        assert "video 'v' reaches frame 56, past the video's length of 7" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "props.jsonl").exists()
+
+    def test_thresholds_in_needs_a_thresholds_section(self, tmp_path, capsys):
+        d = tmp_path
+        write_records([Cube("v", BBox(0, 2, 0, 2), 0, 8, 1, "person")],
+                      d / "props.jsonl", "proposals")
+        write_records([MaskFrame.from_array("v", 0, np.ones((4, 4), dtype=np.uint8))],
+                      d / "masks.jsonl", "masks")
+        write_records([ReportRecord("proposal_stats", {"positive": 1})],
+                      d / "stats.jsonl", "reports")
+        assert self.run("filter", d / "props.jsonl", "--masks", d / "masks.jsonl",
+                        "-o", d / "kept.jsonl", "--thresholds-in",
+                        d / "stats.jsonl") == 1
+        assert f"{d / 'stats.jsonl'}: no filter_thresholds section" in \
+            capsys.readouterr().err
+        assert not (d / "kept.jsonl").exists()
 
     def test_propose_parses_its_input_once(self, tmp_path, closure_corpus,
                                            monkeypatch, caplog):
@@ -622,6 +654,27 @@ def test_every_cli_flag_has_a_caller():
                 if not any(re.search(rf"[\"']{re.escape(flag)}[\"'=]", code)
                            for flag in action.option_strings)}
     assert sorted(uncalled) == []
+
+
+def test_every_reference_has_a_caller():
+    """A ``ref_*`` in ``helpers`` that no test reaches, directly or through
+    another reference, checks nothing."""
+    tests = Path(__file__).resolve().parent
+
+    def names(tree):
+        return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+    helpers = ast.parse((tests / "helpers.py").read_text(encoding="utf-8"))
+    uses = {node.name: names(node) for node in helpers.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("ref_")}
+    reached = set().union(*(names(ast.parse(path.read_text(encoding="utf-8")))
+                            for path in tests.glob("test_*.py"))) & uses.keys()
+    frontier = list(reached)
+    while frontier:
+        for name in uses[frontier.pop()] & uses.keys() - reached:
+            reached.add(name)
+            frontier.append(name)
+    assert sorted(uses.keys() - reached) == []
 
 
 def test_only_the_cli_prints():
