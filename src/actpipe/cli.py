@@ -1,13 +1,12 @@
 """Command-line front-end: one subcommand per pipeline stage.
 
-Each subcommand runs its stage by the rules :func:`run_pipeline` uses:
-``track`` closes tracks after ``s_det`` frames. Explicit video lengths and
-frame sizes win; otherwise a length is the largest frame + 1 or ``t1`` among
-the records the subcommand reads (``propose``: its tracked detections;
-``evaluate``: its predictions, annotations and proposals), and ``propose``,
-which reads no masks, uses the default frame size with a warning. ``score``
-and ``dedup`` read no annotations to derive the activity classes from, so
-they need ``activity_classes`` configured.
+A stage subcommand calls :func:`actpipe.pipeline.run_stage`, the stage body
+``actpipe run`` calls, so every rule is the pipeline's. Its positional input
+is the records the stage takes; ``--annotations``, ``--masks`` and
+``--video-frames`` are the run's inputs, ``--frame-size`` every video's size,
+and ``--thresholds-in``, ``--from``/``--fuse-weights`` and ``--proposals``
+side inputs (:class:`actpipe.pipeline.StageRun`). Each output whose file
+flag is given is written: ``-o``, ``--stats``, ``--thresholds``, ``--curves``.
 
 Exit codes: 0 success, 1 contract error (bad records, bad config, stage
 precondition), 2 I/O error.
@@ -16,27 +15,16 @@ precondition), 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
-from itertools import chain
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .config import ConfigError, PipelineConfig, parse_config, parse_overrides
-from .dedup import deduplicate, merge_adjacent
-from .evaluation import evaluation_report, proposal_quality
-from .filtering import filter_stage
-from .labeling import label_stage
-from .pipeline import (CANONICAL_STAGES, PipelineInputs, bench, frame_sizes,
-                       infer_video_lengths, run_pipeline, track_ends)
-from .proposals import generate_proposals
-from .records import ReportRecord, read_records, write_records
-from .scoring import score_stage
+from .pipeline import (CANONICAL_STAGES, OUTPUT_FILES, STAGE_INPUT,
+                       PipelineInputs, StageRun, bench, run_pipeline, run_stage)
+from .records import read_records, write_records
 from .synth import SceneSpec, generate_corpus
-from .tracking import greedy_iou_track, tracks_from_records
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -87,119 +75,43 @@ def _cmd_simulate(args) -> None:
           f"{sum(len(s.masks) for s in scenes)} masks")
 
 
-def _cmd_track(args) -> None:
-    config = _load_config(args)
-    detections = list(read_records(args.input, "detections"))
-    tracked = greedy_iou_track(detections, max_gap=config.s_det)
-    write_records(tracked, args.output, "detections")
-    n_tracks = len({(d.video_id, d.track_id) for d in tracked})
-    print(f"tracked {len(tracked)} detections into {n_tracks} tracks")
+# the file flags of stage outputs other than the stage's records (-o)
+_OUTPUT_FLAGS = {"label-stats": "stats", "filter-thresholds": "thresholds",
+                 "det-curves": "curves"}
 
 
-def _cmd_propose(args) -> None:
-    config = _load_config(args)
-    tracks = tracks_from_records(read_records(args.input, "detections"))
-    lengths = infer_video_lengths(_parse_video_lengths(args.video_frames),
-                                  track_ends(tracks))
-    known = (dict.fromkeys(tracks, _parse_frame_size(args.frame_size))
-             if args.frame_size else {})
-    proposals = generate_proposals(tracks, lengths, frame_sizes(tracks, known),
-                                   config)
-    write_records(proposals, args.output, "proposals")
-    print(f"generated {len(proposals)} proposals")
-
-
-def _cmd_assign_labels(args) -> None:
-    config = _load_config(args)
-    labeled, stats = label_stage(list(read_records(args.input, "proposals")),
-                                 read_records(args.annotations, "annotations"),
-                                 config)
-    write_records(labeled, args.output, "proposals")
-    if args.stats:
-        write_records([ReportRecord("proposal_stats", stats.to_dict())],
-                      args.stats, "reports")
-    print(f"assigned labels: {stats.positive} positive, {stats.negative} "
-          f"negative, {stats.unassigned} unassigned "
-          f"(positive rate {stats.positive_rate:.4f})")
-
-
-def _cmd_filter(args) -> None:
-    config = _load_config(args)
-    proposals = list(read_records(args.input, "proposals"))
-    thresholds = None
-    if args.thresholds_in:
-        tables = [record.data["thresholds"]
-                  for record in read_records(args.thresholds_in, "reports")
-                  if record.section == "filter_thresholds"]
-        if not tables:
-            raise ConfigError(
-                f"--thresholds-in {args.thresholds_in}: no filter_thresholds section")
-        thresholds = {cls: value for table in tables for cls, value in table.items()}
-    kept, report = filter_stage(proposals, read_records(args.masks, "masks"),
-                                config, thresholds)
-    write_records(kept, args.output, "proposals")
-    if args.thresholds:
-        write_records([ReportRecord("filter_thresholds", report)],
-                      args.thresholds, "reports")
-    print(f"kept {len(kept)} of {len(proposals)} proposals")
-
-
-def _cmd_score(args) -> None:
-    files = args.from_files or ()
-    if args.fuse_weights and len(files) < 2:
+def _cmd_stage(args) -> None:
+    flags = vars(args)
+    files = flags.get("from_files") or ()
+    if flags.get("fuse_weights") and len(files) < 2:
         raise ConfigError("--fuse-weights needs two or more --from files")
-    config = _load_config(args)
-    proposals = list(read_records(args.input, "proposals"))
-    classes = config.activity_classes
-    weights = None
-    if args.fuse_weights:
-        with open(args.fuse_weights, "r", encoding="utf-8") as fh:
-            table = json.load(fh)
-        weights = np.array([[table[c][m] for c in classes]
-                            for m in range(len(files))])
-    scored = score_stage(proposals, classes, files, weights)
-    write_records(scored, args.output, "scored-proposals")
-    print(f"scored {len(scored)} proposals over {len(classes)} classes")
+    inputs = PipelineInputs(
+        annotations=flags.get("annotations"), masks=flags.get("masks"),
+        video_lengths=_parse_video_lengths(flags.get("video_frames", [])))
+    size = flags.get("frame_size")
+    run = StageRun(_load_config(args), inputs, files, flags.get("strict", False),
+                   frame_size=_parse_frame_size(size) if size else None,
+                   thresholds=flags.get("thresholds_in"),
+                   weights=flags.get("fuse_weights"),
+                   proposals=flags.get("proposals"))
+    stage = args.command
+    records_in, outputs = run_stage(
+        stage, read_records(args.input, STAGE_INPUT[stage]), run)
+    for output, records in outputs.items():
+        path = flags.get(_OUTPUT_FLAGS.get(output, "output"))
+        if path:
+            write_records(records, path, OUTPUT_FILES[output][1])
+    if stage == "evaluate":
+        _print_metrics(run.config, outputs["evaluate"][0].data)
+    else:
+        print(f"{stage}: {records_in} records in, {len(outputs[stage])} out")
 
 
-def _cmd_dedup(args) -> None:
-    scored = list(read_records(args.input, "scored-proposals"))
-    instances = deduplicate(scored, _load_config(args))
-    write_records(instances, args.output, "instances")
-    print(f"deduplicated {len(scored)} cubes into {len(instances)} instances")
-
-
-def _cmd_merge_adjacent(args) -> None:
-    config = _load_config(args)
-    instances = list(read_records(args.input, "instances"))
-    merged = merge_adjacent(instances, config.s_merg, config.l_merg)
-    write_records(merged, args.output, "instances")
-    print(f"merged {len(instances)} instances into {len(merged)}")
-
-
-def _cmd_evaluate(args) -> None:
-    config = _load_config(args)
-    predictions = list(read_records(args.input, "instances"))
-    annotations = list(read_records(args.annotations, "annotations"))
-    proposals = (list(read_records(args.proposals, "proposals"))
-                 if args.proposals else [])
-    lengths = infer_video_lengths(
-        _parse_video_lengths(args.video_frames),
-        ((r.video_id, r.t1) for r in chain(annotations, predictions, proposals)))
-    curves, summary = evaluation_report(predictions, annotations, config,
-                                        lengths, strict=args.strict)
-    if args.proposals:
-        summary["proposal_quality"] = proposal_quality(
-            proposals, annotations, config, lengths
-        )
-    write_records([curves[c] for c in sorted(curves)], args.curves,
-                  "det-curves")
-    write_records([ReportRecord("evaluation", summary)], args.output,
-                  "reports")
+def _print_metrics(config: PipelineConfig, summary: dict) -> None:
     print(f"mean nAUDC@{config.naudc_limit}Tfa: {summary['mean_naudc']:.4f}")
     for budget in config.pmiss_budgets:
         print(f"mean Pmiss@{budget}Tfa: {summary[f'mean_pmiss@{budget}']:.4f}")
-    if args.strict and "map_3d_iou" in summary:
+    if "map_3d_iou" in summary:
         print(f"mean mAP(3D IoU): {summary['map_3d_iou']['mean']:.4f}")
 
 
@@ -218,8 +130,7 @@ def _cmd_run(args) -> None:
     print(f"real-time factor: {result.real_time_factor:.2f}x "
           f"at {config.video_fps:g} fps")
     if result.summary is not None:
-        print(f"mean nAUDC@{config.naudc_limit}Tfa: "
-              f"{result.summary['mean_naudc']:.4f}")
+        _print_metrics(config, result.summary)
 
 
 def _cmd_bench(args) -> None:
@@ -233,6 +144,17 @@ def _cmd_bench(args) -> None:
           f"{report['video_seconds']:.1f} video seconds in "
           f"{report['wall_seconds']:.1f}s wall")
     print(f"real-time factor: {report['real_time_factor']:.2f}x")
+
+
+def _stage_parser(sub, stage: str, help: str, input_help: Optional[str] = None,
+                  output_help: Optional[str] = None) -> argparse.ArgumentParser:
+    """A stage subcommand: config flags, the records it takes and ``-o``."""
+    p = sub.add_parser(stage, help=help)
+    _add_config_args(p)
+    p.add_argument("input", type=Path, help=input_help)
+    p.add_argument("-o", "--output", type=Path, required=True, help=output_help)
+    p.set_defaults(func=_cmd_stage)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,47 +176,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--masks", type=Path, required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("track", help="assign track ids to detections")
-    _add_config_args(p)
-    p.add_argument("input", type=Path)
-    p.add_argument("-o", "--output", type=Path, required=True)
-    p.set_defaults(func=_cmd_track)
+    _stage_parser(sub, "track", "assign track ids to detections")
 
-    p = sub.add_parser("propose", help="generate overlapping cube proposals")
-    _add_config_args(p)
-    p.add_argument("input", type=Path, help="tracked detections")
-    p.add_argument("-o", "--output", type=Path, required=True)
+    p = _stage_parser(sub, "propose", "generate overlapping cube proposals",
+                      "tracked detections")
+    p.add_argument("--masks", type=Path, default=None,
+                   help="masks giving each video's size (first mask) and, "
+                        "without its length, its last frame")
     p.add_argument("--frame-size", metavar="WxH",
                    help="frame size of every video (default: the pipeline's)")
     p.add_argument("--video-frames", action="append", default=[],
                    metavar="ID=FRAMES", help="explicit video length (repeatable)")
-    p.set_defaults(func=_cmd_propose)
 
-    p = sub.add_parser("assign-labels", help="label proposals from annotations")
-    _add_config_args(p)
-    p.add_argument("input", type=Path, help="proposals")
+    p = _stage_parser(sub, "assign-labels", "label proposals from annotations",
+                      "proposals")
     p.add_argument("--annotations", type=Path, required=True)
-    p.add_argument("-o", "--output", type=Path, required=True)
     p.add_argument("--stats", type=Path, default=None,
                    help="write proposal statistics report here")
-    p.set_defaults(func=_cmd_assign_labels)
 
-    p = sub.add_parser("filter", help="foreground-score and filter proposals")
-    _add_config_args(p)
-    p.add_argument("input", type=Path, help="proposals (labeled for calibration)")
+    p = _stage_parser(sub, "filter", "foreground-score and filter proposals",
+                      "proposals (labeled for calibration)")
     p.add_argument("--masks", type=Path, required=True)
-    p.add_argument("-o", "--output", type=Path, required=True)
     p.add_argument("--thresholds", type=Path, default=None,
                    help="write the threshold report here")
     p.add_argument("--thresholds-in", type=Path, default=None,
                    help="reuse thresholds from a previous report instead of "
                         "calibrating")
-    p.set_defaults(func=_cmd_filter)
 
-    p = sub.add_parser("score", help="attach confidence vectors to proposals")
-    _add_config_args(p)
-    p.add_argument("input", type=Path, help="labeled proposals")
-    p.add_argument("-o", "--output", type=Path, required=True)
+    p = _stage_parser(sub, "score", "attach confidence vectors to proposals",
+                      "labeled proposals")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--oracle", action="store_true",
                        help="perfect-classifier scores from assigned labels")
@@ -303,27 +213,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="external scored-proposals file (repeat to fuse)")
     p.add_argument("--fuse-weights", type=Path, default=None,
                    help="JSON {class: [per-model weight]} for late fusion")
-    p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("dedup", help="deduplicate overlapping scored cubes")
-    _add_config_args(p)
-    p.add_argument("input", type=Path, help="scored proposals")
-    p.add_argument("-o", "--output", type=Path, required=True)
-    p.set_defaults(func=_cmd_dedup)
+    _stage_parser(sub, "dedup", "deduplicate overlapping scored cubes",
+                  "scored proposals")
+    _stage_parser(sub, "merge-adjacent",
+                  "merge abutting instances (strict setting)", "instances")
 
-    p = sub.add_parser("merge-adjacent",
-                       help="merge abutting instances (strict setting)")
-    _add_config_args(p)
-    p.add_argument("input", type=Path, help="instances")
-    p.add_argument("-o", "--output", type=Path, required=True)
-    p.set_defaults(func=_cmd_merge_adjacent)
-
-    p = sub.add_parser("evaluate", help="DET curves, nAUDC, Pmiss, mAP")
-    _add_config_args(p)
-    p.add_argument("input", type=Path, help="instances")
+    p = _stage_parser(sub, "evaluate", "DET curves, nAUDC, Pmiss, mAP",
+                      "instances", "evaluation report file")
     p.add_argument("--annotations", type=Path, required=True)
-    p.add_argument("-o", "--output", type=Path, required=True,
-                   help="evaluation report file")
     p.add_argument("--curves", type=Path, required=True,
                    help="plot-ready DET points file")
     p.add_argument("--strict", action="store_true",
@@ -332,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="labeled proposals for a proposal-quality section")
     p.add_argument("--video-frames", action="append", default=[],
                    metavar="ID=FRAMES")
-    p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("run", help="run the stage chain end to end")
     _add_config_args(p)

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import ConfigError, PipelineConfig
 from .geometry import BBox, Cube
-from .records import FrameOrder, MaskFrame
+from .records import FrameOrder, MaskFrame, _float, read_records
 
 __all__ = [
     "SENTINEL_THRESHOLD",
@@ -27,6 +28,7 @@ __all__ = [
     "collect_positive_scores",
     "calibrate_threshold",
     "filter_proposals",
+    "load_thresholds",
     "filter_stage",
 ]
 
@@ -149,6 +151,22 @@ def filter_proposals(cubes: Iterable[Cube],
         if cube.fg_score > thresholds[cube.object_class]:
             out.append(cube)
     return out
+
+
+def load_thresholds(path: Union[str, Path]) -> Dict[str, Optional[float]]:
+    """The merged ``thresholds`` tables of a report file's ``filter_thresholds``
+    sections: per object class a finite number, or null for the sentinel."""
+    tables = [record.data.get("thresholds") for record in read_records(path, "reports")
+              if record.section == "filter_thresholds"]
+    if not tables:
+        raise ConfigError(f"{path}: no filter_thresholds section")
+    try:
+        if any(type(table) is not dict for table in tables):
+            raise ValueError("a filter_thresholds section lacks a 'thresholds' object")
+        return {cls: None if value is None else _float(value, f"threshold of {cls!r}")
+                for table in tables for cls, value in table.items()}
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def filter_stage(proposals: Sequence[Cube], masks: Iterable[MaskFrame],

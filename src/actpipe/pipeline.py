@@ -1,10 +1,10 @@
 """Stage orchestration, timing, and throughput benchmarking.
 
 Every stage writes its output as an ordered record file, so each stage is
-independently runnable and resumable; re-running a stage on the same inputs
-is bit-identical. Within one run, each stage hands the records it wrote
-to the next stage in memory: only the run's inputs are read from files,
-and no stage re-reads what an earlier one wrote. The canonical chain is
+independently runnable (the CLI subcommands call :func:`run_stage`, the one
+body of each stage) and resumable; re-running a stage is bit-identical.
+Within one run, each stage hands the records it wrote to the next stage in
+memory: only the run's inputs are read from files. The canonical chain is
 
     track -> propose -> assign-labels -> filter -> score -> dedup
           -> merge-adjacent -> evaluate
@@ -29,26 +29,25 @@ from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import (Collection, Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import PipelineConfig
 from .dedup import deduplicate, merge_adjacent
-from .evaluation import _classes_for, evaluation_report
-from .filtering import filter_stage
+from .evaluation import _classes_for, evaluation_report, proposal_quality
+from .filtering import filter_stage, load_thresholds
 from .geometry import BBox
 from .labeling import label_stage
 from .proposals import generate_proposals
 from .records import RECORD_KINDS, ReportRecord, read_records, write_records
-from .scoring import score_stage
+from .scoring import load_fuse_weights, score_stage
 from .synth import ActivitySpec, ObjectSpec, SceneSpec, generate_scene
 from .tracking import Track, greedy_iou_track, tracks_from_records
 
-__all__ = ["PipelineInputs", "StageTiming", "PipelineResult", "run_pipeline",
-           "bench", "CANONICAL_STAGES", "infer_video_lengths", "track_ends",
-           "frame_sizes"]
+__all__ = ["PipelineInputs", "StageTiming", "PipelineResult", "StageRun", "run_stage",
+           "run_pipeline", "bench", "CANONICAL_STAGES", "STAGE_INPUT", "OUTPUT_FILES",
+           "infer_video_lengths", "track_ends"]
 
 logger = logging.getLogger(__name__)
 
@@ -143,14 +142,148 @@ def track_ends(tracks: Mapping[str, Sequence[Track]]) -> Iterator[Tuple[str, int
             for video_id, video_tracks in tracks.items() for t in video_tracks)
 
 
-def frame_sizes(video_ids: Collection[str], known: Mapping[str, Tuple[int, int]]
-                ) -> Dict[str, Tuple[int, int]]:
-    """Each video's known size, else :data:`DEFAULT_FRAME_SIZE` (logged)."""
-    for video_id in video_ids:
-        if video_id not in known:
+# the record kind each stage takes, handed on by an earlier stage (the
+# first stage of a run reads detections from the run's input file)
+STAGE_INPUT = {
+    "track": "detections", "propose": "detections",
+    "assign-labels": "proposals", "filter": "proposals", "score": "proposals",
+    "dedup": "scored-proposals", "merge-adjacent": "instances",
+    "evaluate": "instances",
+}
+# output name -> (file name, record kind); each stage's records are the
+# output named after it
+OUTPUT_FILES = {
+    "track": ("detections_tracked.jsonl", "detections"),
+    "propose": ("proposals.jsonl", "proposals"),
+    "assign-labels": ("proposals_labeled.jsonl", "proposals"),
+    "label-stats": ("label_stats.jsonl", "reports"),
+    "filter": ("proposals_filtered.jsonl", "proposals"),
+    "filter-thresholds": ("filter_thresholds.jsonl", "reports"),
+    "score": ("proposals_scored.jsonl", "scored-proposals"),
+    "dedup": ("instances.jsonl", "instances"),
+    "merge-adjacent": ("instances_merged.jsonl", "instances"),
+    "det-curves": ("det_curves.jsonl", "det-curves"),
+    "evaluate": ("evaluation.jsonl", "reports"),
+    "timing": ("timing.jsonl", "reports"),
+}
+
+
+@dataclass
+class StageRun:
+    """What the stages of one run share: the config, whose activity classes
+    default to the annotations' (parsed at most once), the inputs, the
+    lengths resolved so far, and side inputs only the CLI sets: every
+    video's ``frame_size``, a ``thresholds`` report to reuse, fusion
+    ``weights`` and ``proposals`` for a proposal-quality section."""
+    config: PipelineConfig
+    inputs: PipelineInputs
+    scores: Sequence[Path] = ()
+    strict: bool = False
+    frame_size: Optional[Tuple[int, int]] = None
+    thresholds: Optional[Path] = None
+    weights: Optional[Path] = None
+    proposals: Optional[Path] = None
+    video_lengths: Dict[str, int] = field(init=False)
+
+    def __post_init__(self):
+        self.video_lengths = dict(self.inputs.video_lengths)
+        if not self.config.activity_classes and self.inputs.annotations:
+            self.config = self.config.with_classes(
+                activity_classes=_classes_for(self.annotations, self.config))
+
+    @functools.cached_property
+    def annotations(self) -> list:
+        if not self.inputs.annotations:
+            raise ValueError("annotations input required")
+        return list(read_records(self.inputs.annotations, "annotations"))
+
+
+def run_stage(stage: str, records: Iterable, run: StageRun
+              ) -> Tuple[int, Dict[str, list]]:
+    """One stage's body on ``records`` of the kind it takes: how many
+    records it took in, and its outputs by name (:data:`OUTPUT_FILES`), the
+    one whose records the stage's timing counts first."""
+    config = run.config
+    if stage == "propose":
+        tracks = tracks_from_records(records)
+        del records  # no caller holds the detections, so they go here
+        known = (dict.fromkeys(tracks, run.frame_size) if run.frame_size
+                 else run.inputs.frame_sizes)
+        # one masks pass finds the first mask of each unsized video and,
+        # when a length is missing, every mask's end (else it stops early)
+        infer = any(v not in run.video_lengths for v in tracks)
+        unsized = {v for v in tracks if v not in known}
+        first_masks, mask_ends = {}, []
+        if (infer or unsized) and run.inputs.masks:
+            with closing(read_records(run.inputs.masks, "masks")) as masks:
+                for mask in masks:
+                    if infer:
+                        mask_ends.append((mask.video_id, mask.frame + 1))
+                    if mask.video_id in unsized:
+                        unsized.discard(mask.video_id)
+                        first_masks[mask.video_id] = (mask.width, mask.height)
+                        if not (unsized or infer):
+                            break
+        if infer:
+            annotations = run.annotations if run.inputs.annotations else ()
+            run.video_lengths = infer_video_lengths(run.video_lengths, chain(
+                track_ends(tracks), mask_ends,
+                ((a.video_id, a.t1) for a in annotations)))
+        for video_id in (v for v in tracks if v in unsized):
             logger.warning("no frame size for %r; assuming %s", video_id,
                            DEFAULT_FRAME_SIZE)
-    return {v: known.get(v, DEFAULT_FRAME_SIZE) for v in video_ids}
+        sizes = {**dict.fromkeys(unsized, DEFAULT_FRAME_SIZE), **first_masks, **known}
+        return (sum(len(t.boxes) for ts in tracks.values() for t in ts),
+                {"propose": generate_proposals(tracks, run.video_lengths, sizes,
+                                               config)})
+
+    items = list(records)
+    if stage == "track":
+        return len(items), {"track": greedy_iou_track(items, max_gap=config.s_det)}
+
+    if stage == "assign-labels":
+        labeled, stats = label_stage(items, run.annotations, config)
+        return len(items), {
+            "assign-labels": labeled,
+            "label-stats": [ReportRecord("proposal_stats", stats.to_dict())]}
+
+    if stage == "filter":
+        if not run.inputs.masks:
+            raise ValueError("stage 'filter' needs a masks input")
+        thresholds = load_thresholds(run.thresholds) if run.thresholds else None
+        kept, report = filter_stage(items, read_records(run.inputs.masks, "masks"),
+                                    config, thresholds)
+        return len(items), {
+            "filter": kept,
+            "filter-thresholds": [ReportRecord("filter_thresholds", report)]}
+
+    if stage == "score":
+        weights = (load_fuse_weights(run.weights, config.activity_classes,
+                                     len(run.scores)) if run.weights else None)
+        return len(items), {"score": score_stage(items, config.activity_classes,
+                                                 run.scores, weights)}
+
+    if stage == "dedup":
+        return len(items), {"dedup": deduplicate(items, config)}
+
+    if stage == "merge-adjacent":
+        return len(items), {
+            "merge-adjacent": merge_adjacent(items, config.s_merg, config.l_merg)}
+
+    # evaluate
+    annotations = run.annotations
+    proposals = (list(read_records(run.proposals, "proposals"))
+                 if run.proposals else [])
+    # in a run, only videos that no track named can still lack a length here
+    run.video_lengths = infer_video_lengths(run.video_lengths, (
+        (r.video_id, r.t1) for r in chain(annotations, items, proposals)))
+    curves, summary = evaluation_report(items, annotations, config,
+                                        run.video_lengths, strict=run.strict)
+    if run.proposals:
+        summary["proposal_quality"] = proposal_quality(
+            proposals, annotations, config, run.video_lengths)
+    return len(items), {"det-curves": [curves[c] for c in sorted(curves)],
+                        "evaluate": [ReportRecord("evaluation", summary)]}
 
 
 def run_pipeline(config: PipelineConfig, inputs: PipelineInputs,
@@ -172,149 +305,47 @@ def run_pipeline(config: PipelineConfig, inputs: PipelineInputs,
     unknown = [s for s in stage_list if s not in order]
     if unknown:
         raise ValueError(f"unknown stages: {unknown}")
-    if [order[s] for s in stage_list] != sorted(order[s] for s in stage_list):
-        raise ValueError(
-            f"stages must follow the chain order {CANONICAL_STAGES}"
-        )
-    if len(set(stage_list)) != len(stage_list):
-        raise ValueError("duplicate stages")
+    if [order[s] for s in stage_list] != sorted({order[s] for s in stage_list}):
+        raise ValueError(f"stages must follow the chain order {CANONICAL_STAGES}, "
+                         "each at most once")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    run = StageRun(config, inputs, scores, strict if strict is not None
+                   else "merge-adjacent" in stage_list)
 
-    @functools.cache
-    def annotations_list() -> list:
-        """The annotations file, parsed at most once per run."""
-        if not inputs.annotations:
-            raise ValueError("annotations input required")
-        return list(read_records(inputs.annotations, "annotations"))
-
-    has_annotations = bool(inputs.annotations) and Path(inputs.annotations).exists()
-    if not config.activity_classes and has_annotations:
-        config = config.with_classes(
-            activity_classes=_classes_for(annotations_list(), config))
-    video_lengths = dict(inputs.video_lengths)
-
-    # records written by one stage, kept until the stage that consumes them
+    # records written by one stage, by kind, kept until a stage takes them
     handoff: Dict[str, list] = {}
     outputs: Dict[str, Path] = {}
     timings: List[StageTiming] = []
-    summary: Optional[dict] = None
 
-    def take(key: str, stage: str):
-        """The records handed on as ``key``, else the input file of that kind."""
-        if key in handoff:
-            return handoff.pop(key)
-        path = {"detections": inputs.detections, "masks": inputs.masks}.get(key)
-        if not path:
-            raise ValueError(f"stage {stage!r} needs a {key} input")
-        return read_records(path, key)
-
-    def emit(output: str, records: list, name: str, kind: str,
-             key: Optional[str] = None) -> int:
-        """Write one output file; ``key`` hands its records on."""
+    def emit(output: str, records: list) -> int:
+        """Write one output file and hand its records on."""
+        name, kind = OUTPUT_FILES[output]
         outputs[output] = out_dir / name
-        if key:
-            handoff[key] = records
+        handoff[kind] = records
         return write_records(records, outputs[output], kind)
 
-    def run_stage(stage: str) -> Tuple[int, int]:
-        """One stage's body: its input and output record counts."""
-        nonlocal video_lengths, summary
-        if stage == "track":
-            detections = list(take("detections", stage))
-            tracked = greedy_iou_track(detections, max_gap=config.s_det)
-            return len(detections), emit("track", tracked, "detections_tracked.jsonl",
-                                         "detections", "detections")
-
-        if stage == "propose":
-            tracks = tracks_from_records(take("detections", stage))
-            # one masks pass finds the first mask of each unsized video and,
-            # when a length is missing, every mask's end (else it stops early)
-            infer = any(v not in video_lengths for v in tracks)
-            unsized = {v for v in tracks if v not in inputs.frame_sizes}
-            first_masks, mask_ends = {}, []
-            if (infer or unsized) and inputs.masks and Path(inputs.masks).exists():
-                with closing(read_records(inputs.masks, "masks")) as masks:
-                    for mask in masks:
-                        if infer:
-                            mask_ends.append((mask.video_id, mask.frame + 1))
-                        if mask.video_id in unsized:
-                            unsized.discard(mask.video_id)
-                            first_masks[mask.video_id] = (mask.width, mask.height)
-                            if not (unsized or infer):
-                                break
-            if infer:
-                annotations = annotations_list() if has_annotations else ()
-                video_lengths = infer_video_lengths(video_lengths, chain(
-                    track_ends(tracks), mask_ends,
-                    ((a.video_id, a.t1) for a in annotations)))
-            sizes = frame_sizes(tracks, {**first_masks, **inputs.frame_sizes})
-            proposals = generate_proposals(tracks, video_lengths, sizes, config)
-            return (sum(len(t.boxes) for ts in tracks.values() for t in ts),
-                    emit("propose", proposals, "proposals.jsonl", "proposals",
-                         "proposals"))
-
-        if stage == "assign-labels":
-            proposals = take("proposals", stage)
-            labeled, stats = label_stage(proposals, annotations_list(), config)
-            records_out = emit("assign-labels", labeled, "proposals_labeled.jsonl",
-                               "proposals", "proposals")
-            emit("label-stats", [ReportRecord("proposal_stats", stats.to_dict())],
-                 "label_stats.jsonl", "reports")
-            return len(proposals), records_out
-
-        if stage == "filter":
-            proposals = take("proposals", stage)
-            kept, report = filter_stage(proposals, take("masks", stage), config)
-            records_out = emit("filter", kept, "proposals_filtered.jsonl",
-                               "proposals", "proposals")
-            emit("filter-thresholds", [ReportRecord("filter_thresholds", report)],
-                 "filter_thresholds.jsonl", "reports")
-            return len(proposals), records_out
-
-        if stage == "score":
-            proposals = take("proposals", stage)
-            scored = score_stage(proposals, config.activity_classes, scores)
-            return len(proposals), emit("score", scored, "proposals_scored.jsonl",
-                                        "scored-proposals", "scored")
-
-        if stage == "dedup":
-            scored = take("scored", stage)
-            return len(scored), emit("dedup", deduplicate(scored, config),
-                                     "instances.jsonl", "instances", "instances")
-
-        if stage == "merge-adjacent":
-            instances = take("instances", stage)
-            merged = merge_adjacent(instances, config.s_merg, config.l_merg)
-            return len(instances), emit("merge-adjacent", merged,
-                                        "instances_merged.jsonl", "instances",
-                                        "instances")
-
-        # evaluate
-        instances = take("instances", stage)
-        annotations = annotations_list()
-        # only videos that no track named can still lack a length here
-        video_lengths = infer_video_lengths(video_lengths, (
-            (r.video_id, r.t1) for r in chain(annotations, instances)))
-        use_strict = strict if strict is not None else "merge-adjacent" in stage_list
-        curves, summary = evaluation_report(instances, annotations, config,
-                                            video_lengths, strict=use_strict)
-        records_out = emit("det-curves", [curves[c] for c in sorted(curves)],
-                           "det_curves.jsonl", "det-curves")
-        emit("evaluate", [ReportRecord("evaluation", summary)],
-             "evaluation.jsonl", "reports")
-        return len(instances), records_out
-
+    summary: Optional[dict] = None
     for stage in stage_list:
-        records_in, records_out = run_stage(stage)
+        kind = STAGE_INPUT[stage]
+        if kind not in handoff and not (kind == "detections" and inputs.detections):
+            raise ValueError(f"stage {stage!r} needs a {kind} input")
+        # no name here holds a stage's input, so propose frees the detections
+        # once it has their tracks
+        records_in, stage_outputs = run_stage(
+            stage, handoff.pop(kind) if kind in handoff
+            else read_records(inputs.detections, kind), run)
+        written = [emit(output, items) for output, items in stage_outputs.items()]
+        if stage == "evaluate":
+            summary = stage_outputs["evaluate"][0].data
+        del stage_outputs
         start, clock = clock, time.perf_counter()
-        timings.append(StageTiming(stage, clock - start, records_in, records_out))
+        timings.append(StageTiming(stage, clock - start, records_in, written[0]))
 
     result = PipelineResult(out_dir, timings, outputs, summary,
-                            sum(video_lengths.values()), config.video_fps)
-    emit("timing", [ReportRecord("timing", result.timing_report())],
-         "timing.jsonl", "reports")
+                            sum(run.video_lengths.values()), config.video_fps)
+    emit("timing", [ReportRecord("timing", result.timing_report())])
     return result
 
 

@@ -10,6 +10,7 @@ utilities used for classifier training live here too.
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,8 +18,9 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from .config import ConfigError
 from .geometry import Cube
-from .records import ScoredCube, read_records
+from .records import ScoredCube, _float, _list, read_records
 
 __all__ = [
     "WeightVectors",
@@ -27,6 +29,7 @@ __all__ = [
     "oracle_scores",
     "load_external_scores",
     "fuse_scores",
+    "load_fuse_weights",
     "score_stage",
 ]
 
@@ -203,6 +206,26 @@ def fuse_scores(score_sets: Sequence[Sequence[ScoredCube]],
         fused = (weights * vectors).sum(axis=0)
         out.append(ScoredCube(members[0].cube, tuple(float(x) for x in fused)))
     return out
+
+
+def load_fuse_weights(path: Union[str, Path], activity_classes: Sequence[str],
+                      n_models: int) -> np.ndarray:
+    """The (models x classes) weights of a JSON object that maps each
+    activity class, and no other key, to one finite weight per model."""
+    try:
+        table = json.loads(Path(path).read_text(encoding="utf-8"))
+        if type(table) is not dict or table.keys() != set(activity_classes):
+            raise ValueError(f"expected an object with a weight list for each "
+                             f"of {list(activity_classes)}, got {table!r}")
+        rows = [[_float(w, f"weight of {c!r}")
+                 for w in _list(table[c], f"weights of {c!r}")]
+                for c in activity_classes]
+        if any(len(row) != n_models for row in rows):
+            raise ValueError(f"expected one weight per score file ({n_models}) "
+                             f"for each class, got {table!r}")
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return np.array(list(zip(*rows)))
 
 
 def score_stage(proposals: Sequence[Cube], activity_classes: Sequence[str],

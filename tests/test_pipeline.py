@@ -446,6 +446,45 @@ class TestCli:
             capsys.readouterr().err
         assert not (d / "kept.jsonl").exists()
 
+    @pytest.mark.parametrize("table", [
+        '{"p_pos": 0.05}', '{"thresholds": [0.5]}',
+        '{"thresholds": {"person": "x"}}', '{"thresholds": {"person": true}}',
+        '{"thresholds": {"person": NaN}}'])
+    def test_thresholds_in_table_is_checked(self, tmp_path, capsys, table):
+        d = tmp_path
+        write_records([Cube("v", BBox(0, 2, 0, 2), 0, 8, 1, "person")],
+                      d / "props.jsonl", "proposals")
+        write_records([MaskFrame.from_array("v", 0, np.ones((4, 4), dtype=np.uint8))],
+                      d / "masks.jsonl", "masks")
+        (d / "thr.jsonl").write_text("#actpipe/reports/v1\n"
+                                     '{"section": "filter_thresholds", '
+                                     f'"data": {table}}}\n')
+        assert self.run("filter", d / "props.jsonl", "--masks", d / "masks.jsonl",
+                        "-o", d / "kept.jsonl", "--thresholds-in",
+                        d / "thr.jsonl") == 1
+        assert f"error: {d / 'thr.jsonl'}: " in capsys.readouterr().err
+        assert not (d / "kept.jsonl").exists()
+
+    @pytest.mark.parametrize("table", [
+        '{"walk": [0.5]}', '[0.5, 0.5]', '{"walk": [0.5, 0.5, 7]}',
+        '{"walk": [true, false]}', '{"walk": [0.5, NaN]}', '{"walk": "ab"}',
+        '{"walk": [0.5, 0.5], "run": [0.5, 0.5]}', '{"walk": [0.5, 0.5]'])
+    def test_fuse_weights_table_is_checked(self, tmp_path, capsys, table):
+        cube = Cube("v", BBox(0, 4, 0, 4), 0, 8, seed_track=1,
+                    labels=frozenset({"walk"}))
+        write_records([cube], tmp_path / "pr.jsonl", "proposals")
+        for name in ("a", "b"):
+            write_records([ScoredCube(cube, (0.5,))], tmp_path / f"{name}.jsonl",
+                          "scored-proposals")
+        (tmp_path / "w.json").write_text(table)
+        assert self.run("score", tmp_path / "pr.jsonl", "--from", tmp_path / "a.jsonl",
+                        "--from", tmp_path / "b.jsonl",
+                        "--fuse-weights", tmp_path / "w.json",
+                        "--set", "activity_classes=walk",
+                        "-o", tmp_path / "out.jsonl") == 1
+        assert f"error: {tmp_path / 'w.json'}: " in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
     def test_propose_parses_its_input_once(self, tmp_path, closure_corpus,
                                            monkeypatch, caplog):
         # no lengths or frame size given: both come from the tracks it parsed
@@ -522,10 +561,14 @@ class TestCli:
         assert stages == ["propose", "assign-labels", "filter", "score",
                           "dedup", "evaluate"]
 
-    def test_subcommands_write_what_run_writes(self, tmp_path,
-                                               closure_corpus):
-        # same lengths, frame size and classes on both paths
+    @pytest.mark.parametrize("sizes", ["frame-size", "masks"])
+    def test_subcommands_write_what_run_writes(self, tmp_path, closure_corpus,
+                                               sizes):
+        # same lengths and classes on both paths; the frame size is given, or
+        # read from the first masks as run reads it
         _, paths = closure_corpus
+        size_flags = (["--frame-size", "640x480"] if sizes == "frame-size"
+                      else ["--masks", paths["masks"]])
         common = ["--set", "activity_classes=walk"]
         frames = ["--video-frames", "act00=192", "--video-frames", "bg00=192"]
         run_dir, d = tmp_path / "run", tmp_path / "cli"
@@ -538,7 +581,7 @@ class TestCli:
         chain = [
             ("track", paths["detections"], "-o", o["detections_tracked"]),
             ("propose", o["detections_tracked"], "-o", o["proposals"],
-             "--frame-size", "640x480", *frames),
+             *size_flags, *frames),
             ("assign-labels", o["proposals"], "--annotations",
              paths["annotations"], "-o", o["proposals_labeled"],
              "--stats", o["label_stats"]),
@@ -687,3 +730,18 @@ def test_only_the_cli_prints():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id == "print")
     assert printing == []
+
+
+def test_the_cli_imports_no_stage_module():
+    """Stage subcommands run ``pipeline.run_stage``; a stage module imported
+    into ``cli.py`` would make room for a second stage body."""
+    stage_modules = {"tracking", "proposals", "labeling", "filtering", "scoring",
+                     "dedup", "evaluation"}
+    cli = Path(__file__).resolve().parent.parent / "src" / "actpipe" / "cli.py"
+    imported = set()
+    for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rpartition(".")[2])
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+    assert sorted(imported & stage_modules) == []
