@@ -42,22 +42,27 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
+def _positive_ints(flag: str, item: str, form: str, *values: str) -> Tuple[int, ...]:
+    try:
+        numbers = tuple(int(v) for v in values)
+        if min(numbers) > 0:
+            return numbers
+    except ValueError:
+        pass
+    raise ConfigError(f"{flag} {item!r}: expected {form} in positive integers")
+
+
 def _parse_video_lengths(items: List[str]) -> Dict[str, int]:
     lengths = {}
     for item in items:
         video_id, _, value = item.partition("=")
-        if not value:
-            raise ConfigError(f"--video-frames {item!r}: expected ID=FRAMES")
-        lengths[video_id] = int(value)
+        lengths[video_id], = _positive_ints("--video-frames", item, "ID=FRAMES", value)
     return lengths
 
 
-def _parse_frame_size(value: str) -> Tuple[int, int]:
+def _parse_frame_size(value: str) -> Tuple[int, ...]:
     w, _, h = value.partition("x")
-    try:
-        return int(w), int(h)
-    except ValueError as exc:
-        raise ConfigError(f"--frame-size {value!r}: expected WIDTHxHEIGHT") from exc
+    return _positive_ints("--frame-size", value, "WIDTHxHEIGHT", w, h)
 
 
 def _cmd_simulate(args) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Optional, Tuple, Union
@@ -61,8 +62,13 @@ class PipelineConfig:
             raise ConfigError(
                 f"s_low={self.s_low} must not exceed s_high={self.s_high}"
             )
-        if self.video_fps <= 0.0:
-            raise ConfigError("video_fps must be positive")
+        if not 0.0 < self.video_fps < math.inf:
+            raise ConfigError(f"video_fps={self.video_fps} must be positive and finite")
+        if not self.naudc_limit > 0.0:
+            raise ConfigError(f"naudc_limit={self.naudc_limit} must be positive")
+        for name in ("object_classes", "activity_classes"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ConfigError(f"{name} repeats a class: {getattr(self, name)}")
         if self.min_temporal_overlap is not None and self.min_temporal_overlap <= 0:
             raise ConfigError("min_temporal_overlap must be positive")
 

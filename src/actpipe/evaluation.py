@@ -34,7 +34,6 @@ __all__ = [
     "naudc",
     "Map3dResult",
     "map_3diou",
-    "gt_cube_proposals",
     "oracle_lower_bound",
     "proposal_quality",
     "evaluation_report",
@@ -228,19 +227,6 @@ def map_3diou(predictions: Sequence[ActivityInstance],
     return Map3dResult(ap=ap, map_at=map_at, mean=mean)
 
 
-def gt_cube_proposals(annotations: Sequence[ActivityAnnotation],
-                      config: PipelineConfig) -> List[Cube]:
-    """Ground-truth cubes dressed up as labeled proposals (bound protocol)."""
-    cubes = []
-    for annotation in annotations:
-        for gt in gt_to_cubes(annotation, config.d_prop, config.s_prop):
-            cubes.append(
-                Cube(gt.video_id, gt.bbox, gt.t0, gt.t1, seed_track=None,
-                     object_class="gt", labels=frozenset({gt.activity_class}))
-            )
-    return cubes
-
-
 def _classes_for(annotations: Sequence[ActivityAnnotation],
                  config: PipelineConfig) -> Tuple[str, ...]:
     if config.activity_classes:
@@ -263,7 +249,9 @@ def oracle_lower_bound(annotations: Sequence[ActivityAnnotation],
     (duration/stride), which is what the bound protocol measures.
     """
     classes = _classes_for(annotations, config)
-    scored = oracle_scores(gt_cube_proposals(annotations, config), classes)
+    gt_cubes = [gt for a in annotations
+                for gt in gt_to_cubes(a, config.d_prop, config.s_prop)]
+    scored = oracle_scores(gt_cubes, classes)
     instances = deduplicate(scored, config.with_classes(activity_classes=classes))
     return _mean_naudc(det_curve(instances, annotations, video_lengths,
                                  config.temporal_overlap_frames, classes),

@@ -54,11 +54,12 @@ class BBox:
 
 @dataclass(frozen=True)
 class Cube:
-    """One spatio-temporal proposal: a single box over a frame window.
+    """One spatio-temporal cube, a proposal or a ground-truth cube: a
+    single box over a frame window.
 
     ``labels`` is ``None`` while unassigned, an empty frozenset for an
     explicit negative, and a non-empty frozenset of activity classes when
-    positive.
+    positive; a ground-truth cube holds its annotation's class.
     """
 
     video_id: str

@@ -1,16 +1,19 @@
 """Ground-truth cube conversion and proposal label assignment.
 
 Annotations are first resampled into cubes on the same duration/stride as
-the proposals. Each proposal is then compared against ground-truth cubes in
-the same temporal window by spatial IoU and assigned one or more positive
-labels, a negative label, or nothing, following the two-threshold scheme
-used for region-proposal training.
+the proposals: ground-truth cubes are :class:`Cube` objects whose
+``labels`` hold the annotation's class. Each proposal is then compared
+against ground-truth cubes in the same temporal window by spatial IoU and
+assigned one or more positive labels, a negative label, or nothing,
+following the two-threshold scheme used for region-proposal training. The
+outcome lives on ``Cube.labels``: a non-empty set when positive, an empty
+set when negative, ``None`` when unassigned.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import asdict, dataclass
+from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -21,49 +24,15 @@ from .proposals import sample_windows
 from .records import ActivityAnnotation
 
 __all__ = [
-    "GtCube",
-    "LabelAssignment",
-    "ProposalStats",
     "temporal_iou",
     "gt_to_cubes",
     "same_window_blocks",
     "assign_labels",
-    "apply_assignments",
     "proposal_stats",
     "label_stage",
 ]
 
 SAME_WINDOW_TIOU = 0.5
-
-
-@dataclass(frozen=True)
-class GtCube:
-    """One ground-truth cube: the annotation resampled onto a window."""
-
-    video_id: str
-    activity_class: str
-    t0: int
-    t1: int
-    bbox: BBox
-
-
-@dataclass(frozen=True)
-class LabelAssignment:
-    """Outcome for one proposal: positive label set, negative, or unassigned."""
-
-    proposal_index: int
-    labels: frozenset
-    negative: bool
-
-    def __post_init__(self):
-        if self.negative and self.labels:
-            raise ValueError("negative assignment cannot carry labels")
-
-    @property
-    def outcome(self) -> str:
-        if self.labels:
-            return "positive"
-        return "negative" if self.negative else "unassigned"
 
 
 def temporal_iou(a: Tuple[int, int], b: Tuple[int, int]) -> float:
@@ -75,13 +44,13 @@ def temporal_iou(a: Tuple[int, int], b: Tuple[int, int]) -> float:
 
 
 def gt_to_cubes(annotation: ActivityAnnotation, d_prop: int,
-                s_prop: int) -> List[GtCube]:
+                s_prop: int) -> List[Cube]:
     """Dense duration/stride sampling of one annotation into cubes.
 
     Windows follow the same rule as proposal sampling, applied within the
     instance; each cube's box is the union of the tube's boxes inside its
     window (nearest tube frame as fallback for sparse tubes, the earlier
-    one on a tie).
+    one on a tie). Every cube's ``labels`` is the annotation's class.
     """
     frames, n = annotation.frames, len(annotation.frames)
     windows = annotation.t0 + np.array(
@@ -96,7 +65,8 @@ def gt_to_cubes(annotation: ActivityAnnotation, d_prop: int,
     empty = lo == hi
     lo, hi = np.where(empty, nearest, lo), np.where(empty, nearest + 1, hi)
     unions = window_unions(annotation.boxes, lo, hi).tolist()
-    return [GtCube(annotation.video_id, annotation.activity_class, t0, t1, BBox(*box))
+    labels = frozenset({annotation.activity_class})
+    return [Cube(annotation.video_id, BBox(*box), t0, t1, labels=labels)
             for (t0, t1), box in zip(windows.tolist(), unions)]
 
 
@@ -105,7 +75,7 @@ def _box_rows(items) -> np.ndarray:
                     dtype=np.float64).reshape(-1, 4)
 
 
-def same_window_blocks(proposals: Sequence[Cube], gt_cubes: Sequence[GtCube]
+def same_window_blocks(proposals: Sequence[Cube], gt_cubes: Sequence[Cube]
                        ) -> Iterator[Tuple[np.ndarray, ...]]:
     """Per distinct GT-cube window, the proposals of the same video at
     temporal IoU >= 0.5: proposal indices (ascending), GT indices, and the
@@ -142,101 +112,57 @@ def same_window_blocks(proposals: Sequence[Cube], gt_cubes: Sequence[GtCube]
                inter / ((px1 - px0) * (py1 - py0) + g_area - inter), inter / g_area)
 
 
-def assign_labels(proposals: Sequence[Cube], gt_cubes: Sequence[GtCube],
-                  s_high: float, s_low: float) -> List[LabelAssignment]:
+def assign_labels(proposals: Sequence[Cube], gt_cubes: Sequence[Cube],
+                  s_high: float, s_low: float) -> List[Cube]:
     """Two-threshold label assignment between proposals and GT cubes.
 
     Only pairs in the same video whose windows overlap with temporal IoU of
-    at least 0.5 are compared. A proposal collects every GT cube whose
-    spatial IoU is strictly above ``s_high``; every GT cube additionally
-    labels its best proposal strictly above ``s_low`` (ties to the lower
-    proposal index); proposals whose scores all sit at or below ``s_low``
-    are negative, the rest stay unassigned.
+    at least 0.5 are compared. A proposal collects the labels of every GT
+    cube whose spatial IoU is strictly above ``s_high``; every GT cube
+    additionally labels its best proposal strictly above ``s_low`` (ties to
+    the lower proposal index); proposals whose scores all sit at or below
+    ``s_low`` are negative (empty labels), the rest stay unassigned
+    (``None``). Returns the proposals with these labels, in order.
     """
-    labels: List[set] = [set() for _ in proposals]
+    labels = [frozenset()] * len(proposals)
     best_iou = np.zeros(len(proposals))
-    classes = [gt.activity_class for gt in gt_cubes]
     for p_idx, g_idx, iou, _ in same_window_blocks(proposals, gt_cubes):
         best_iou[p_idx] = np.maximum(best_iou[p_idx], iou.max(axis=1))
         for r, c in zip(*np.nonzero(iou > s_high)):
-            labels[p_idx[r]].add(classes[g_idx[c]])
+            labels[p_idx[r]] |= gt_cubes[g_idx[c]].labels
         # argmax takes the first maximum: the lowest proposal index
         best = iou.argmax(axis=0)
         above = iou[best, np.arange(len(g_idx))] > s_low
         for r, g in zip(best[above], g_idx[above]):
-            labels[p_idx[r]].add(classes[g])
-
-    return [LabelAssignment(i, frozenset(found), not found and best <= s_low)
-            for i, (found, best) in enumerate(zip(labels, best_iou.tolist()))]
-
-
-def apply_assignments(proposals: Sequence[Cube],
-                      assignments: Sequence[LabelAssignment]) -> List[Cube]:
-    """Write assignment outcomes onto cubes (empty set marks negatives)."""
-    if len(proposals) != len(assignments):
-        raise ValueError("assignment count does not match proposals")
-    out = []
-    for cube, assignment in zip(proposals, assignments):
-        labels = None if assignment.outcome == "unassigned" else assignment.labels
-        out.append(Cube(cube.video_id, cube.bbox, cube.t0, cube.t1,
-                        cube.seed_track, cube.object_class, cube.fg_score,
-                        labels))
-    return out
+            labels[p_idx[r]] |= gt_cubes[g].labels
+    return [Cube(p.video_id, p.bbox, p.t0, p.t1, p.seed_track, p.object_class,
+                 p.fg_score, found or (frozenset() if best <= s_low else None))
+            for p, found, best in zip(proposals, labels, best_iou.tolist())]
 
 
-@dataclass(frozen=True)
-class ProposalStats:
-    total: int
-    positive: int
-    negative: int
-    unassigned: int
-    positive_rate: float
-    single_label_rate: float
-    two_label_rate: float
-    many_label_rate: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def proposal_stats(assignments: Iterable[LabelAssignment]) -> ProposalStats:
-    """Counts and rates mirroring the proposal-statistics report.
+def proposal_stats(labeled: Sequence[Cube]) -> dict:
+    """The proposal-statistics report: outcome counts and rates.
 
     Label-count rates are among positives: share with exactly one, exactly
     two, and three or more labels.
     """
-    total = positive = negative = 0
-    hist = {1: 0, 2: 0}
-    many = 0
-    for a in assignments:
-        total += 1
-        if a.outcome == "positive":
-            positive += 1
-            n = len(a.labels)
-            if n in hist:
-                hist[n] += 1
-            else:
-                many += 1
-        elif a.outcome == "negative":
-            negative += 1
-    unassigned = total - positive - negative
-    return ProposalStats(
-        total=total,
-        positive=positive,
-        negative=negative,
-        unassigned=unassigned,
-        positive_rate=positive / total if total else 0.0,
-        single_label_rate=hist[1] / positive if positive else 0.0,
-        two_label_rate=hist[2] / positive if positive else 0.0,
-        many_label_rate=many / positive if positive else 0.0,
-    )
+    # cubes by label count: None when unassigned, 0 when negative, 3 for 3+
+    counts = Counter(None if c.labels is None else min(len(c.labels), 3)
+                     for c in labeled)
+    total, positive = len(labeled), counts[1] + counts[2] + counts[3]
+    single, two, many = (counts[n] / positive if positive else 0.0 for n in (1, 2, 3))
+    return {"total": total, "positive": positive, "negative": counts[0],
+            "unassigned": counts[None],
+            "positive_rate": positive / total if total else 0.0,
+            "single_label_rate": single, "two_label_rate": two,
+            "many_label_rate": many}
 
 
 def label_stage(proposals: Sequence[Cube],
                 annotations: Iterable[ActivityAnnotation],
-                config: PipelineConfig) -> Tuple[List[Cube], ProposalStats]:
+                config: PipelineConfig) -> Tuple[List[Cube], dict]:
     """The assign-labels stage: labeled proposals and their statistics."""
     gt_cubes = [gt for a in annotations
                 for gt in gt_to_cubes(a, config.d_prop, config.s_prop)]
-    assignments = assign_labels(proposals, gt_cubes, config.s_high, config.s_low)
-    return apply_assignments(proposals, assignments), proposal_stats(assignments)
+    labeled = assign_labels(proposals, gt_cubes, config.s_high, config.s_low)
+    return labeled, proposal_stats(labeled)

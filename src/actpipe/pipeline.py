@@ -40,7 +40,7 @@ from .filtering import filter_stage, load_thresholds
 from .geometry import BBox
 from .labeling import label_stage
 from .proposals import generate_proposals
-from .records import RECORD_KINDS, ReportRecord, read_records, write_records
+from .records import RECORD_KINDS, ReportRecord, _header, read_records, write_records
 from .scoring import load_fuse_weights, score_stage
 from .synth import ActivitySpec, ObjectSpec, SceneSpec, generate_scene
 from .tracking import Track, greedy_iou_track, tracks_from_records
@@ -245,7 +245,7 @@ def run_stage(stage: str, records: Iterable, run: StageRun
         labeled, stats = label_stage(items, run.annotations, config)
         return len(items), {
             "assign-labels": labeled,
-            "label-stats": [ReportRecord("proposal_stats", stats.to_dict())]}
+            "label-stats": [ReportRecord("proposal_stats", stats)]}
 
     if stage == "filter":
         if not run.inputs.masks:
@@ -426,7 +426,7 @@ def bench(config: PipelineConfig, n_detections: int, out_dir: Path,
         handles = {kind: stack.enter_context(path.open("w", encoding="utf-8"))
                    for kind, path in paths.items()}
         for kind, fh in handles.items():
-            fh.write(f"#actpipe/{kind}/v1\n")
+            fh.write(_header(kind) + "\n")
         for spec in specs:
             scene = generate_scene(spec, config)
             lengths[spec.video_id] = spec.video_len

@@ -170,6 +170,11 @@ def load_external_scores(path: Union[str, Path], proposals: Sequence[Cube],
     return out
 
 
+def _sum_to_one(weights: np.ndarray) -> np.ndarray:
+    """Per class, whether its column of (models x classes) weights sums to 1."""
+    return np.isclose(weights.sum(axis=0), 1.0, atol=1e-9)
+
+
 def fuse_scores(score_sets: Sequence[Sequence[ScoredCube]],
                 weights: Optional[np.ndarray] = None) -> List[ScoredCube]:
     """Action-wise late fusion of several score sets over identical proposals.
@@ -191,9 +196,8 @@ def fuse_scores(score_sets: Sequence[Sequence[ScoredCube]],
         raise ValueError(
             f"weights shape {weights.shape} != (models={m}, classes={n_classes})"
         )
-    sums = weights.sum(axis=0)
-    if not np.allclose(sums, 1.0, atol=1e-9):
-        raise ValueError(f"per-class weights must sum to 1, got {sums}")
+    if not _sum_to_one(weights).all():
+        raise ValueError(f"per-class weights must sum to 1, got {weights.sum(axis=0)}")
 
     cubes = [sc.cube for sc in first]
     for s, score_set in enumerate(score_sets):
@@ -211,7 +215,8 @@ def fuse_scores(score_sets: Sequence[Sequence[ScoredCube]],
 def load_fuse_weights(path: Union[str, Path], activity_classes: Sequence[str],
                       n_models: int) -> np.ndarray:
     """The (models x classes) weights of a JSON object that maps each
-    activity class, and no other key, to one finite weight per model."""
+    activity class, and no other key, to one finite weight per model; each
+    class's weights sum to 1."""
     try:
         table = json.loads(Path(path).read_text(encoding="utf-8"))
         if type(table) is not dict or table.keys() != set(activity_classes):
@@ -223,9 +228,13 @@ def load_fuse_weights(path: Union[str, Path], activity_classes: Sequence[str],
         if any(len(row) != n_models for row in rows):
             raise ValueError(f"expected one weight per score file ({n_models}) "
                              f"for each class, got {table!r}")
+        weights = np.array(list(zip(*rows))).reshape(n_models, len(rows))
+        for c, row, ok in zip(activity_classes, rows, _sum_to_one(weights)):
+            if not ok:
+                raise ValueError(f"weights of {c!r} must sum to 1, got {row}")
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return np.array(list(zip(*rows)))
+    return weights
 
 
 def score_stage(proposals: Sequence[Cube], activity_classes: Sequence[str],

@@ -1,8 +1,8 @@
 """Scene builders shared by the pipeline and acceptance tests, plus plain
 per-``BBox`` reference versions of the array-backed proposal, labeling and
-tube steps and box coverage, the per-class dedup and per-level
-proposal-quality sweep, the coverage-counter DET sweep and the per-cube
-foreground score, for differential tests."""
+tube steps and box coverage, the outcome-counting label statistics, the
+per-class dedup and per-level proposal-quality sweep, the coverage-counter
+DET sweep and the per-cube foreground score, for differential tests."""
 
 import bisect
 import math
@@ -16,8 +16,8 @@ from actpipe.evaluation import QUALITY_LEVELS, DetCurve, DetPoint, \
     _check_videos, det_curve, naudc
 from actpipe.geometry import BBox, Cube, bbox_enlarge, bbox_intersection, \
     bbox_iou, bbox_union, tube_arrays
-from actpipe.labeling import SAME_WINDOW_TIOU, GtCube, LabelAssignment, \
-    gt_to_cubes, same_window_blocks, temporal_iou
+from actpipe.labeling import SAME_WINDOW_TIOU, gt_to_cubes, \
+    same_window_blocks, temporal_iou
 from actpipe.proposals import sample_windows
 from actpipe.records import ActivityInstance
 from actpipe.scoring import oracle_scores
@@ -216,8 +216,8 @@ def ref_gt_to_cubes(annotation, d_prop, s_prop):
         bbox = boxes[0]
         for box in boxes[1:]:
             bbox = bbox_union(bbox, box)
-        cubes.append(GtCube(annotation.video_id, annotation.activity_class,
-                            t0, t1, bbox))
+        cubes.append(Cube(annotation.video_id, bbox, t0, t1,
+                          labels=frozenset({annotation.activity_class})))
     return cubes
 
 
@@ -253,24 +253,55 @@ def ref_assign_labels(proposals, gt_cubes, s_high, s_low):
             if iou > best_iou[i]:
                 best_iou[i] = iou
             if iou > s_high:
-                labels[i].add(gt.activity_class)
+                labels[i].update(gt.labels)
             # ties go to the lower proposal index
             if iou > best_score or (iou == best_score and -1 < best_index
                                     and i < best_index and iou > s_low):
                 best_score = iou
                 best_index = i
         if best_index >= 0:
-            labels[best_index].add(gt.activity_class)
+            labels[best_index].update(gt.labels)
 
     out = []
-    for i in range(len(proposals)):
+    for i, p in enumerate(proposals):
         if labels[i]:
-            out.append(LabelAssignment(i, frozenset(labels[i]), False))
+            found = frozenset(labels[i])
         elif best_iou[i] <= s_low:
-            out.append(LabelAssignment(i, frozenset(), True))
+            found = frozenset()
         else:
-            out.append(LabelAssignment(i, frozenset(), False))
+            found = None
+        out.append(Cube(p.video_id, p.bbox, p.t0, p.t1, p.seed_track,
+                        p.object_class, p.fg_score, found))
     return out
+
+
+def ref_proposal_stats(labeled):
+    """The ``proposal_stats`` report counted outcome by outcome."""
+    total = positive = negative = 0
+    hist = {1: 0, 2: 0}
+    many = 0
+    for cube in labeled:
+        total += 1
+        if cube.labels:
+            positive += 1
+            n = len(cube.labels)
+            if n in hist:
+                hist[n] += 1
+            else:
+                many += 1
+        elif cube.labels is not None:
+            negative += 1
+    unassigned = total - positive - negative
+    return dict(
+        total=total,
+        positive=positive,
+        negative=negative,
+        unassigned=unassigned,
+        positive_rate=positive / total if total else 0.0,
+        single_label_rate=hist[1] / positive if positive else 0.0,
+        two_label_rate=hist[2] / positive if positive else 0.0,
+        many_label_rate=many / positive if positive else 0.0,
+    )
 
 
 def ref_coverage(pred, ref):

@@ -61,6 +61,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PipelineConfig(p_pos=1.5)
 
+    @pytest.mark.parametrize("override", [
+        "activity_classes=walk,walk", "activity_classes=walk, run ,walk",
+        "object_classes=person,car,person", "naudc_limit=0",
+        "naudc_limit=-0.2", "naudc_limit=nan", "video_fps=nan",
+        "video_fps=inf", "video_fps=-30"])
+    def test_bad_value_rejected_when_built(self, override):
+        key = override.partition("=")[0]
+        with pytest.raises(ConfigError, match=rf"^{key}\b"):
+            parse_overrides(PipelineConfig(), [override])
+
 
 class TestParsing:
     def test_values_and_lists(self, tmp_path):

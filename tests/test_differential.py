@@ -1,16 +1,19 @@
 """Array-backed proposal, labeling and tube steps against per-BBox references,
-and dedup, proposal quality and DET curves against their plain sweeps.
+and label statistics, dedup, proposal quality and DET curves against their
+plain sweeps.
 
 The references in ``helpers`` compute one ``BBox`` at a time, as the steps
-did before tracks and tubes became arrays; the dedup reference runs every
-class of every partition, the quality reference scores and deduplicates
-every level afresh, and the DET reference walks predictions through
-per-video coverage counters. Every comparison is exact: equal values and
-equal ``write_records`` bytes.
+did before tracks and tubes became arrays; the label-statistics reference
+counts outcome by outcome, the dedup reference runs every class of every
+partition, the quality reference scores and deduplicates every level
+afresh, and the DET reference walks predictions through per-video coverage
+counters. Every comparison is exact: equal values and equal
+``write_records`` bytes.
 """
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,16 +24,16 @@ from actpipe.config import PipelineConfig
 from actpipe.dedup import deduplicate, merge_adjacent
 from actpipe.evaluation import det_curve, proposal_quality
 from actpipe.geometry import BBox, Cube, bbox_iou, tube_iou_3d
-from actpipe.labeling import (SAME_WINDOW_TIOU, GtCube, apply_assignments,
-                              assign_labels, gt_to_cubes, same_window_blocks,
-                              temporal_iou)
+from actpipe.labeling import (SAME_WINDOW_TIOU, assign_labels, gt_to_cubes,
+                              proposal_stats, same_window_blocks, temporal_iou)
 from actpipe.proposals import generate_video_proposals, sample_windows
-from actpipe.records import (ActivityAnnotation, ActivityInstance, ScoredCube,
-                             write_records)
+from actpipe.records import (ActivityAnnotation, ActivityInstance, ReportRecord,
+                             ScoredCube, write_records)
 from helpers import (make_track, ref_assign_labels, ref_coverage,
                      ref_deduplicate, ref_det_curve, ref_frame_boxes,
                      ref_generate_video_proposals, ref_gt_to_cubes,
-                     ref_proposal_quality, ref_tube_iou_3d, tube_of)
+                     ref_proposal_quality, ref_proposal_stats, ref_tube_iou_3d,
+                     tube_of)
 
 # a few fixed boxes make exact IoU ties (and an IoU of exactly 0.5) likely
 FIXED_BOXES = (BBox(0, 2, 0, 1), BBox(0, 1, 0, 1), BBox(1, 2, 0, 1),
@@ -183,9 +186,9 @@ def gt_cubes(draw):
     out = []
     for _ in range(draw(st.integers(0, 8))):
         t0, t1 = draw(st.sampled_from(WINDOWS))
-        out.append(GtCube(draw(st.sampled_from(["a", "b", "c"])),
-                          draw(st.sampled_from(["walk", "ride", "sit"])),
-                          t0, t1, draw(boxes())))
+        cls = draw(st.sampled_from(["walk", "ride", "sit"]))
+        out.append(Cube(draw(st.sampled_from(["a", "b", "c"])), draw(boxes()),
+                        t0, t1, labels={cls}))
     return out
 
 
@@ -200,23 +203,27 @@ class TestAssignLabels:
         got = assign_labels(props, gts, s_high, s_low)
         want = ref_assign_labels(props, gts, s_high, s_low)
         assert got == want
-        assert written(apply_assignments(props, got), "proposals") == \
-            written(apply_assignments(props, want), "proposals")
+        assert written(got, "proposals") == written(want, "proposals")
 
     @pytest.mark.parametrize("s_low, s_high", [(0.5, 0.5), (0.0, 0.5)])
     def test_tie_and_equal_thresholds(self, s_low, s_high):
-        # IoU with the GT box is 0.5 for the first two proposals and 1.0 for
-        # the two identical ones; the best GT match goes to index 2
-        gt = GtCube("a", "walk", 0, 64, BBox(0, 1, 0, 1))
+        # IoU with the GT box is 0.5 for the first two proposals, 1.0 for
+        # the two identical ones and 0 for the last; the best GT match goes
+        # to index 2
+        gt = Cube("a", BBox(0, 1, 0, 1), 0, 64, labels={"walk"})
         props = [Cube("a", BBox(0, 2, 0, 1), 0, 64, seed_track=1),
                  Cube("a", BBox(0, 2, 0, 1), 0, 32, seed_track=2),
                  Cube("a", BBox(0, 1, 0, 1), 16, 48, seed_track=3),
-                 Cube("a", BBox(0, 1, 0, 1), 0, 64, seed_track=4)]
+                 Cube("a", BBox(0, 1, 0, 1), 0, 64, seed_track=4),
+                 Cube("a", BBox(5, 6, 5, 6), 0, 64, seed_track=5)]
         got = assign_labels(props, [gt], s_high, s_low)
         assert got == ref_assign_labels(props, [gt], s_high, s_low)
-        assert [a.outcome for a in got] == (
-            ["negative", "negative", "positive", "positive"] if s_low == 0.5
-            else ["unassigned", "unassigned", "positive", "positive"])
+        walk, negative = frozenset({"walk"}), frozenset()
+        # s_low = 0: positive, negative and unassigned in one call
+        assert [c.labels for c in got] == (
+            [negative, negative, walk, walk, negative] if s_low == 0.5
+            else [None, None, walk, walk, negative])
+        assert [replace(c, labels=None) for c in got] == props
 
     @settings(max_examples=120, deadline=None)
     @given(props=proposals(), gts=gt_cubes())
@@ -235,6 +242,21 @@ class TestAssignLabels:
             and temporal_iou((p.t0, p.t1), (gt.t0, gt.t1)) >= SAME_WINDOW_TIOU
         }
         assert pairs == want
+
+
+label_sets = st.one_of(st.none(), st.frozensets(
+    st.sampled_from(["walk", "ride", "sit", "carry", "talk"]), max_size=5))
+
+
+class TestProposalStats:
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(label_sets, max_size=30))
+    def test_matches_reference(self, labels):
+        cubes = [Cube("v", BBox(0, 1, 0, 1), 0, 8, labels=found) for found in labels]
+        got, want = proposal_stats(cubes), ref_proposal_stats(cubes)
+        assert list(got) == list(want)
+        assert written([ReportRecord("proposal_stats", got)], "reports") == \
+            written([ReportRecord("proposal_stats", want)], "reports")
 
 
 @st.composite

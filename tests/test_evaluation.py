@@ -4,12 +4,11 @@ from actpipe import evaluation
 from actpipe.config import PipelineConfig
 from actpipe.dedup import iter_partitions, partition_instances
 from actpipe.evaluation import (QUALITY_LEVELS, DetCurve, DetPoint,
-                                det_curve, evaluation_report,
-                                gt_cube_proposals, map_3diou, naudc,
-                                oracle_lower_bound, pmiss_at_tfa,
+                                det_curve, evaluation_report, map_3diou,
+                                naudc, oracle_lower_bound, pmiss_at_tfa,
                                 proposal_quality)
 from actpipe.geometry import BBox
-from actpipe.labeling import label_stage
+from actpipe.labeling import gt_to_cubes, label_stage
 from actpipe.proposals import generate_proposals
 from actpipe.records import ActivityAnnotation, ActivityInstance
 from actpipe.scoring import oracle_scores
@@ -218,13 +217,13 @@ class TestProposalQuality:
         assert report["coverage"]["average"] == 1.0
 
     def test_gt_cube_proposals_are_labeled(self):
-        cubes = gt_cube_proposals([ann(0, 128)], self.config)
+        cubes = gt_to_cubes(ann(0, 128), self.config.d_prop, self.config.s_prop)
         assert len(cubes) == 5
         assert all(c.labels == frozenset({"walk"}) for c in cubes)
 
     def test_levels_monotone_marginally(self):
         gts = [ann(0, 192)]
-        proposals = gt_cube_proposals(gts, self.config)
+        proposals = gt_to_cubes(gts[0], self.config.d_prop, self.config.s_prop)
         report = proposal_quality(proposals, gts, self.config, {"v": 512})
         levels = report["iou"]["levels"]
         assert list(levels) == list(QUALITY_LEVELS)

@@ -1,8 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from actpipe.geometry import BBox, Cube
-from actpipe.labeling import (GtCube, LabelAssignment, apply_assignments,
-                              assign_labels, gt_to_cubes, proposal_stats,
+from actpipe.labeling import (assign_labels, gt_to_cubes, proposal_stats,
                               temporal_iou)
 from actpipe.records import ActivityAnnotation
 
@@ -16,20 +17,26 @@ def prop(box, t0=0, t1=64, video="v", seed=1):
 
 
 def gt(box, t0=0, t1=64, cls="walk", video="v"):
-    return GtCube(video, cls, t0, t1, box)
+    return Cube(video, box, t0, t1, labels={cls})
+
+
+def labeled(labels):
+    return Cube("v", BBox(0, 1, 0, 1), 0, 8, labels=labels)
 
 
 class TestGtToCubes:
     def test_exact_duration_single_cube(self):
         cubes = gt_to_cubes(annotation(32, 96), 64, 16)
         assert [(c.t0, c.t1) for c in cubes] == [(32, 96)]
-        assert cubes[0].bbox == BBox(10, 50, 10, 50)
-        assert cubes[0].activity_class == "walk"
+        assert cubes[0] == Cube("v", BBox(10, 50, 10, 50), 32, 96,
+                                labels=frozenset({"walk"}))
 
     def test_long_instance_seven_cubes(self):
         cubes = gt_to_cubes(annotation(0, 160), 64, 16)
         assert len(cubes) == 7
         assert [c.t0 for c in cubes] == [0, 16, 32, 48, 64, 80, 96]
+        # one label set per annotation, shared by its cubes
+        assert all(c.labels is cubes[0].labels for c in cubes)
 
     def test_short_instance_truncated(self):
         cubes = gt_to_cubes(annotation(10, 50), 64, 16)
@@ -57,17 +64,17 @@ class TestAssignLabels:
     def test_identical_proposal_positive(self):
         box = BBox(10, 50, 10, 50)
         (a,) = assign_labels([prop(box)], [gt(box)], s_high=0.5, s_low=0.0)
-        assert a.outcome == "positive"
-        assert a.labels == frozenset({"walk"})
+        assert a == Cube("v", box, 0, 64, seed_track=1, object_class="person",
+                         labels=frozenset({"walk"}))
 
     def test_zero_iou_negative(self):
         (a,) = assign_labels([prop(BBox(100, 120, 100, 120))],
                              [gt(BBox(10, 50, 10, 50))], 0.5, 0.0)
-        assert a.outcome == "negative"
+        assert a.labels == frozenset()
 
     def test_no_gt_at_all_negative(self):
         (a,) = assign_labels([prop(BBox(0, 10, 0, 10))], [], 0.5, 0.0)
-        assert a.outcome == "negative"
+        assert a.labels == frozenset()
 
     def test_best_match_rule_and_unassigned(self):
         # IoU(a)=1/3 is between the thresholds; IoU(b)=1/5 is lower
@@ -75,15 +82,15 @@ class TestAssignLabels:
         a = prop(BBox(1, 3, 0, 2), seed=1)
         b = prop(BBox(0, 2, 1.2, 3.2), seed=2)
         ia, ib = assign_labels([a, b], [gt(gt_box)], s_high=0.5, s_low=0.0)
-        assert ia.outcome == "positive"
-        assert ib.outcome == "unassigned"
+        assert ia.labels == frozenset({"walk"})
+        assert ib.labels is None
 
     def test_tie_breaks_to_lower_index(self):
         gt_box = BBox(0, 2, 0, 2)
         same = BBox(1, 3, 0, 2)
         a, b = prop(same, seed=1), prop(same, seed=2)
         ia, ib = assign_labels([a, b], [gt(gt_box)], s_high=0.5, s_low=0.0)
-        assert ia.outcome == "positive" and ib.outcome == "unassigned"
+        assert ia.labels == frozenset({"walk"}) and ib.labels is None
 
     def test_multi_label(self):
         box = BBox(10, 50, 10, 50)
@@ -96,15 +103,15 @@ class TestAssignLabels:
         box = BBox(10, 50, 10, 50)
         (a,) = assign_labels([prop(box, video="a")], [gt(box, video="b")],
                              0.5, 0.0)
-        assert a.outcome == "negative"
+        assert a.labels == frozenset()
 
     def test_temporal_window_gate(self):
         box = BBox(10, 50, 10, 50)
         # offset 16 of 64: tIoU 0.6, same window; offset 48: tIoU 0.143, not
         near = assign_labels([prop(box, t0=16, t1=80)], [gt(box)], 0.5, 0.0)
         far = assign_labels([prop(box, t0=48, t1=112)], [gt(box)], 0.5, 0.0)
-        assert near[0].outcome == "positive"
-        assert far[0].outcome == "negative"
+        assert near[0].labels == frozenset({"walk"})
+        assert far[0].labels == frozenset()
 
     def test_outcomes_partition(self):
         import random
@@ -114,17 +121,18 @@ class TestAssignLabels:
             x = rng.uniform(0, 80)
             proposals.append(prop(BBox(x, x + 20, 0, 20), seed=i + 1))
         gts = [gt(BBox(0, 20, 0, 20)), gt(BBox(50, 70, 0, 20), cls="carry")]
-        assignments = assign_labels(proposals, gts, 0.5, 0.0)
-        counts = {"positive": 0, "negative": 0, "unassigned": 0}
-        for a in assignments:
-            counts[a.outcome] += 1
-        assert sum(counts.values()) == len(proposals)
+        labeled = assign_labels(proposals, gts, 0.5, 0.0)
+        # the proposals come back in order, changed only in their labels
+        assert [replace(c, labels=None) for c in labeled] == proposals
+        stats = proposal_stats(labeled)
+        assert stats["positive"] + stats["negative"] + stats["unassigned"] == \
+            len(proposals)
 
     def test_every_reachable_gt_assigned_somewhere(self):
         box = BBox(10, 50, 10, 50)
         weak = prop(BBox(15, 55, 15, 55))  # IoU < 0.5 but > 0
-        assignments = assign_labels([weak], [gt(box)], s_high=0.5, s_low=0.0)
-        assert assignments[0].outcome == "positive"
+        (a,) = assign_labels([weak], [gt(box)], s_high=0.5, s_low=0.0)
+        assert a.labels == frozenset({"walk"})
 
     def test_raising_s_high_never_adds_positives(self):
         import random
@@ -135,44 +143,23 @@ class TestAssignLabels:
         previous = None
         for s_high in (0.3, 0.5, 0.7, 0.9):
             n = sum(1 for a in assign_labels(proposals, gts, s_high, 0.0)
-                    if a.outcome == "positive")
+                    if a.labels)
             if previous is not None:
                 assert n <= previous
             previous = n
 
 
-class TestApplyAssignments:
-    def test_label_markers(self):
-        box = BBox(0, 10, 0, 10)
-        cubes = [prop(box, seed=i) for i in (1, 2, 3)]
-        assignments = [
-            LabelAssignment(0, frozenset({"walk"}), False),
-            LabelAssignment(1, frozenset(), True),
-            LabelAssignment(2, frozenset(), False),
-        ]
-        out = apply_assignments(cubes, assignments)
-        assert out[0].labels == frozenset({"walk"})
-        assert out[1].labels == frozenset()
-        assert out[2].labels is None
-
-
 class TestProposalStats:
     def test_all_negative(self):
-        assignments = [LabelAssignment(i, frozenset(), True) for i in range(4)]
-        stats = proposal_stats(assignments)
-        assert stats.positive_rate == 0.0
-        assert stats.negative == 4
+        stats = proposal_stats([labeled(()) for _ in range(4)])
+        assert stats["positive_rate"] == 0.0
+        assert stats["negative"] == 4
 
     def test_label_histogram(self):
-        assignments = [
-            LabelAssignment(0, frozenset({"a"}), False),
-            LabelAssignment(1, frozenset({"a", "b"}), False),
-            LabelAssignment(2, frozenset(), True),
-            LabelAssignment(3, frozenset(), False),
-        ]
-        stats = proposal_stats(assignments)
-        assert stats.positive_rate == 0.5
-        assert stats.single_label_rate == 0.5
-        assert stats.two_label_rate == 0.5
-        assert stats.many_label_rate == 0.0
-        assert stats.unassigned == 1
+        stats = proposal_stats([labeled({"a"}), labeled({"a", "b"}),
+                                labeled(()), labeled(None)])
+        assert stats["positive_rate"] == 0.5
+        assert stats["single_label_rate"] == 0.5
+        assert stats["two_label_rate"] == 0.5
+        assert stats["many_label_rate"] == 0.0
+        assert stats["unassigned"] == 1

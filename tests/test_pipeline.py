@@ -421,6 +421,20 @@ class TestCli:
                         d / "thr.jsonl") == 0
         assert (d / "f1.jsonl").read_bytes() == (d / "f2.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--video-frames", "v=abc"), ("--video-frames", "v=0"),
+        ("--video-frames", "v=-8"), ("--video-frames", "v=7.5"),
+        ("--video-frames", "v"), ("--frame-size", "0x0"),
+        ("--frame-size", "640x-480"), ("--frame-size", "640"),
+        ("--frame-size", "640.5x480"), ("--frame-size", "wxh")])
+    def test_count_flags_take_positive_integers(self, tmp_path, capsys, flag, value):
+        detections = [DetectionRecord("v", 0, "person", BBox(0, 10, 0, 10), 0.9, 1)]
+        write_records(detections, tmp_path / "det.jsonl", "detections")
+        assert self.run("propose", tmp_path / "det.jsonl", "-o",
+                        tmp_path / "props.jsonl", flag, value) == 1
+        assert f"error: {flag} {value!r}: expected " in capsys.readouterr().err
+        assert not (tmp_path / "props.jsonl").exists()
+
     def test_propose_rejects_track_past_video_length(self, tmp_path, capsys):
         detections = [DetectionRecord("v", f, "person", BBox(0, 10, 0, 10), 0.9, 1)
                       for f in range(0, 57, 8)]
@@ -468,7 +482,8 @@ class TestCli:
     @pytest.mark.parametrize("table", [
         '{"walk": [0.5]}', '[0.5, 0.5]', '{"walk": [0.5, 0.5, 7]}',
         '{"walk": [true, false]}', '{"walk": [0.5, NaN]}', '{"walk": "ab"}',
-        '{"walk": [0.5, 0.5], "run": [0.5, 0.5]}', '{"walk": [0.5, 0.5]'])
+        '{"walk": [0.5, 0.5], "run": [0.5, 0.5]}', '{"walk": [0.5, 0.5]',
+        '{"walk": [0.5, 0.4]}'])
     def test_fuse_weights_table_is_checked(self, tmp_path, capsys, table):
         cube = Cube("v", BBox(0, 4, 0, 4), 0, 8, seed_track=1,
                     labels=frozenset({"walk"}))
