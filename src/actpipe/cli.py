@@ -56,6 +56,10 @@ def _parse_video_lengths(items: List[str]) -> Dict[str, int]:
     lengths = {}
     for item in items:
         video_id, _, value = item.partition("=")
+        if not video_id:
+            raise ConfigError(f"--video-frames {item!r}: empty video id")
+        if video_id in lengths:
+            raise ConfigError(f"--video-frames {item!r}: video {video_id!r} repeated")
         lengths[video_id], = _positive_ints("--video-frames", item, "ID=FRAMES", value)
     return lengths
 

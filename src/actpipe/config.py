@@ -56,6 +56,9 @@ class PipelineConfig:
             )
         if not 0.0 <= self.p_pos <= 1.0:
             raise ConfigError(f"p_pos={self.p_pos} outside [0, 1]")
+        for name in ("r_enl", "s_high", "s_low", "s_merg"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name}={getattr(self, name)} must be finite")
         if self.r_enl < 0.0:
             raise ConfigError(f"r_enl={self.r_enl} must be >= 0")
         if self.s_low > self.s_high:
@@ -66,6 +69,12 @@ class PipelineConfig:
             raise ConfigError(f"video_fps={self.video_fps} must be positive and finite")
         if not self.naudc_limit > 0.0:
             raise ConfigError(f"naudc_limit={self.naudc_limit} must be positive")
+        if not all(0.0 <= b <= 1.0 for b in self.pmiss_budgets):
+            raise ConfigError(f"pmiss_budgets={self.pmiss_budgets} must lie in [0, 1]")
+        if not (self.map_iou_thresholds
+                and all(0.0 < t <= 1.0 for t in self.map_iou_thresholds)):
+            raise ConfigError(f"map_iou_thresholds={self.map_iou_thresholds} "
+                              "must be one or more values in (0, 1]")
         for name in ("object_classes", "activity_classes"):
             if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise ConfigError(f"{name} repeats a class: {getattr(self, name)}")
@@ -150,6 +159,9 @@ def parse_overrides(base: PipelineConfig, items) -> PipelineConfig:
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected key=value")
         key, _, raw = item.partition("=")
-        pairs[key.strip()] = raw.strip()
+        key = key.strip()
+        if key in pairs:
+            raise ConfigError(f"override {item!r}: duplicate key {key!r}")
+        pairs[key] = raw.strip()
     values = _build(pairs, "override")
     return replace(base, **values)

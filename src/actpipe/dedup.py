@@ -4,11 +4,16 @@ Overlapping proposals would flood the output with duplicate predictions.
 Per activity class and seed track, the three-step procedure:
 
 1. split the overlapping duration-D cubes into duration-S segments, each
-   scoring the mean of its covering cubes and boxed by their intersection;
+   scoring the mean of its covering cubes and boxed by their intersection
+   (a cube covers every grid segment fully inside it, so end-anchored
+   windows off the grid fold onto the grid);
 2. merge the segments back into D/S candidate groups of duration-D cubes
    (one group per grid phase), each merged cube averaging its segments and
    taking the union of their boxes;
 3. select the group holding the globally maximal score.
+
+One body, :func:`deduplicate_subsets`, serves the dedup stage (through
+:func:`deduplicate`) and all proposal-quality level subsets in one call.
 
 A class scoring 0 on every cube of a partition is skipped. That is exact:
 scores lie in [0, 1], every segment or merged score is a mean of member
@@ -22,9 +27,8 @@ instances are merged afterwards for the strict setting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,11 +41,8 @@ __all__ = [
     "split_segments",
     "merge_groups",
     "select_group",
-    "iter_partitions",
-    "partition_instances",
-    "instance_order",
-    "check_scores",
     "deduplicate",
+    "deduplicate_subsets",
     "merge_adjacent",
 ]
 
@@ -62,33 +63,21 @@ class SegmentCube:
             raise ValueError(f"bad segment window [{self.t0}, {self.t1})")
 
 
-def _covered_segments(cube: SegmentCube, s_prop: int,
-                      snap_offgrid: bool) -> range:
-    if cube.t0 % s_prop == 0 and cube.t1 % s_prop == 0:
-        return range(cube.t0 // s_prop, cube.t1 // s_prop)
-    if not snap_offgrid:
-        raise ValueError(
-            f"cube [{cube.t0}, {cube.t1}) is off the stride-{s_prop} grid"
-        )
-    # fold onto the grid: only segments fully inside the cube count
-    return range(math.ceil(cube.t0 / s_prop), math.floor(cube.t1 / s_prop))
-
-
-def split_segments(cubes: Sequence[SegmentCube], d_prop: int, s_prop: int,
-                   snap_offgrid: bool = False) -> List[SegmentCube]:
+def split_segments(cubes: Sequence[SegmentCube], d_prop: int,
+                   s_prop: int) -> List[SegmentCube]:
     """Split overlapping cubes into duration-``s_prop`` segment cubes.
 
-    Each covered grid segment scores the arithmetic mean of its covering
-    cubes and takes the intersection of their boxes; an empty intersection
-    falls back to the temporally nearest cube's box. Cubes off the grid are
-    errors unless ``snap_offgrid`` folds them onto their fully contained
-    segments (end-anchored trailing windows need this).
+    A cube covers every grid segment fully inside it, so an end-anchored
+    window off the grid folds onto its contained segments. Each covered
+    segment scores the arithmetic mean of its covering cubes and takes the
+    intersection of their boxes; an empty intersection falls back to the
+    temporally nearest cube's box.
     """
     if d_prop % s_prop != 0:
         raise ValueError(f"d_prop={d_prop} not divisible by s_prop={s_prop}")
     covering: Dict[int, List[SegmentCube]] = {}
     for cube in cubes:
-        for seg in _covered_segments(cube, s_prop, snap_offgrid):
+        for seg in range(-(-cube.t0 // s_prop), cube.t1 // s_prop):
             covering.setdefault(seg, []).append(cube)
 
     out = []
@@ -168,11 +157,7 @@ def select_group(groups: Sequence[Sequence[SegmentCube]]) -> List[SegmentCube]:
     lowest group offset."""
     if not groups:
         raise ValueError("no groups to select from")
-    best = None
-    for group in groups:
-        for cube in group:
-            if best is None or cube.score > best:
-                best = cube.score
+    best = max((cube.score for group in groups for cube in group), default=None)
     if best is None:
         return []
     for group in groups:
@@ -202,12 +187,14 @@ def _chain_partitions(cubes: List[Tuple[int, ScoredCube]]) -> Dict[int, List[int
     return partitions
 
 
-def iter_partitions(scored_cubes: Sequence[ScoredCube]
-                    ) -> Iterator[Tuple[str, int, List[int]]]:
-    """(video, partition id, member indices) per partition, both ids in
-    sorted order; seedless cubes go to negative-id spatial chains."""
+def _iter_partitions(scored_cubes: Sequence[ScoredCube], ids: Iterable[int]
+                     ) -> Iterator[Tuple[str, int, Tuple[int, ...]]]:
+    """(video, partition id, member indices) per partition of the cubes at
+    ascending ``ids``, both ids in sorted order; seedless cubes go to
+    negative-id spatial chains."""
     by_video: Dict[str, List[Tuple[int, ScoredCube]]] = {}
-    for i, sc in enumerate(scored_cubes):
+    for i in ids:
+        sc = scored_cubes[i]
         by_video.setdefault(sc.cube.video_id, []).append((i, sc))
     for video_id in sorted(by_video):
         tracked: Dict[int, List[int]] = {}
@@ -216,12 +203,12 @@ def iter_partitions(scored_cubes: Sequence[ScoredCube]
                 tracked.setdefault(sc.cube.seed_track, []).append(i)
         tracked.update(_chain_partitions(by_video[video_id]))
         for partition_id in sorted(tracked):
-            yield video_id, partition_id, tracked[partition_id]
+            yield video_id, partition_id, tuple(tracked[partition_id])
 
 
-def partition_instances(video_id: str, partition_id: int,
-                        members: Sequence[ScoredCube],
-                        config: PipelineConfig) -> List[ActivityInstance]:
+def _partition_instances(video_id: str, partition_id: int,
+                         members: Sequence[ScoredCube],
+                         config: PipelineConfig) -> List[ActivityInstance]:
     """One partition's instances: split/merge/select per non-zero class."""
     members = sorted(members, key=lambda sc: (sc.cube.t0, sc.cube.t1))
     overlapping = any(a.cube.t1 > b.cube.t0
@@ -233,8 +220,7 @@ def partition_instances(video_id: str, partition_id: int,
         run = [SegmentCube(sc.cube.t0, sc.cube.t1, sc.scores[class_idx],
                            sc.cube.bbox) for sc in members]
         if overlapping:
-            segments = split_segments(run, config.d_prop, config.s_prop,
-                                      snap_offgrid=True)
+            segments = split_segments(run, config.d_prop, config.s_prop)
             run = select_group(merge_groups(segments, config.d_prop,
                                             config.s_prop))
         instances += (ActivityInstance(video_id, activity_class, cube.t0,
@@ -244,13 +230,13 @@ def partition_instances(video_id: str, partition_id: int,
     return instances
 
 
-def instance_order(a: ActivityInstance) -> tuple:
+def _instance_order(a: ActivityInstance) -> tuple:
     """Sort key of dedup and merge-adjacent output."""
     return (a.video_id, a.activity_class, a.t0, a.t1, a.seed_track or 0)
 
 
-def check_scores(scored_cubes: Sequence[ScoredCube],
-                 classes: Sequence[str]) -> None:
+def _check_scores(scored_cubes: Sequence[ScoredCube],
+                  classes: Sequence[str]) -> None:
     """Raise unless classes are set and every cube scores each class."""
     if not classes:
         raise ValueError("activity_classes must be configured for dedup")
@@ -262,6 +248,28 @@ def check_scores(scored_cubes: Sequence[ScoredCube],
             )
 
 
+def deduplicate_subsets(scored_cubes: Sequence[ScoredCube],
+                        subsets: Iterable[Iterable[int]],
+                        config: PipelineConfig) -> List[List[ActivityInstance]]:
+    """:func:`deduplicate` of each subset of ascending indices into
+    ``scored_cubes``. A partition recurring with the same members is
+    deduplicated once, keyed by (video, partition id, member indices): the
+    chain ids of seedless cubes can shift between subsets."""
+    _check_scores(scored_cubes, config.activity_classes)
+    done: Dict[tuple, List[ActivityInstance]] = {}
+    out = []
+    for subset in subsets:
+        instances: List[ActivityInstance] = []
+        for key in _iter_partitions(scored_cubes, subset):
+            if key not in done:
+                video, pid, members = key
+                done[key] = _partition_instances(
+                    video, pid, [scored_cubes[i] for i in members], config)
+            instances += done[key]
+        out.append(sorted(instances, key=_instance_order))
+    return out
+
+
 def deduplicate(scored_cubes: Sequence[ScoredCube],
                 config: PipelineConfig) -> List[ActivityInstance]:
     """Run split/merge/select per (activity class, seed track) partition.
@@ -270,16 +278,11 @@ def deduplicate(scored_cubes: Sequence[ScoredCube],
     negative partition ids. Partitions whose cubes are already pairwise
     non-overlapping have no duplicates to resolve and pass through
     unchanged, which makes deduplication idempotent. Only instances with a
-    strictly positive score are emitted; an all-zero confidence carries no
-    detection evidence, so skipping a class that scores 0 on every cube of
-    a partition is exact: its segment and merged scores, means of those
-    zeros, are all 0.
+    strictly positive score are emitted, so skipping all-zero classes is
+    exact (see the module docstring).
     """
-    check_scores(scored_cubes, config.activity_classes)
-    return sorted((inst for video, pid, members in iter_partitions(scored_cubes)
-                   for inst in partition_instances(
-                       video, pid, [scored_cubes[i] for i in members], config)),
-                  key=instance_order)
+    return deduplicate_subsets(scored_cubes, [range(len(scored_cubes))],
+                               config)[0]
 
 
 def merge_adjacent(instances: Sequence[ActivityInstance], s_merg: float,
@@ -339,5 +342,5 @@ def merge_adjacent(instances: Sequence[ActivityInstance], s_merg: float,
                 flush()
             run.append(inst)
         flush()
-    out.sort(key=instance_order)
+    out.sort(key=_instance_order)
     return out

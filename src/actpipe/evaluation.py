@@ -19,8 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import PipelineConfig
-from .dedup import (check_scores, deduplicate, instance_order,
-                    iter_partitions, partition_instances)
+from .dedup import deduplicate, deduplicate_subsets
 from .geometry import Cube, tube_iou_3d
 from .labeling import gt_to_cubes, same_window_blocks
 from .records import ActivityAnnotation, ActivityInstance
@@ -261,30 +260,22 @@ def oracle_lower_bound(annotations: Sequence[ActivityAnnotation],
 def proposal_quality(proposals: Sequence[Cube],
                      annotations: Sequence[ActivityAnnotation],
                      config: PipelineConfig,
-                     video_lengths: Mapping[str, int],
-                     levels: Sequence[float] = QUALITY_LEVELS) -> dict:
+                     video_lengths: Mapping[str, int]) -> dict:
     """Oracle-scored nAUDC of proposal subsets at IoU / coverage levels.
 
     Each proposal carries its best spatial IoU and reference coverage
     against ground-truth cubes in the same temporal window; subsets keep
-    proposals at or above each level. The per-metric "average" aggregates
-    the level results.
+    proposals at or above each of :data:`QUALITY_LEVELS`. The per-metric
+    "average" aggregates the level results.
 
     Each ``levels`` dict is keyed by the float levels themselves, in the
-    order of ``levels``; after ``write_records`` the JSON keys are
-    ``str(level)``, for example ``"0.0"``.
+    order of :data:`QUALITY_LEVELS`; after ``write_records`` the JSON keys
+    are ``str(level)``, for example ``"0.0"``.
 
-    The proposals are oracle-scored once. The subsets are nested, so most
-    dedup partitions recur between levels: a dict living for this call
-    holds each partition's instances by (video, partition id, member
-    indices into ``proposals``); chain ids of seedless cubes can shift
-    between subsets, hence the id.
+    The proposals are oracle-scored once, and one call of the dedup body,
+    :func:`~actpipe.dedup.deduplicate_subsets`, serves all 20 level subsets.
     """
     classes = _classes_for(annotations, config)
-    dedup_config = config.with_classes(activity_classes=classes)
-    scored = oracle_scores(proposals, classes)
-    check_scores(scored, classes)
-    cache: Dict[tuple, List[ActivityInstance]] = {}
     gt_cubes = [gt for a in annotations
                 for gt in gt_to_cubes(a, config.d_prop, config.s_prop)]
     best_iou = np.zeros(len(proposals))
@@ -292,38 +283,21 @@ def proposal_quality(proposals: Sequence[Cube],
     for p_idx, _, iou, cov in same_window_blocks(proposals, gt_cubes):
         best_iou[p_idx] = np.maximum(best_iou[p_idx], iou.max(axis=1))
         best_cov[p_idx] = np.maximum(best_cov[p_idx], cov.max(axis=1))
-
-    def sweep(values: np.ndarray) -> Dict[float, float]:
-        out = {}
-        for level in levels:
-            ids = np.flatnonzero(values >= level).tolist()
-            instances = []
-            for video, pid, members in iter_partitions([scored[i] for i in ids]):
-                key = (video, pid, tuple(ids[m] for m in members))
-                if key not in cache:
-                    cache[key] = partition_instances(
-                        video, pid, [scored[i] for i in key[2]], dedup_config)
-                instances += cache[key]
-            instances.sort(key=instance_order)
-            out[level] = _mean_naudc(
-                det_curve(instances, annotations, video_lengths,
-                          config.temporal_overlap_frames, classes),
-                config.naudc_limit)
-        return out
-
-    iou_levels = sweep(best_iou)
-    cov_levels = sweep(best_cov)
-    return {
-        "n_proposals": len(proposals),
-        "iou": {
-            "average": sum(iou_levels.values()) / len(iou_levels),
-            "levels": iou_levels,
-        },
-        "coverage": {
-            "average": sum(cov_levels.values()) / len(cov_levels),
-            "levels": cov_levels,
-        },
-    }
+    subsets = [np.flatnonzero(values >= level).tolist()
+               for values in (best_iou, best_cov) for level in QUALITY_LEVELS]
+    level_instances = deduplicate_subsets(
+        oracle_scores(proposals, classes), subsets,
+        config.with_classes(activity_classes=classes))
+    naudcs = [_mean_naudc(det_curve(instances, annotations, video_lengths,
+                                    config.temporal_overlap_frames, classes),
+                          config.naudc_limit)
+              for instances in level_instances]
+    report = {"n_proposals": len(proposals)}
+    for i, metric in enumerate(("iou", "coverage")):
+        levels = dict(zip(QUALITY_LEVELS, naudcs[i * len(QUALITY_LEVELS):]))
+        report[metric] = {"average": sum(levels.values()) / len(levels),
+                          "levels": levels}
+    return report
 
 
 def evaluation_report(predictions: Sequence[ActivityInstance],

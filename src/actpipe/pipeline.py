@@ -22,7 +22,6 @@ Evaluate fills the lengths of videos that only annotations name.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import time
 from contextlib import ExitStack, closing
@@ -40,7 +39,7 @@ from .filtering import filter_stage, load_thresholds
 from .geometry import BBox
 from .labeling import label_stage
 from .proposals import generate_proposals
-from .records import RECORD_KINDS, ReportRecord, _header, read_records, write_records
+from .records import ReportRecord, _formatter, _header, read_records, write_records
 from .scoring import load_fuse_weights, score_stage
 from .synth import ActivitySpec, ObjectSpec, SceneSpec, generate_scene
 from .tracking import Track, greedy_iou_track, tracks_from_records
@@ -277,6 +276,12 @@ def run_stage(stage: str, records: Iterable, run: StageRun
     # in a run, only videos that no track named can still lack a length here
     run.video_lengths = infer_video_lengths(run.video_lengths, (
         (r.video_id, r.t1) for r in chain(annotations, items, proposals)))
+    unnamed = set(run.inputs.video_lengths).difference(
+        r.video_id for r in chain(annotations, items, proposals))
+    if unnamed:
+        logger.warning("explicit lengths for %s, which no evaluated record "
+                       "names: their frames count as activity-free in every "
+                       "false-alarm rate", ", ".join(sorted(unnamed)))
     curves, summary = evaluation_report(items, annotations, config,
                                         run.video_lengths, strict=run.strict)
     if run.proposals:
@@ -433,9 +438,7 @@ def bench(config: PipelineConfig, n_detections: int, out_dir: Path,
             sizes[spec.video_id] = spec.frame_size
             n_dets += len(scene.detections)
             for kind, fh in handles.items():
-                serializer = RECORD_KINDS[kind][0]
-                for record in getattr(scene, kind):
-                    fh.write(json.dumps(serializer(record), separators=(",", ":")) + "\n")
+                fh.writelines(map(_formatter(kind), getattr(scene, kind)))
 
     inputs = PipelineInputs(**paths, video_lengths=lengths, frame_sizes=sizes)
     result = run_pipeline(config, inputs, out_dir / "run", stages=BENCH_STAGES)

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -475,6 +476,12 @@ def _header(kind: str) -> str:
     return f"#actpipe/{kind}/v{SCHEMA_VERSION}"
 
 
+def _formatter(kind: str) -> Callable[[Any], str]:
+    """A record of ``kind`` as its file line: compact JSON and a newline."""
+    serializer = RECORD_KINDS[kind][0]
+    return lambda record: json.dumps(serializer(record), separators=(",", ":")) + "\n"
+
+
 def _check_kind(kind: str) -> None:
     if kind not in RECORD_KINDS:
         raise ValueError(f"unknown record kind {kind!r}")
@@ -551,7 +558,7 @@ def write_records(records: Iterable, path: Union[str, Path], kind: str) -> int:
     Round-trip law: ``read_records(write_records(s))`` reproduces ``s``.
     """
     _check_kind(kind)
-    serializer, _, ordered = RECORD_KINDS[kind]
+    line, ordered = _formatter(kind), RECORD_KINDS[kind][2]
     path = Path(path)
     order = FrameOrder(str(path)) if ordered else None
     count = 0
@@ -560,7 +567,6 @@ def write_records(records: Iterable, path: Union[str, Path], kind: str) -> int:
         for record in records:
             if order is not None:
                 order.check(record.video_id, record.frame, count + 2)
-            fh.write(json.dumps(serializer(record), separators=(",", ":")))
-            fh.write("\n")
+            fh.write(line(record))
             count += 1
     return count

@@ -17,10 +17,18 @@ import numpy as np
 
 from .config import PipelineConfig
 from .geometry import BBox
-from .records import ActivityAnnotation, DetectionRecord, MaskFrame
+from .records import (ActivityAnnotation, DetectionRecord, MaskFrame, _box_from,
+                      _float, _int, _str)
 
 __all__ = ["ObjectSpec", "ActivitySpec", "SceneSpec", "generate_scene",
            "generate_corpus", "Scene"]
+
+
+def _bool(value, name: str) -> bool:
+    """A JSON bool; strings and numbers raise."""
+    if type(value) is not bool:
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -115,32 +123,38 @@ class SceneSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SceneSpec":
+        """A spec from its JSON object under the record files' field rules;
+        ``foreground`` takes a JSON bool."""
+        if type(obj) is not dict:
+            raise ValueError(f"a scene spec must be an object, got {obj!r}")
         objects = tuple(
             ObjectSpec(
-                object_class=o["object_class"],
+                object_class=_str(o["object_class"], "object_class"),
                 waypoints=tuple(
-                    (int(f), BBox(x0, x1, y0, y1))
+                    (_int(f, "waypoint frame"),
+                     _box_from({"x0": x0, "x1": x1, "y0": y0, "y1": y1}))
                     for f, x0, x1, y0, y1 in o["waypoints"]
                 ),
-                foreground=bool(o.get("foreground", True)),
+                foreground=_bool(o.get("foreground", True), "foreground"),
             )
             for o in obj.get("objects", [])
         )
         activities = tuple(
-            ActivitySpec(int(a["object"]), a["activity_class"],
-                         int(a["t0"]), int(a["t1"]))
+            ActivitySpec(_int(a["object"], "object"),
+                         _str(a["activity_class"], "activity_class"),
+                         _int(a["t0"], "t0"), _int(a["t1"], "t1"))
             for a in obj.get("activities", [])
         )
         return cls(
-            video_id=obj["video_id"],
-            video_len=int(obj["video_len"]),
-            width=int(obj["width"]),
-            height=int(obj["height"]),
+            video_id=_str(obj["video_id"], "video_id"),
+            video_len=_int(obj["video_len"], "video_len"),
+            width=_int(obj["width"], "width"),
+            height=_int(obj["height"], "height"),
             objects=objects,
             activities=activities,
-            jitter_sigma=float(obj.get("jitter_sigma", 0.0)),
-            dropout=float(obj.get("dropout", 0.0)),
-            seed=int(obj.get("seed", 0)),
+            jitter_sigma=_float(obj.get("jitter_sigma", 0.0), "jitter_sigma"),
+            dropout=_float(obj.get("dropout", 0.0), "dropout"),
+            seed=_int(obj.get("seed", 0), "seed"),
         )
 
     def to_json(self) -> dict:
@@ -170,12 +184,17 @@ class SceneSpec:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> List["SceneSpec"]:
-        """Read one spec or a list of specs from a JSON file."""
+        """Read one spec or a list of specs from a JSON file; a bad spec
+        raises naming the file."""
         with Path(path).open("r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if isinstance(data, list):
-            return [cls.from_json(o) for o in data]
-        return [cls.from_json(data)]
+            try:
+                data = json.load(fh)
+                return [cls.from_json(o)
+                        for o in (data if isinstance(data, list) else [data])]
+            except KeyError as exc:
+                raise ValueError(f"{path}: scene spec lacks key {exc}") from exc
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{path}: bad scene spec: {exc}") from exc
 
 
 @dataclass

@@ -407,7 +407,7 @@ def ref_deduplicate(scored_cubes, config):
                        for sc in members]
                 if overlapping:
                     segments = split_segments(run, config.d_prop,
-                                              config.s_prop, snap_offgrid=True)
+                                              config.s_prop)
                     selected = select_group(
                         merge_groups(segments, config.d_prop, config.s_prop))
                 else:
@@ -425,7 +425,7 @@ def ref_deduplicate(scored_cubes, config):
 
 
 def ref_proposal_quality(proposals, annotations, config, video_lengths,
-                         levels=QUALITY_LEVELS, level_instances=None):
+                         level_instances=None):
     """The quality report with fresh oracle scores and dedup per level;
     ``level_instances``, when given, collects each level's instances."""
     classes = config.activity_classes or tuple(
@@ -453,7 +453,7 @@ def ref_proposal_quality(proposals, annotations, config, video_lengths,
     def sweep(values):
         return {level: mean_naudc([p for i, p in enumerate(proposals)
                                    if values[i] >= level])
-                for level in levels}
+                for level in QUALITY_LEVELS}
 
     iou_levels = sweep(best_iou)
     cov_levels = sweep(best_cov)

@@ -65,7 +65,11 @@ class TestValidation:
         "activity_classes=walk,walk", "activity_classes=walk, run ,walk",
         "object_classes=person,car,person", "naudc_limit=0",
         "naudc_limit=-0.2", "naudc_limit=nan", "video_fps=nan",
-        "video_fps=inf", "video_fps=-30"])
+        "video_fps=inf", "video_fps=-30", "r_enl=nan", "r_enl=inf",
+        "s_high=nan", "s_low=nan", "s_low=-inf", "s_merg=nan",
+        "pmiss_budgets=-1", "pmiss_budgets=0.02,1.5", "pmiss_budgets=nan",
+        "map_iou_thresholds=nan", "map_iou_thresholds=0,0.5",
+        "map_iou_thresholds=0.5,1.2", "map_iou_thresholds="])
     def test_bad_value_rejected_when_built(self, override):
         key = override.partition("=")[0]
         with pytest.raises(ConfigError, match=rf"^{key}\b"):
@@ -110,6 +114,10 @@ class TestParsing:
         assert (cfg.d_prop, cfg.s_prop) == (96, 32)
         with pytest.raises(ConfigError):
             parse_overrides(PipelineConfig(), ["nope=1"])
+
+    def test_repeated_override_key_rejected(self):
+        with pytest.raises(ConfigError, match="duplicate key 's_merg'"):
+            parse_overrides(PipelineConfig(), ["s_merg=0.9", " s_merg =0.5"])
 
 
 def test_every_field_is_read_outside_config():

@@ -129,18 +129,12 @@ class TestSplitSegments:
         assert segs[1].t0 == 16
         assert segs[1].bbox == near.bbox
 
-    def test_off_grid_rejected(self):
-        with pytest.raises(ValueError, match="off the stride"):
-            split_segments([SegmentCube(3, 67, 0.5, BOX)], 64, 16)
-
     def test_off_grid_snap_keeps_contained_segments(self):
-        segs = split_segments([SegmentCube(8, 72, 0.5, BOX)], 64, 16,
-                              snap_offgrid=True)
+        segs = split_segments([SegmentCube(8, 72, 0.5, BOX)], 64, 16)
         assert [(s.t0, s.t1) for s in segs] == [(16, 32), (32, 48), (48, 64)]
 
     def test_snapped_misaligned_full_duration_vanishes(self):
-        segs = split_segments([SegmentCube(8, 72, 0.5, BOX)], 64, 64,
-                              snap_offgrid=True)
+        segs = split_segments([SegmentCube(8, 72, 0.5, BOX)], 64, 64)
         assert segs == []
 
 

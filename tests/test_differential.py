@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from actpipe import evaluation
 from actpipe.config import PipelineConfig
-from actpipe.dedup import deduplicate, merge_adjacent
+from actpipe.dedup import deduplicate, deduplicate_subsets, merge_adjacent
 from actpipe.evaluation import det_curve, proposal_quality
 from actpipe.geometry import BBox, Cube, bbox_iou, tube_iou_3d
 from actpipe.labeling import (SAME_WINDOW_TIOU, assign_labels, gt_to_cubes,
@@ -424,6 +424,57 @@ class TestDeduplicate:
         assert got and got == want
         assert {a.activity_class for a in got} == {"ride"}
         assert written(got, "instances") == written(want, "instances")
+
+
+@st.composite
+def subset_cases(draw):
+    """Scored cubes plus subsets of them: nested by a drawn level per cube,
+    disjoint by a drawn group, arbitrary, repeated and empty, in any order."""
+    config, cubes = draw(scored_partitions())
+    n = len(cubes)
+    levels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    groups = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    nested = [[i for i in range(n) if levels[i] >= k] for k in range(4)]
+    disjoint = [[i for i in range(n) if groups[i] == g] for g in range(3)]
+    arbitrary = draw(st.lists(st.sets(st.integers(0, max(n - 1, 0)))
+                              .map(lambda s: sorted(i for i in s if i < n)),
+                              max_size=3))
+    subsets = nested + disjoint + arbitrary + [[], nested[1]]
+    return config, cubes, draw(st.permutations(subsets))
+
+
+def seedless_shift_case():
+    """Seedless cube A sorts first and takes chain -1 while present; without
+    it, B, unchanged, becomes chain -1 instead of -2."""
+    config, cubes = dedup_case([0, 16], [0.4, 0.8], track=None,
+                               boxes=[BBox(0, 10, 0, 10), BBox(40, 50, 0, 10)])
+    return config, cubes, [[0, 1], [1], [0], [], [0, 1]]
+
+
+def off_grid_case():
+    """Nested subsets of a partition whose last window is end-anchored off
+    the grid, so it folds onto its contained segments."""
+    config, cubes = dedup_case([0, 16, 32, 37], [0.2, 0.9, 0.5, 0.7])
+    return config, cubes, [[0, 1, 2, 3], [1, 2, 3], [2, 3], [3], [0, 3]]
+
+
+class TestDeduplicateSubsets:
+    def check(self, config, cubes, subsets):
+        got = deduplicate_subsets(cubes, subsets, config)
+        assert len(got) == len(subsets)
+        for subset, instances in zip(subsets, got):
+            want = ref_deduplicate([cubes[i] for i in subset], config)
+            assert instances == want
+            assert written(instances, "instances") == written(want, "instances")
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=subset_cases())
+    def test_each_subset_matches_reference(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("case", [seedless_shift_case(), off_grid_case()])
+    def test_named_cases(self, case):
+        self.check(*case)
 
 
 QUALITY_CLASSES = ("walk", "ride")

@@ -1,8 +1,10 @@
+import ast
+import inspect
+
 import pytest
 
-from actpipe import evaluation
+from actpipe import dedup, evaluation
 from actpipe.config import PipelineConfig
-from actpipe.dedup import iter_partitions, partition_instances
 from actpipe.evaluation import (QUALITY_LEVELS, DetCurve, DetPoint,
                                 det_curve, evaluation_report, map_3diou,
                                 naudc, oracle_lower_bound, pmiss_at_tfa,
@@ -254,13 +256,15 @@ class TestProposalQualityWork:
         scored_calls = []
         partitions_seen = []
         keys = []
+        iter_partitions = dedup._iter_partitions
+        partition_instances = dedup._partition_instances
 
         def counting_oracle_scores(cubes, classes):
             scored_calls.append(oracle_scores(cubes, classes))
             return scored_calls[-1]
 
-        def counting_iter_partitions(scored_cubes):
-            for part in iter_partitions(scored_cubes):
+        def counting_iter_partitions(scored_cubes, ids):
+            for part in iter_partitions(scored_cubes, ids):
                 partitions_seen.append(part)
                 yield part
 
@@ -270,17 +274,29 @@ class TestProposalQualityWork:
             return partition_instances(video, pid, members, cfg)
 
         monkeypatch.setattr(evaluation, "oracle_scores", counting_oracle_scores)
-        monkeypatch.setattr(evaluation, "iter_partitions",
-                            counting_iter_partitions)
-        monkeypatch.setattr(evaluation, "partition_instances",
+        monkeypatch.setattr(dedup, "_iter_partitions", counting_iter_partitions)
+        monkeypatch.setattr(dedup, "_partition_instances",
                             counting_partition_instances)
         proposal_quality(proposals, annotations, config, lengths)
 
         assert len(scored_calls) == 1
         assert len(keys) == len(set(keys))
+        assert set(keys) == set(partitions_seen)
         # 20 nested level subsets: most partitions recur unchanged
         assert len(partitions_seen) > 2 * len(keys), \
             (len(partitions_seen), len(keys))
+
+    def test_evaluation_imports_only_the_dedup_entry_points(self):
+        tree = ast.parse(inspect.getsource(evaluation))
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.module or "").endswith("dedup")
+                    for alias in node.names}
+        assert imported == {"deduplicate", "deduplicate_subsets"}
+        assert not any(alias.name.endswith("dedup")
+                       for node in ast.walk(tree)
+                       if isinstance(node, (ast.Import, ast.ImportFrom))
+                       for alias in node.names)
 
 
 class TestEvaluationReport:

@@ -435,6 +435,39 @@ class TestCli:
         assert f"error: {flag} {value!r}: expected " in capsys.readouterr().err
         assert not (tmp_path / "props.jsonl").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--video-frames", "=192"), "--video-frames '=192': empty video id"),
+        (("--video-frames", "v=10", "--video-frames", "v=20"),
+         "--video-frames 'v=20': video 'v' repeated"),
+        (("--set", "s_merg=0.9", "--set", "s_merg=0.5"),
+         "override 's_merg=0.5': duplicate key 's_merg'")])
+    def test_keys_are_given_once(self, tmp_path, capsys, flags, message):
+        detections = [DetectionRecord("v", 0, "person", BBox(0, 10, 0, 10), 0.9, 1)]
+        write_records(detections, tmp_path / "det.jsonl", "detections")
+        assert self.run("propose", tmp_path / "det.jsonl", "-o",
+                        tmp_path / "props.jsonl", *flags) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "props.jsonl").exists()
+
+    def test_evaluate_logs_lengths_of_unnamed_videos(self, tmp_path, caplog):
+        box = BBox(0, 10, 0, 10)
+        write_records([ActivityAnnotation.with_static_box("v", "walk", 0, 50, box)],
+                      tmp_path / "ann.jsonl", "annotations")
+        write_records([ActivityInstance("v", "walk", 40, 80, box, 0.9)],
+                      tmp_path / "inst.jsonl", "instances")
+        with caplog.at_level(logging.WARNING):
+            assert self.run("evaluate", tmp_path / "inst.jsonl", "--annotations",
+                            tmp_path / "ann.jsonl", "-o", tmp_path / "rep.jsonl",
+                            "--curves", tmp_path / "cur.jsonl", "--video-frames",
+                            "v=80", "--video-frames", "typo=50", "--video-frames",
+                            "blank=10") == 0
+        assert caplog.text.count("explicit lengths for") == 1
+        assert "explicit lengths for blank, typo, which no evaluated record " \
+            "names" in caplog.text
+        (curve,) = read_records(tmp_path / "cur.jsonl", "det-curves")
+        # their 60 frames join the 30 negatives of v
+        assert curve.points[0].tfa == 30 / 90
+
     def test_propose_rejects_track_past_video_length(self, tmp_path, capsys):
         detections = [DetectionRecord("v", f, "person", BBox(0, 10, 0, 10), 0.9, 1)
                       for f in range(0, 57, 8)]

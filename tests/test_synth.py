@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,10 @@ def simple_spec(**kwargs):
     )
     defaults.update(kwargs)
     return SceneSpec(**defaults)
+
+
+# a spec field to delete rather than set
+MISSING = object()
 
 
 class TestGenerateScene:
@@ -121,3 +127,57 @@ class TestSpecSerialization:
         import json
         path.write_text(json.dumps([s.to_json() for s in specs]))
         assert SceneSpec.load(path) == specs
+
+    @pytest.mark.parametrize("where, value, message", [
+        (("objects", 0, "foreground"), "false", "foreground must be true or false"),
+        (("objects", 0, "foreground"), 0, "foreground must be true or false"),
+        (("width",), 64.9, "width must be an integer"),
+        (("height",), "480", "height must be an integer"),
+        (("video_len",), "100", "video_len must be an integer"),
+        (("seed",), 1.5, "seed must be an integer"),
+        (("activities", 0, "t0"), 4.7, "t0 must be an integer"),
+        (("activities", 0, "t1"), True, "t1 must be an integer"),
+        (("activities", 0, "object"), "0", "object must be an integer"),
+        (("objects", 0, "waypoints", 0, 0), 0.5, "waypoint frame must be"),
+        (("objects", 0, "waypoints", 0, 1), "100", "box coordinates must be"),
+        (("jitter_sigma",), float("nan"), "jitter_sigma must be a finite"),
+        (("dropout",), "0.1", "dropout must be a finite"),
+        (("video_id",), 7, "video_id must be a string"),
+        (("objects", 0, "object_class"), None, "object_class must be a string"),
+        (("activities", 0, "activity_class"), 3, "activity_class must be"),
+        (("video_id",), MISSING, "lacks key 'video_id'"),
+    ])
+    def test_fields_follow_record_rules(self, tmp_path, where, value, message):
+        import json
+        obj = simple_spec().to_json()
+        *parents, last = where
+        target = obj
+        for key in parents:
+            target = target[key]
+        if value is MISSING:
+            del target[last]
+        else:
+            target[last] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps([simple_spec(video_id="ok").to_json(), obj]))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*"
+                                             rf"{re.escape(message)}"):
+            SceneSpec.load(path)
+
+    def test_integral_numbers_and_bools_read(self, tmp_path):
+        import json
+        obj = simple_spec().to_json()
+        obj.update(width=640.0, seed=9.0)
+        obj["objects"][0]["foreground"] = False
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(obj))
+        (back,) = SceneSpec.load(path)
+        assert (back.width, back.seed) == (640, 9)
+        assert type(back.width) is int and back.objects[0].foreground is False
+
+    def test_non_object_spec_rejected(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text("[5]")
+        with pytest.raises(ValueError, match="spec must be an object") as info:
+            SceneSpec.load(path)
+        assert str(info.value).startswith(f"{path}: ")
