@@ -1,8 +1,8 @@
 """Streaming activity detection with overlapping spatio-temporal cube proposals."""
 
 from .config import ConfigError, PipelineConfig, parse_config
-from .geometry import BBox, Cube, bbox_enlarge, bbox_intersection, bbox_iou, \
-    bbox_union, tube_iou_3d
+from .geometry import BBox, Cube, bbox_enlarge, bbox_intersection, \
+    bbox_union, box_ious, tube_iou_3d
 from .records import (ActivityAnnotation, ActivityInstance, DetectionRecord,
                       MaskFrame, RecordError, ReportRecord, ScoredCube,
                       read_records, write_records)
@@ -10,7 +10,7 @@ from .records import (ActivityAnnotation, ActivityInstance, DetectionRecord,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BBox", "Cube", "bbox_iou", "bbox_union", "bbox_intersection",
+    "BBox", "Cube", "box_ious", "bbox_union", "bbox_intersection",
     "bbox_enlarge", "tube_iou_3d",
     "DetectionRecord", "ActivityAnnotation", "MaskFrame", "ScoredCube",
     "ActivityInstance", "ReportRecord", "RecordError",

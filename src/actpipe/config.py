@@ -21,7 +21,8 @@ class PipelineConfig:
     Defaults follow the published operating point where one exists
     (detection stride 8, proposal duration 64 / stride 16, enlargement 0.13,
     filter tolerance 0.05, label thresholds 0.5 / 0); the rest are artifact
-    defaults.
+    defaults. The two label IoU thresholds ``s_low <= s_high`` and the merge
+    score bar ``s_merg`` lie in [0, 1].
     """
 
     s_det: int = 8
@@ -56,11 +57,11 @@ class PipelineConfig:
             )
         if not 0.0 <= self.p_pos <= 1.0:
             raise ConfigError(f"p_pos={self.p_pos} outside [0, 1]")
-        for name in ("r_enl", "s_high", "s_low", "s_merg"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name}={getattr(self, name)} must be finite")
-        if self.r_enl < 0.0:
-            raise ConfigError(f"r_enl={self.r_enl} must be >= 0")
+        for name in ("s_high", "s_low", "s_merg"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name}={getattr(self, name)} outside [0, 1]")
+        if not 0.0 <= self.r_enl < math.inf:
+            raise ConfigError(f"r_enl={self.r_enl} must be finite and >= 0")
         if self.s_low > self.s_high:
             raise ConfigError(
                 f"s_low={self.s_low} must not exceed s_high={self.s_high}"

@@ -33,7 +33,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .config import PipelineConfig
-from .geometry import BBox, bbox_intersection, bbox_iou, bbox_union
+from .geometry import BBox, bbox_intersection, bbox_union, box_ious, box_rows
 from .records import ActivityInstance, ScoredCube
 
 __all__ = [
@@ -169,20 +169,19 @@ def select_group(groups: Sequence[Sequence[SegmentCube]]) -> List[SegmentCube]:
 def _chain_partitions(cubes: List[Tuple[int, ScoredCube]]) -> Dict[int, List[int]]:
     """Spatial IoU chains of the (index, cube) pairs lacking a track, under
     negative ids so they never collide with tracker output."""
-    last_boxes: List[BBox] = []
     partitions: Dict[int, List[int]] = {}
     ordered = sorted(((i, sc) for i, sc in cubes if sc.cube.seed_track is None),
                      key=lambda ic: (ic[1].cube.t0, ic[1].cube.bbox.x0,
                                      ic[1].cube.bbox.y0, ic[0]))
-    for i, sc in ordered:
-        bbox = sc.cube.bbox
+    rows = box_rows(sc.cube.bbox for _, sc in ordered)
+    last_boxes = np.empty_like(rows)  # the first n rows are the chains' last boxes
+    n = 0
+    for (i, _), row in zip(ordered, rows):
         # the first chain whose last box overlaps enough, else a new one
-        c = next((c for c, last in enumerate(last_boxes)
-                  if bbox_iou(bbox, last) >= CHAIN_IOU), len(last_boxes))
-        if c == len(last_boxes):
-            last_boxes.append(bbox)
-        else:
-            last_boxes[c] = bbox
+        hits = np.flatnonzero(box_ious(row, last_boxes[:n]) >= CHAIN_IOU)
+        c = int(hits[0]) if hits.size else n
+        n = max(n, c + 1)
+        last_boxes[c] = row
         partitions.setdefault(-(c + 1), []).append(i)
     return partitions
 

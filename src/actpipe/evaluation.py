@@ -107,13 +107,15 @@ def det_curve(predictions: Sequence[ActivityInstance],
         frame_best = {v: np.full(n, -np.inf) for v, n in video_lengths.items()}
         for gt in gts:
             positive[gt.video_id][gt.t0:gt.t1] = True
+        by_video: Dict[str, List[ActivityInstance]] = {}
         for pred in preds:
             window = frame_best[pred.video_id][pred.t0:pred.t1]
             np.maximum(window, pred.score, out=window)
+            by_video.setdefault(pred.video_id, []).append(pred)
         negatives = np.sort(np.concatenate(
             [frame_best[v][~positive[v]] for v in video_lengths]))
-        best = np.sort([max((p.score for p in preds if p.video_id == gt.video_id
-                             and min(p.t1, gt.t1) - max(p.t0, gt.t0)
+        best = np.sort([max((p.score for p in by_video.get(gt.video_id, ())
+                             if min(p.t1, gt.t1) - max(p.t0, gt.t0)
                              >= min_temporal_overlap), default=-np.inf)
                         for gt in gts])
 

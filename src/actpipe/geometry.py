@@ -2,21 +2,28 @@
 
 Coordinates are real-valued and half-open: a box occupies [x0, x1) x [y0, y1)
 pixels, a cube additionally spans the integer frame window [t0, t1).
-Degenerate (zero-area) boxes cannot be constructed. Tracks and tubes hold
-sorted int64 frames plus an (N, 4) float64 array of x0, x1, y0, y1 rows.
+Degenerate (zero-area) boxes cannot be constructed. Boxes in bulk are
+float64 rows of x0, x1, y0, y1 (:func:`box_rows`); tracks and tubes hold
+sorted int64 frames plus an (N, 4) array of them. One overlap kernel on
+rows, :func:`box_areas`, :func:`box_intersections` and :func:`box_ious`,
+gives every area, intersection and IoU in the package; it broadcasts and
+keeps one operation order, so a value is the same in any block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "BBox",
     "Cube",
-    "bbox_iou",
+    "box_rows",
+    "box_areas",
+    "box_intersections",
+    "box_ious",
     "bbox_union",
     "bbox_intersection",
     "bbox_enlarge",
@@ -47,10 +54,6 @@ class BBox:
     def height(self) -> float:
         return self.y1 - self.y0
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
 
 @dataclass(frozen=True)
 class Cube:
@@ -80,18 +83,32 @@ class Cube:
             object.__setattr__(self, "labels", frozenset(self.labels))
 
 
-def _intersection_area(a: BBox, b: BBox) -> float:
-    iw = min(a.x1, b.x1) - max(a.x0, b.x0)
-    ih = min(a.y1, b.y1) - max(a.y0, b.y0)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    return iw * ih
+def box_rows(boxes: Iterable[BBox]) -> np.ndarray:
+    """(N, 4) float64 rows of the boxes, in order."""
+    return np.array([(b.x0, b.x1, b.y0, b.y1) for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
 
 
-def bbox_iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes, in [0, 1]."""
-    inter = _intersection_area(a, b)
-    return inter / (a.area + b.area - inter)
+def box_areas(rows: np.ndarray) -> np.ndarray:
+    """Width times height of each row of a (..., 4) array."""
+    return (rows[..., 1] - rows[..., 0]) * (rows[..., 3] - rows[..., 2])
+
+
+def box_intersections(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Overlap area of each broadcast pair of rows; 0 where the boxes only
+    touch or are apart."""
+    iw = np.minimum(a[..., 1], b[..., 1]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 2], b[..., 2])
+    return np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+
+
+def box_ious(a: np.ndarray, b: np.ndarray,
+             inter: Optional[np.ndarray] = None) -> np.ndarray:
+    """Intersection over union, in [0, 1], of each broadcast pair of rows;
+    ``inter`` is their :func:`box_intersections` when the caller has them."""
+    if inter is None:
+        inter = box_intersections(a, b)
+    return inter / (box_areas(a) + box_areas(b) - inter)
 
 
 def bbox_union(a: BBox, b: BBox) -> BBox:
@@ -141,14 +158,10 @@ def tube_iou_3d(frames_a: np.ndarray, boxes_a: np.ndarray,
     frames = np.union1d(frames_a, frames_b)
     if not len(frames):
         raise ValueError("tube_iou_3d on two empty tubes")
-    area_a = (boxes_a[:, 1] - boxes_a[:, 0]) * (boxes_a[:, 3] - boxes_a[:, 2])
-    area_b = (boxes_b[:, 1] - boxes_b[:, 0]) * (boxes_b[:, 3] - boxes_b[:, 2])
+    area_a, area_b = box_areas(boxes_a), box_areas(boxes_b)
     common, ia, ib = np.intersect1d(frames_a, frames_b, assume_unique=True,
                                     return_indices=True)
-    a, b = boxes_a[ia], boxes_b[ib]
-    iw = np.minimum(a[:, 1], b[:, 1]) - np.maximum(a[:, 0], b[:, 0])
-    ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 2], b[:, 2])
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    inter = box_intersections(boxes_a[ia], boxes_b[ib])
     union = np.empty(len(frames))
     union[np.searchsorted(frames, frames_a)] = area_a
     union[np.searchsorted(frames, frames_b)] = area_b

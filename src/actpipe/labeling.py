@@ -19,7 +19,8 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .config import PipelineConfig
-from .geometry import BBox, Cube, window_unions
+from .geometry import BBox, Cube, box_areas, box_intersections, box_ious, \
+    box_rows, window_unions
 from .proposals import sample_windows
 from .records import ActivityAnnotation
 
@@ -70,18 +71,12 @@ def gt_to_cubes(annotation: ActivityAnnotation, d_prop: int,
             for (t0, t1), box in zip(windows.tolist(), unions)]
 
 
-def _box_rows(items) -> np.ndarray:
-    return np.array([(c.bbox.x0, c.bbox.x1, c.bbox.y0, c.bbox.y1) for c in items],
-                    dtype=np.float64).reshape(-1, 4)
-
-
 def same_window_blocks(proposals: Sequence[Cube], gt_cubes: Sequence[Cube]
                        ) -> Iterator[Tuple[np.ndarray, ...]]:
     """Per distinct GT-cube window, the proposals of the same video at
     temporal IoU >= 0.5: proposal indices (ascending), GT indices, and the
-    IoU and GT-coverage (intersection over the GT box's area) matrices,
-    computed in the operation order of :func:`bbox_iou`, so bit-identical to
-    the per-pair formulas.
+    IoU and GT-coverage (intersection over the GT box's area) matrices, both
+    from one :func:`box_intersections` block.
     """
     windows: Dict[str, Dict[Tuple[int, int], List[int]]] = {}
     for i, p in enumerate(proposals):
@@ -92,7 +87,8 @@ def same_window_blocks(proposals: Sequence[Cube], gt_cubes: Sequence[Cube]
     gt_groups: Dict[Tuple[str, int, int], List[int]] = {}
     for g, gt in enumerate(gt_cubes):
         gt_groups.setdefault((gt.video_id, gt.t0, gt.t1), []).append(g)
-    prop_boxes, gt_boxes = _box_rows(proposals), _box_rows(gt_cubes)
+    prop_boxes = box_rows(p.bbox for p in proposals)
+    gt_boxes = box_rows(gt.bbox for gt in gt_cubes)
     for (video_id, t0, t1), g_idx in gt_groups.items():
         near = keys.get(video_id, [])
         near = near[bisect.bisect_left(near, (t0 - max_dur,)):
@@ -102,14 +98,10 @@ def same_window_blocks(proposals: Sequence[Cube], gt_cubes: Sequence[Cube]
                                 for i in windows[video_id][w]), dtype=np.int64)
         if not p_idx.size:
             continue
-        px0, px1, py0, py1 = prop_boxes[p_idx].T[..., None]
-        gx0, gx1, gy0, gy1 = gt_boxes[g_idx].T[:, None]
-        iw = np.minimum(px1, gx1) - np.maximum(px0, gx0)
-        ih = np.minimum(py1, gy1) - np.maximum(py0, gy0)
-        inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-        g_area = (gx1 - gx0) * (gy1 - gy0)
-        yield (p_idx, np.array(g_idx),
-               inter / ((px1 - px0) * (py1 - py0) + g_area - inter), inter / g_area)
+        p, g = prop_boxes[p_idx, None], gt_boxes[g_idx]
+        inter = box_intersections(p, g)
+        yield (p_idx, np.array(g_idx), box_ious(p, g, inter),
+               inter / box_areas(g))
 
 
 def assign_labels(proposals: Sequence[Cube], gt_cubes: Sequence[Cube],

@@ -19,7 +19,7 @@ from typing import (Any, Callable, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from .geometry import BBox, Cube, tube_arrays
+from .geometry import BBox, Cube, box_rows, tube_arrays
 
 __all__ = [
     "RecordError",
@@ -84,7 +84,7 @@ class _TubeRecord:
             if tube is None:
                 return
             frames = [f for f, _ in tube]
-            boxes = [(b.x0, b.x1, b.y0, b.y1) for _, b in tube]
+            boxes = box_rows(b for _, b in tube)
         frames, boxes = tube_arrays(frames, boxes)
         if not len(frames):
             raise ValueError(f"{kind} tube needs at least one box")
@@ -101,8 +101,7 @@ class _TubeRecord:
 
 def _static_tube(t0: int, t1: int, bbox: BBox) -> Tuple[np.ndarray, np.ndarray]:
     """One box on every frame of ``[t0, t1)``."""
-    row = (bbox.x0, bbox.x1, bbox.y0, bbox.y1)
-    return np.arange(t0, t1), np.full((t1 - t0, 4), row, dtype=np.float64)
+    return np.arange(t0, t1), np.repeat(box_rows([bbox]), t1 - t0, axis=0)
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -101,6 +101,10 @@ class SceneSpec:
     def __post_init__(self):
         if self.video_len <= 0:
             raise ValueError("video_len must be positive")
+        if not 0.0 <= self.dropout <= 1.0:
+            raise ValueError(f"dropout={self.dropout} outside [0, 1]")
+        if not self.jitter_sigma >= 0.0:
+            raise ValueError(f"jitter_sigma={self.jitter_sigma} must be >= 0")
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "activities", tuple(self.activities))
         for obj in self.objects:

@@ -1,4 +1,10 @@
-"""Baseline greedy IoU tracker for detections without track ids."""
+"""Baseline greedy IoU tracker for detections without track ids.
+
+Per video, frames run in order. Each frame's detections meet the live
+tracks' last boxes in one (detections x live tracks) IoU block from the
+geometry kernel; pairs under the gate or across classes drop out, and the
+rest are taken greedily, best IoU first.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ from typing import Dict, Iterable, List
 
 import numpy as np
 
-from .geometry import bbox_iou
+from .geometry import box_ious, box_rows
 from .records import DetectionRecord
 
 __all__ = ["Track", "greedy_iou_track", "tracks_from_records"]
@@ -26,71 +32,54 @@ class Track:
     boxes: np.ndarray
 
 
-class _LiveTrack:
-    __slots__ = ("track_id", "object_class", "last_frame", "last_box")
-
-    def __init__(self, track_id: int, det: DetectionRecord):
-        self.track_id = track_id
-        self.object_class = det.object_class
-        self.last_frame = det.frame
-        self.last_box = det.bbox
-
-    def advance(self, det: DetectionRecord) -> None:
-        self.last_frame = det.frame
-        self.last_box = det.bbox
-
-
 def _track_one_video(detections: List[DetectionRecord], max_gap: int
                      ) -> List[DetectionRecord]:
-    frames: Dict[int, List[DetectionRecord]] = {}
-    for det in detections:
-        frames.setdefault(det.frame, []).append(det)
+    n = len(detections)
+    rows = box_rows(d.bbox for d in detections)
+    frames = np.array([d.frame for d in detections], dtype=np.int64)
+    _, classes = np.unique([d.object_class for d in detections],
+                           return_inverse=True)
+    # by frame, then confidence rank: ties by x0, y0 and input order
+    ranked = np.lexsort((rows[:, 2], rows[:, 0],
+                         -np.array([d.confidence for d in detections]), frames))
+    starts = np.flatnonzero(np.r_[True, np.diff(frames[ranked]) != 0]).tolist()
 
-    live: List[_LiveTrack] = []
-    next_id = 1
-    out: List[DetectionRecord] = []
-    for frame in sorted(frames):
-        dets = frames[frame]
-        live = [t for t in live if frame - t.last_frame <= max_gap]
-
-        # confidence rank within the frame breaks IoU ties deterministically
-        ranked = sorted(
-            range(len(dets)),
-            key=lambda i: (-dets[i].confidence, dets[i].bbox.x0, dets[i].bbox.y0, i),
-        )
-        rank_of = {det_i: r for r, det_i in enumerate(ranked)}
-
-        candidates = []
-        for det_i, det in enumerate(dets):
-            for track in live:
-                if track.object_class != det.object_class:
-                    continue
-                iou = bbox_iou(track.last_box, det.bbox)
-                if iou >= IOU_GATE:
-                    candidates.append((-iou, rank_of[det_i], det.bbox.x0,
-                                       track.track_id, det_i, track))
-        candidates.sort(key=lambda c: c[:4])
-
-        assigned: Dict[int, int] = {}
-        used_tracks = set()
-        for _, _, _, _, det_i, track in candidates:
-            if det_i in assigned or track.track_id in used_tracks:
-                continue
-            assigned[det_i] = track.track_id
-            used_tracks.add(track.track_id)
-            track.advance(dets[det_i])
-
-        for det_i, det in enumerate(dets):
-            if det_i not in assigned:
-                track = _LiveTrack(next_id, det)
-                next_id += 1
-                live.append(track)
-                assigned[det_i] = track.track_id
-            out.append(
-                DetectionRecord(det.video_id, det.frame, det.object_class,
-                                det.bbox, det.confidence, assigned[det_i])
-            )
-    return out
+    # per track, at its id - 1: class, last frame and last box
+    track_class = np.empty(n, dtype=np.int64)
+    last_frame = np.empty(n, dtype=np.int64)
+    last_box = np.empty((n, 4))
+    track_of = np.empty(n, dtype=np.int64)
+    live = np.empty(0, dtype=np.int64)
+    opened = 0
+    for a, b in zip(starts, starts[1:] + [n]):
+        dets = ranked[a:b]  # position in the block is the confidence rank
+        frame = frames[dets[0]]
+        live = live[frame - last_frame[live] <= max_gap]
+        iou = box_ious(rows[dets, None], last_box[live])
+        rank, col = np.nonzero((iou >= IOU_GATE)
+                               & (classes[dets, None] == track_class[live]))
+        matched = [-1] * len(dets)
+        used = set()
+        # greedy over the gated pairs by (-IoU, rank, track id)
+        order = np.lexsort((live[col], rank, -iou[rank, col]))
+        for r, t in zip(rank[order].tolist(), live[col[order]].tolist()):
+            if matched[r] < 0 and t not in used:
+                matched[r] = t
+                used.add(t)
+        matched = np.array(matched, dtype=np.int64)
+        track_of[dets] = matched
+        # unmatched detections open tracks in input order
+        fresh = np.sort(dets[matched < 0])
+        track_of[fresh] = np.arange(opened, opened + len(fresh))
+        opened += len(fresh)
+        live = np.concatenate((live, track_of[fresh]))
+        moved = track_of[dets]
+        track_class[moved], last_frame[moved], last_box[moved] = \
+            classes[dets], frame, rows[dets]
+    ids = (track_of + 1).tolist()
+    return [DetectionRecord(d.video_id, d.frame, d.object_class, d.bbox,
+                            d.confidence, ids[i])
+            for i, d in sorted(enumerate(detections), key=lambda x: x[1].frame)]
 
 
 def greedy_iou_track(detections: Iterable[DetectionRecord],
@@ -141,10 +130,9 @@ def tracks_from_records(detections: Iterable[DetectionRecord]
                 f"track {det.track_id} in video {det.video_id!r} spans classes "
                 f"{object_class!r} and {det.object_class!r}"
             )
-        b = det.bbox
         ids.append(det.track_id)
         frames.append(det.frame)
-        boxes.append((b.x0, b.x1, b.y0, b.y1))
+        boxes.append(det.bbox)
 
     out: Dict[str, List[Track]] = {}
     for video_id, (classes, ids, frames, boxes) in per_video.items():
@@ -152,7 +140,7 @@ def tracks_from_records(detections: Iterable[DetectionRecord]
         ids, frames = np.array(ids, dtype=np.int64), np.array(frames, dtype=np.int64)
         order = np.lexsort((frames, ids))
         ids, frames = ids[order], frames[order]
-        boxes = np.array(boxes, dtype=np.float64)[order]
+        boxes = box_rows(boxes)[order]
         new_id = np.diff(ids) != 0
         repeated = np.flatnonzero(~new_id & (np.diff(frames) == 0))
         if repeated.size:

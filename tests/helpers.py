@@ -1,8 +1,9 @@
 """Scene builders shared by the pipeline and acceptance tests, plus plain
-per-``BBox`` reference versions of the array-backed proposal, labeling and
-tube steps and box coverage, the outcome-counting label statistics, the
-per-class dedup and per-level proposal-quality sweep, the coverage-counter
-DET sweep and the per-cube foreground score, for differential tests."""
+per-``BBox`` reference versions of the box overlap kernel, the array-backed
+proposal, labeling and tube steps and box coverage, the per-pair greedy
+tracker, the outcome-counting label statistics, the per-class dedup and
+per-level proposal-quality sweep, the coverage-counter DET sweep and the
+per-cube foreground score, for differential tests."""
 
 import bisect
 import math
@@ -15,14 +16,14 @@ from actpipe.dedup import CHAIN_IOU, SegmentCube, merge_groups, \
 from actpipe.evaluation import QUALITY_LEVELS, DetCurve, DetPoint, \
     _check_videos, det_curve, naudc
 from actpipe.geometry import BBox, Cube, bbox_enlarge, bbox_intersection, \
-    bbox_iou, bbox_union, tube_arrays
+    bbox_union, tube_arrays
 from actpipe.labeling import SAME_WINDOW_TIOU, gt_to_cubes, \
     same_window_blocks, temporal_iou
 from actpipe.proposals import sample_windows
-from actpipe.records import ActivityInstance
+from actpipe.records import ActivityInstance, DetectionRecord
 from actpipe.scoring import oracle_scores
 from actpipe.synth import ActivitySpec, ObjectSpec, SceneSpec
-from actpipe.tracking import Track
+from actpipe.tracking import IOU_GATE, Track
 
 
 def drifting_object(x, y, size, dx, dy, video_len, cls="person",
@@ -157,6 +158,99 @@ def track_boxes(track):
 # per-BBox references: one box at a time, as before the array representation
 
 
+def ref_box_area(b):
+    return (b.x1 - b.x0) * (b.y1 - b.y0)
+
+
+def ref_intersection_area(a, b):
+    iw = min(a.x1, b.x1) - max(a.x0, b.x0)
+    ih = min(a.y1, b.y1) - max(a.y0, b.y0)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    return iw * ih
+
+
+def ref_bbox_iou(a, b):
+    """Intersection over union of two boxes, one pair at a time."""
+    inter = ref_intersection_area(a, b)
+    return inter / (ref_box_area(a) + ref_box_area(b) - inter)
+
+
+class _RefLiveTrack:
+    __slots__ = ("track_id", "object_class", "last_frame", "last_box")
+
+    def __init__(self, track_id, det):
+        self.track_id = track_id
+        self.object_class = det.object_class
+        self.last_frame = det.frame
+        self.last_box = det.bbox
+
+    def advance(self, det):
+        self.last_frame = det.frame
+        self.last_box = det.bbox
+
+
+def _ref_track_one_video(detections, max_gap):
+    frames = {}
+    for det in detections:
+        frames.setdefault(det.frame, []).append(det)
+
+    live = []
+    next_id = 1
+    out = []
+    for frame in sorted(frames):
+        dets = frames[frame]
+        live = [t for t in live if frame - t.last_frame <= max_gap]
+
+        # confidence rank within the frame breaks IoU ties deterministically
+        ranked = sorted(
+            range(len(dets)),
+            key=lambda i: (-dets[i].confidence, dets[i].bbox.x0, dets[i].bbox.y0, i),
+        )
+        rank_of = {det_i: r for r, det_i in enumerate(ranked)}
+
+        candidates = []
+        for det_i, det in enumerate(dets):
+            for track in live:
+                if track.object_class != det.object_class:
+                    continue
+                iou = ref_bbox_iou(track.last_box, det.bbox)
+                if iou >= IOU_GATE:
+                    candidates.append((-iou, rank_of[det_i], det.bbox.x0,
+                                       track.track_id, det_i, track))
+        candidates.sort(key=lambda c: c[:4])
+
+        assigned = {}
+        used_tracks = set()
+        for _, _, _, _, det_i, track in candidates:
+            if det_i in assigned or track.track_id in used_tracks:
+                continue
+            assigned[det_i] = track.track_id
+            used_tracks.add(track.track_id)
+            track.advance(dets[det_i])
+
+        for det_i, det in enumerate(dets):
+            if det_i not in assigned:
+                track = _RefLiveTrack(next_id, det)
+                next_id += 1
+                live.append(track)
+                assigned[det_i] = track.track_id
+            out.append(
+                DetectionRecord(det.video_id, det.frame, det.object_class,
+                                det.bbox, det.confidence, assigned[det_i])
+            )
+    return out
+
+
+def ref_greedy_iou_track(detections, max_gap):
+    """The greedy tracker one (detection, live track) pair at a time."""
+    by_video = {}
+    for det in detections:
+        by_video.setdefault(det.video_id, []).append(det)
+    return [d for dets in by_video.values()
+            for d in _ref_track_one_video(dets, max_gap)]
+
+
 def ref_central_seeds(window, tracks, s_det):
     t0, t1 = window
     t_c = (t0 + t1) // 2
@@ -249,7 +343,7 @@ def ref_assign_labels(proposals, gt_cubes, s_high, s_low):
             prop = proposals[i]
             if temporal_iou((prop.t0, prop.t1), (gt.t0, gt.t1)) < SAME_WINDOW_TIOU:
                 continue
-            iou = bbox_iou(prop.bbox, gt.bbox)
+            iou = ref_bbox_iou(prop.bbox, gt.bbox)
             if iou > best_iou[i]:
                 best_iou[i] = iou
             if iou > s_high:
@@ -307,7 +401,7 @@ def ref_proposal_stats(labeled):
 def ref_coverage(pred, ref):
     """Fraction of the reference box covered by the prediction."""
     overlap = bbox_intersection(pred, ref)
-    return 0.0 if overlap is None else overlap.area / ref.area
+    return 0.0 if overlap is None else ref_box_area(overlap) / ref_box_area(ref)
 
 
 def ref_frame_boxes(instance):
@@ -330,13 +424,13 @@ def ref_tube_iou_3d(a, b):
         box_b = b.get(frame)
         if box_a is not None and box_b is not None:
             overlap = bbox_intersection(box_a, box_b)
-            i = 0.0 if overlap is None else overlap.area
+            i = 0.0 if overlap is None else ref_box_area(overlap)
             inter += i
-            union += box_a.area + box_b.area - i
+            union += ref_box_area(box_a) + ref_box_area(box_b) - i
         elif box_a is not None:
-            union += box_a.area
+            union += ref_box_area(box_a)
         else:
-            union += box_b.area
+            union += ref_box_area(box_b)
     return inter / union
 
 
@@ -356,7 +450,7 @@ def ref_chain_partitions(cubes):
         bbox = sc.cube.bbox
         chosen = None
         for c, (last_box, chain_id) in enumerate(chains):
-            if bbox_iou(bbox, last_box) >= CHAIN_IOU:
+            if ref_bbox_iou(bbox, last_box) >= CHAIN_IOU:
                 chosen = c
                 break
         if chosen is None:

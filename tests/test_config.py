@@ -67,6 +67,7 @@ class TestValidation:
         "naudc_limit=-0.2", "naudc_limit=nan", "video_fps=nan",
         "video_fps=inf", "video_fps=-30", "r_enl=nan", "r_enl=inf",
         "s_high=nan", "s_low=nan", "s_low=-inf", "s_merg=nan",
+        "s_high=1.5", "s_high=-0.1", "s_low=-0.5", "s_merg=1.5", "s_merg=-0.1",
         "pmiss_budgets=-1", "pmiss_budgets=0.02,1.5", "pmiss_budgets=nan",
         "map_iou_thresholds=nan", "map_iou_thresholds=0,0.5",
         "map_iou_thresholds=0.5,1.2", "map_iou_thresholds="])

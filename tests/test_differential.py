@@ -1,9 +1,10 @@
-"""Array-backed proposal, labeling and tube steps against per-BBox references,
-and label statistics, dedup, proposal quality and DET curves against their
-plain sweeps.
+"""The box overlap kernel, the tracker and the array-backed proposal,
+labeling and tube steps against per-BBox references, and label statistics,
+dedup, proposal quality and DET curves against their plain sweeps.
 
-The references in ``helpers`` compute one ``BBox`` at a time, as the steps
-did before tracks and tubes became arrays; the label-statistics reference
+The references in ``helpers`` compute one ``BBox`` (or one pair of boxes)
+at a time, as the steps did before boxes, tracks and tubes became arrays;
+the label-statistics reference
 counts outcome by outcome, the dedup reference runs every class of every
 partition, the quality reference scores and deduplicates every level
 afresh, and the DET reference walks predictions through per-video coverage
@@ -23,15 +24,19 @@ from actpipe import evaluation
 from actpipe.config import PipelineConfig
 from actpipe.dedup import deduplicate, deduplicate_subsets, merge_adjacent
 from actpipe.evaluation import det_curve, proposal_quality
-from actpipe.geometry import BBox, Cube, bbox_iou, tube_iou_3d
+from actpipe.geometry import BBox, Cube, box_areas, box_intersections, box_ious, \
+    box_rows, tube_iou_3d
 from actpipe.labeling import (SAME_WINDOW_TIOU, assign_labels, gt_to_cubes,
                               proposal_stats, same_window_blocks, temporal_iou)
 from actpipe.proposals import generate_video_proposals, sample_windows
-from actpipe.records import (ActivityAnnotation, ActivityInstance, ReportRecord,
-                             ScoredCube, write_records)
-from helpers import (make_track, ref_assign_labels, ref_coverage,
-                     ref_deduplicate, ref_det_curve, ref_frame_boxes,
-                     ref_generate_video_proposals, ref_gt_to_cubes,
+from actpipe.tracking import IOU_GATE, greedy_iou_track
+from actpipe.records import (ActivityAnnotation, ActivityInstance,
+                             DetectionRecord, ReportRecord, ScoredCube,
+                             write_records)
+from helpers import (make_track, ref_assign_labels, ref_bbox_iou, ref_box_area,
+                     ref_coverage, ref_deduplicate, ref_det_curve,
+                     ref_frame_boxes, ref_generate_video_proposals,
+                     ref_greedy_iou_track, ref_intersection_area, ref_gt_to_cubes,
                      ref_proposal_quality, ref_proposal_stats, ref_tube_iou_3d,
                      tube_of)
 
@@ -105,6 +110,107 @@ def written(records, kind):
     path = Path(OUT_DIR.name) / "out.jsonl"
     write_records(records, path, kind)
     return path.read_bytes()
+
+
+@st.composite
+def box_pairs(draw):
+    """Two boxes, often in a named relation to each other."""
+    a = draw(boxes())
+    relation = draw(st.sampled_from(["any", "touch", "nested", "same", "apart"]))
+    if relation == "any":
+        return a, draw(boxes())
+    w, h = a.x1 - a.x0, a.y1 - a.y0
+    if relation == "touch":
+        # shares an edge (or only a corner): zero-width overlap
+        dy = draw(st.sampled_from([0.0, h]))
+        return a, BBox(a.x1, a.x1 + draw(extents), a.y0 + dy, a.y1 + dy)
+    if relation == "nested":
+        return a, BBox(a.x0 + w / 4, a.x1 - w / 4, a.y0, a.y1 - h / 3)
+    if relation == "same":
+        return a, BBox(a.x0, a.x1, a.y0, a.y1)
+    return a, BBox(a.x1 + 1, a.x1 + 1 + w, a.y1 + 2, a.y1 + 2 + h)
+
+
+class TestBoxKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(box_pairs(), min_size=1, max_size=6))
+    def test_equals_scalar_formulas(self, pairs):
+        a = box_rows(p for p, _ in pairs)
+        b = box_rows(q for _, q in pairs)
+        assert box_areas(a).tolist() == [ref_box_area(p) for p, _ in pairs]
+        # paired rows, and every pair in one broadcast block
+        assert box_intersections(a, b).tolist() == [
+            ref_intersection_area(p, q) for p, q in pairs]
+        assert box_ious(a, b).tolist() == [ref_bbox_iou(p, q) for p, q in pairs]
+        assert box_ious(a[:, None], b).tolist() == [
+            [ref_bbox_iou(p, q) for _, q in pairs] for p, _ in pairs]
+        assert box_ious(b[:, None], a).tolist() == [
+            [ref_bbox_iou(q, p) for p, _ in pairs] for _, q in pairs]
+
+
+# IoU with the first box: exactly IOU_GATE (3 / 10) for the next two, below
+# it for the last
+GATE_BOXES = (BBox(0, 10, 0, 1), BBox(0, 3, 0, 1), BBox(7, 10, 0, 1),
+              BBox(7, 17, 0, 1))
+# IoU 1 / 3 with the first box for the other two, whose x0 and y0 order
+# them in opposite ways: the confidence rank's tie rule decides
+RANK_BOXES = (BBox(0, 10, 0, 10), BBox(5, 15, 0, 10), BBox(0, 10, 5, 15))
+
+
+@st.composite
+def detection_sets(draw):
+    """Detections of up to three videos, frames apart by 1, ``max_gap`` or
+    ``max_gap + 1``, in an arbitrary input order, with confidence and IoU
+    ties."""
+    max_gap = draw(st.integers(1, 4))
+    palette = draw(st.lists(st.one_of(st.sampled_from(GATE_BOXES + RANK_BOXES),
+                                      boxes()), min_size=1, max_size=5))
+    dets = []
+    for video in draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
+                               max_size=3, unique=True)):
+        frame = draw(st.integers(0, 3))
+        for _ in range(draw(st.integers(1, 8))):
+            for _ in range(draw(st.integers(1, 4))):
+                dets.append(DetectionRecord(
+                    video, frame, draw(st.sampled_from(["person", "vehicle"])),
+                    draw(st.sampled_from(palette)),
+                    draw(st.sampled_from([0.5, 0.9, 1.0])),
+                    draw(st.one_of(st.none(), st.integers(1, 9)))))
+            frame += draw(st.sampled_from([1, max_gap, max_gap + 1]))
+    if draw(st.booleans()):
+        dets = draw(st.permutations(dets))
+    return dets, max_gap
+
+
+class TestGreedyTracker:
+    @settings(max_examples=300, deadline=None)
+    @given(case=detection_sets())
+    def test_matches_per_pair_reference(self, case):
+        got, want = greedy_iou_track(*case), ref_greedy_iou_track(*case)
+        assert got == want
+        assert written(got, "detections") == written(want, "detections")
+
+    def test_gate_is_inclusive(self):
+        first, at_gate = GATE_BOXES[0], GATE_BOXES[1]
+        assert ref_bbox_iou(first, at_gate) == IOU_GATE
+        dets = [DetectionRecord("v", 0, "person", first, 0.9),
+                DetectionRecord("v", 1, "person", at_gate, 0.9),
+                DetectionRecord("v", 2, "person", GATE_BOXES[3], 0.9)]
+        got = greedy_iou_track(dets, max_gap=1)
+        assert got == ref_greedy_iou_track(dets, max_gap=1)
+        assert [d.track_id for d in got] == [1, 1, 2]
+
+    @pytest.mark.parametrize("conf, ids", [(0.9, [1, 2, 1]), (1.0, [1, 1, 2])])
+    def test_rank_ties_break_by_x0_then_y0(self, conf, ids):
+        # both later boxes overlap the first by 1 / 3: the more confident
+        # takes the track, and at equal confidence the smaller x0
+        track, right, below = RANK_BOXES
+        dets = [DetectionRecord("v", 0, "person", track, 0.9),
+                DetectionRecord("v", 1, "person", right, conf),
+                DetectionRecord("v", 1, "person", below, 0.9)]
+        got = greedy_iou_track(dets, max_gap=1)
+        assert got == ref_greedy_iou_track(dets, max_gap=1)
+        assert [d.track_id for d in got] == ids
 
 
 class TestProposals:
@@ -236,7 +342,7 @@ class TestAssignLabels:
                     assert (i, g) not in pairs
                     pairs[(i, g)] = (iou[r, c], cov[r, c])
         want = {
-            (i, g): (bbox_iou(p.bbox, gt.bbox), ref_coverage(p.bbox, gt.bbox))
+            (i, g): (ref_bbox_iou(p.bbox, gt.bbox), ref_coverage(p.bbox, gt.bbox))
             for i, p in enumerate(props) for g, gt in enumerate(gts)
             if p.video_id == gt.video_id
             and temporal_iou((p.t0, p.t1), (gt.t0, gt.t1)) >= SAME_WINDOW_TIOU

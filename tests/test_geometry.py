@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from actpipe.geometry import (BBox, Cube, bbox_enlarge, bbox_intersection,
-                              bbox_iou, bbox_union, tube_iou_3d)
+                              bbox_union, box_areas, box_intersections, box_ious,
+                              box_rows, tube_iou_3d)
 from helpers import ref_coverage, tube_of
 
 
@@ -14,6 +15,14 @@ def boxes():
     )
 
 
+def rows(*bs):
+    return box_rows(bs)
+
+
+def iou(a, b):
+    return float(box_ious(rows(a), rows(b))[0])
+
+
 class TestBBox:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
@@ -22,35 +31,42 @@ class TestBBox:
             BBox(5, 3, 0, 10)
 
     def test_area(self):
-        assert BBox(0, 4, 0, 3).area == 12
+        assert box_areas(rows(BBox(0, 4, 0, 3))).tolist() == [12.0]
 
 
 class TestIou:
     def test_identity(self):
         b = BBox(0, 10, 0, 10)
-        assert bbox_iou(b, b) == 1.0
+        assert iou(b, b) == 1.0
 
     def test_disjoint(self):
-        assert bbox_iou(BBox(0, 10, 0, 10), BBox(20, 30, 0, 10)) == 0.0
+        assert iou(BBox(0, 10, 0, 10), BBox(20, 30, 0, 10)) == 0.0
 
     def test_partial_overlap(self):
-        assert bbox_iou(BBox(0, 2, 0, 2), BBox(1, 3, 0, 2)) == pytest.approx(1 / 3)
+        assert iou(BBox(0, 2, 0, 2), BBox(1, 3, 0, 2)) == pytest.approx(1 / 3)
+
+    def test_broadcasts_to_a_block(self):
+        a = rows(BBox(0, 2, 0, 2), BBox(1, 3, 0, 2))
+        b = rows(BBox(0, 2, 0, 2), BBox(20, 30, 0, 10), BBox(1, 3, 0, 2))
+        block = box_ious(a[:, None], b)
+        assert block.shape == (2, 3)
+        assert block[:, 1].tolist() == [0.0, 0.0]
+        assert block[0, 0] == block[1, 2] == 1.0
 
     @given(boxes(), boxes())
     def test_symmetric_and_bounded(self, a, b):
-        assert bbox_iou(a, b) == bbox_iou(b, a)
-        assert 0.0 <= bbox_iou(a, b) <= 1.0
+        assert iou(a, b) == iou(b, a)
+        assert 0.0 <= iou(a, b) <= 1.0
 
     @given(boxes(), boxes())
     def test_area_identity(self, a, b):
         # area(a) + area(b) equals intersection plus the IoU denominator
-        inter = bbox_intersection(a, b)
-        inter_area = inter.area if inter else 0.0
-        iou = bbox_iou(a, b)
-        denominator = a.area + b.area - inter_area
-        assert a.area + b.area == pytest.approx(inter_area + denominator)
+        inter_area = float(box_intersections(rows(a), rows(b))[0])
+        area_a, area_b = box_areas(rows(a, b)).tolist()
+        denominator = area_a + area_b - inter_area
+        assert area_a + area_b == pytest.approx(inter_area + denominator)
         if inter_area > 0:
-            assert iou == pytest.approx(inter_area / denominator)
+            assert iou(a, b) == pytest.approx(inter_area / denominator)
 
 
 class TestUnionIntersection:

@@ -449,6 +449,30 @@ class TestCli:
         assert f"error: {message}\n" in capsys.readouterr().err
         assert not (tmp_path / "props.jsonl").exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ("s_merg=1.5", "s_merg=1.5 outside [0, 1]"),
+        ("s_low=-0.5", "s_low=-0.5 outside [0, 1]")])
+    def test_run_rejects_thresholds_outside_unit_range(self, tmp_path, capsys,
+                                                       override, message):
+        detections = [DetectionRecord("v", 0, "person", BBox(0, 10, 0, 10), 0.9)]
+        write_records(detections, tmp_path / "det.jsonl", "detections")
+        assert self.run("run", "--detections", tmp_path / "det.jsonl",
+                        "--out-dir", tmp_path / "out", "--set", override) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_simulate_rejects_dropout_above_one(self, tmp_path, capsys):
+        spec = closure_scenes()[0].to_json()
+        spec["dropout"] = 1.5
+        spec_path = tmp_path / "scenes.json"
+        spec_path.write_text(json.dumps(spec))
+        assert self.run("simulate", spec_path, "--detections", tmp_path / "d.jsonl",
+                        "--annotations", tmp_path / "a.jsonl",
+                        "--masks", tmp_path / "m.jsonl") == 1
+        err = capsys.readouterr().err
+        assert f"error: {spec_path}: " in err and "dropout=1.5 outside [0, 1]" in err
+        assert not (tmp_path / "d.jsonl").exists()
+
     def test_evaluate_logs_lengths_of_unnamed_videos(self, tmp_path, caplog):
         box = BBox(0, 10, 0, 10)
         write_records([ActivityAnnotation.with_static_box("v", "walk", 0, 50, box)],

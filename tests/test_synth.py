@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from actpipe.config import PipelineConfig
-from actpipe.geometry import BBox, bbox_iou
+from actpipe.geometry import BBox
 from actpipe.synth import ActivitySpec, ObjectSpec, SceneSpec, generate_scene
-from helpers import tube_pairs
+from helpers import ref_bbox_iou, tube_pairs
 
 
 def simple_spec(**kwargs):
@@ -96,7 +96,7 @@ class TestGenerateScene:
         config = PipelineConfig(s_det=1)
         scene = generate_scene(spec, config)
         clean = BBox(100, 200, 100, 200)
-        ious = [bbox_iou(d.bbox, clean) for d in scene.detections]
+        ious = [ref_bbox_iou(d.bbox, clean) for d in scene.detections]
         assert len(ious) == 1000
         assert float(np.mean(ious)) > 0.85
 
@@ -146,6 +146,9 @@ class TestSpecSerialization:
         (("objects", 0, "object_class"), None, "object_class must be a string"),
         (("activities", 0, "activity_class"), 3, "activity_class must be"),
         (("video_id",), MISSING, "lacks key 'video_id'"),
+        (("dropout",), 1.5, "dropout=1.5 outside [0, 1]"),
+        (("dropout",), -0.25, "dropout=-0.25 outside [0, 1]"),
+        (("jitter_sigma",), -3.0, "jitter_sigma=-3.0 must be >= 0"),
     ])
     def test_fields_follow_record_rules(self, tmp_path, where, value, message):
         import json

@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
-from actpipe.geometry import BBox, bbox_iou
+from actpipe.geometry import BBox
 from actpipe.records import DetectionRecord
 from actpipe.tracking import greedy_iou_track, tracks_from_records
+from helpers import ref_bbox_iou
 
 
 def det(video, frame, box, cls="person", conf=0.9, track=None):
@@ -45,7 +46,7 @@ def brute_force_track(detections, iou_gate, max_gap):
                 if cls != dets[i].object_class:
                     ok = False
                     break
-                iou = bbox_iou(box, dets[i].bbox)
+                iou = ref_bbox_iou(box, dets[i].bbox)
                 if iou < iou_gate:
                     ok = False
                     break
