@@ -1,4 +1,4 @@
-"""Scene builders shared by the pipeline and acceptance tests, plus plain
+"""Scene builders shared by the pipeline, acceptance and digest tests, plus plain
 per-``BBox`` reference versions of the box overlap kernel, the array-backed
 proposal, labeling and tube steps and box coverage, the per-pair greedy
 tracker, the outcome-counting label statistics, the per-class dedup and
@@ -129,6 +129,42 @@ def sparse_foreground_scenes(n_scenes=4, video_len=384, base_seed=500):
                       activities=tuple(activities), jitter_sigma=0.8,
                       seed=base_seed + s)
         )
+    return specs
+
+
+def crowded_scenes(n_scenes, seed, video_len=256, n_objects=12):
+    """Seeded short crowded scenes: jittered, drop-out detections of objects
+    that live part of the video, and activities covering part of a life."""
+    classes = ("carrying", "loading", "walking")
+    width, height = 320, 180
+    rng = np.random.default_rng(seed)
+    specs = []
+    for v in range(n_scenes):
+        objects, activities = [], []
+        for j in range(n_objects):
+            w, h = rng.uniform(12, 32, 2).tolist()
+            lo = int(rng.integers(0, video_len // 3))
+            hi = int(rng.integers(lo + video_len // 2, video_len))
+            moving = bool(rng.random() < 0.75)
+            x = float(rng.uniform(0, width - w - 1))
+            y = float(rng.uniform(0, height - h - 1))
+            waypoints = []
+            for frame in (lo, (lo + hi) // 2, hi):
+                waypoints.append((frame, BBox(x, x + w, y, y + h)))
+                if moving:
+                    x = float(np.clip(x + rng.uniform(-50, 50), 0, width - w - 1))
+                    y = float(np.clip(y + rng.uniform(-25, 25), 0, height - h - 1))
+            objects.append(ObjectSpec("person" if rng.random() < 0.6 else "vehicle",
+                                      tuple(waypoints), foreground=moving))
+            if moving and rng.random() < 0.8:
+                t0 = int(rng.integers(lo, hi - 48))
+                t1 = int(rng.integers(t0 + 48, min(t0 + 160, hi + 1) + 1))
+                activities.append(ActivitySpec(
+                    j, classes[int(rng.integers(len(classes)))], t0, t1))
+        specs.append(SceneSpec(
+            video_id=f"crowd{v:03d}", video_len=video_len, width=width,
+            height=height, objects=tuple(objects), activities=tuple(activities),
+            jitter_sigma=2.0, dropout=0.15, seed=seed * 1000 + v))
     return specs
 
 
