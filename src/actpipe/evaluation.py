@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .dedup import deduplicate, deduplicate_subsets
-from .geometry import Cube, tube_iou_3d
+from .geometry import Cube, box_areas, box_intersections
 from .labeling import gt_to_cubes, same_window_blocks
 from .records import ActivityAnnotation, ActivityInstance
 from .scoring import oracle_scores
@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 QUALITY_LEVELS = tuple(round(0.1 * i, 1) for i in range(10))
+# elements (predictions x GTs x frames x 4 coordinates) of one tube-IoU block
+IOU_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -182,46 +184,76 @@ def _average_precision(tp_flags: Sequence[bool], n_gt: int) -> float:
                for k in range(1, len(mrec)) if mrec[k] != mrec[k - 1])
 
 
+def _tube_ious(preds: Sequence[ActivityInstance],
+               gts: Sequence[ActivityAnnotation]) -> np.ndarray:
+    """(preds, GTs) frame-summed tube IoUs, in blocks of at most
+    :data:`IOU_BLOCK_ELEMENTS` (or one pair) on the joint window. An absent
+    frame is an all-zero row: it overlaps nothing and adds 0.0 to both sums,
+    which ``cumsum`` takes one frame at a time, as over the sorted frames.
+    """
+    lo = min(r.t0 for r in (*preds, *gts))
+    span = max(r.t1 for r in (*preds, *gts)) - lo
+
+    def lay(tubes) -> np.ndarray:
+        rows = np.zeros((len(tubes), span, 4))
+        for i, (frames, boxes) in enumerate(tubes):
+            rows[i, frames - lo] = boxes
+        return rows
+
+    g_step = min(len(gts), max(1, IOU_BLOCK_ELEMENTS // (span * 4)))
+    p_step = max(1, IOU_BLOCK_ELEMENTS // (span * 4 * g_step))
+    out = np.empty((len(preds), len(gts)))
+    for g in range(0, len(gts), g_step):
+        b = lay([r.frame_boxes() for r in gts[g:g + g_step]])[None]
+        for p in range(0, len(preds), p_step):
+            a = lay([r.frame_boxes() for r in preds[p:p + p_step]])[:, None]
+            inter = box_intersections(a, b)
+            union = box_areas(a) + box_areas(b) - inter
+            out[p:p + p_step, g:g + g_step] = (np.cumsum(inter, axis=-1)[..., -1]
+                                               / np.cumsum(union, axis=-1)[..., -1])
+    return out
+
+
 def map_3diou(predictions: Sequence[ActivityInstance],
               annotations: Sequence[ActivityAnnotation],
               thresholds: Sequence[float] = (0.1, 0.2, 0.5)) -> Map3dResult:
     """AP per class and tube-IoU threshold under exact bipartite matching.
 
     Predictions are taken in descending score order; each greedily claims
-    the unmatched ground truth of highest tube IoU when that IoU clears the
-    threshold, otherwise it is a false positive (duplicates included).
+    the unmatched ground truth of highest tube IoU (the first on ties) when
+    that IoU clears the threshold, otherwise it is a false positive
+    (duplicates included).
     """
     gt_classes = sorted({a.activity_class for a in annotations})
     ap: Dict[float, Dict[str, float]] = {t: {} for t in thresholds}
     for activity_class in gt_classes:
         gts = [a for a in annotations if a.activity_class == activity_class]
-        by_video: Dict[str, List[int]] = {}
-        for g, gt in enumerate(gts):
-            by_video.setdefault(gt.video_id, []).append(g)
         preds = sorted(
             (p for p in predictions if p.activity_class == activity_class),
             key=lambda p: (-p.score, p.video_id, p.t0, p.t1),
         )
-        # (GT index, tube IoU) with each same-video GT, shared by the thresholds
-        candidates = []
-        for pred in preds:
-            frames, boxes = pred.frame_boxes()
-            candidates.append([(g, tube_iou_3d(frames, boxes, gts[g].frames,
-                                               gts[g].boxes))
-                               for g in by_video.get(pred.video_id, ())])
-        for threshold in thresholds:
-            matched = [False] * len(gts)
-            flags = []
-            for pairs in candidates:
-                best_iou, best_g = 0.0, -1
-                for g, iou in pairs:
-                    if not matched[g] and iou > best_iou:
-                        best_iou, best_g = iou, g
-                hit = best_g >= 0 and best_iou >= threshold
-                if hit:
-                    matched[best_g] = True
-                flags.append(hit)
-            ap[threshold][activity_class] = _average_precision(flags, len(gts))
+        # a prediction claims only GTs of its own video, so each (class,
+        # video) matches on its own IoU block; hits keep the score order
+        p_of: Dict[str, List[int]] = {}
+        for i, pred in enumerate(preds):
+            p_of.setdefault(pred.video_id, []).append(i)
+        gts_of: Dict[str, List[ActivityAnnotation]] = {}
+        for gt in gts:
+            gts_of.setdefault(gt.video_id, []).append(gt)
+        hits = np.zeros((len(thresholds), len(preds)), dtype=bool)
+        for video_id in p_of.keys() & gts_of.keys():
+            p_idx, video_gts = p_of[video_id], gts_of[video_id]
+            ious = _tube_ious([preds[i] for i in p_idx], video_gts)
+            for t, threshold in enumerate(thresholds):
+                free = np.ones(len(video_gts))
+                for i, row in zip(p_idx, ious):
+                    best = row * free
+                    g = int(best.argmax())
+                    hits[t, i] = 0.0 < best[g] >= threshold
+                    if hits[t, i]:
+                        free[g] = 0.0
+        for t, threshold in enumerate(thresholds):
+            ap[threshold][activity_class] = _average_precision(hits[t], len(gts))
     map_at = {t: (sum(ap[t].values()) / len(gt_classes) if gt_classes else 0.0)
               for t in thresholds}
     mean = sum(map_at.values()) / len(map_at) if map_at else 0.0

@@ -6,8 +6,9 @@ Degenerate (zero-area) boxes cannot be constructed. Boxes in bulk are
 float64 rows of x0, x1, y0, y1 (:func:`box_rows`); tracks and tubes hold
 sorted int64 frames plus an (N, 4) array of them. One overlap kernel on
 rows, :func:`box_areas`, :func:`box_intersections` and :func:`box_ious`,
-gives every area, intersection and IoU in the package; it broadcasts and
-keeps one operation order, so a value is the same in any block.
+gives every area, intersection and IoU in the package, tube IoUs
+included; it broadcasts and keeps one operation order, so a value is the
+same in any block.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "bbox_union",
     "bbox_intersection",
     "bbox_enlarge",
-    "tube_iou_3d",
     "tube_arrays",
     "window_unions",
 ]
@@ -45,14 +45,6 @@ class BBox:
             raise ValueError(
                 f"degenerate box ({self.x0}, {self.x1}, {self.y0}, {self.y1})"
             )
-
-    @property
-    def width(self) -> float:
-        return self.x1 - self.x0
-
-    @property
-    def height(self) -> float:
-        return self.y1 - self.y0
 
 
 @dataclass(frozen=True)
@@ -77,6 +69,8 @@ class Cube:
     def __post_init__(self):
         if not 0 <= self.t0 < self.t1:
             raise ValueError(f"bad cube window [{self.t0}, {self.t1})")
+        if self.seed_track is not None and self.seed_track < 0:
+            raise ValueError(f"negative seed_track {self.seed_track}")
         if self.fg_score is not None and not 0.0 <= self.fg_score <= 1.0:
             raise ValueError(f"fg_score {self.fg_score} outside [0, 1]")
         if self.labels is not None and not isinstance(self.labels, frozenset):
@@ -137,38 +131,14 @@ def bbox_enlarge(b: BBox, rate: float, frame: Tuple[float, float]) -> BBox:
         raise ValueError(f"enlarge rate {rate} must be >= 0")
     width, height = frame
     # margin form of scaling by (1 + rate) about the center; exact at rate 0
-    mx = b.width * rate / 2.0
-    my = b.height * rate / 2.0
+    mx = (b.x1 - b.x0) * rate / 2.0
+    my = (b.y1 - b.y0) * rate / 2.0
     return BBox(
         max(0.0, b.x0 - mx),
         min(float(width), b.x1 + mx),
         max(0.0, b.y0 - my),
         min(float(height), b.y1 + my),
     )
-
-
-def tube_iou_3d(frames_a: np.ndarray, boxes_a: np.ndarray,
-                frames_b: np.ndarray, boxes_b: np.ndarray) -> float:
-    """Frame-summed IoU between two tubes held as :func:`tube_arrays`.
-
-    Frames present in only one tube contribute their full box area to the
-    denominator. Both sums run in sorted frame order. Raises if both tubes
-    are empty.
-    """
-    frames = np.union1d(frames_a, frames_b)
-    if not len(frames):
-        raise ValueError("tube_iou_3d on two empty tubes")
-    area_a, area_b = box_areas(boxes_a), box_areas(boxes_b)
-    common, ia, ib = np.intersect1d(frames_a, frames_b, assume_unique=True,
-                                    return_indices=True)
-    inter = box_intersections(boxes_a[ia], boxes_b[ib])
-    union = np.empty(len(frames))
-    union[np.searchsorted(frames, frames_a)] = area_a
-    union[np.searchsorted(frames, frames_b)] = area_b
-    union[np.searchsorted(frames, common)] = area_a[ia] + area_b[ib] - inter
-    # cumsum adds one frame at a time, as a loop would; sum() is pairwise
-    inter_sum = np.cumsum(inter)[-1] if len(inter) else 0.0
-    return float(inter_sum / np.cumsum(union)[-1])
 
 
 def tube_arrays(frames: Sequence, boxes: Sequence) -> Tuple[np.ndarray, np.ndarray]:

@@ -46,7 +46,7 @@ class RecordError(ValueError):
 
 @dataclass(frozen=True)
 class DetectionRecord:
-    """One detected object on one frame."""
+    """One detected object on one frame; a track id is never negative."""
 
     video_id: str
     frame: int
@@ -60,6 +60,8 @@ class DetectionRecord:
             raise ValueError(f"negative frame {self.frame}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+        if self.track_id is not None and self.track_id < 0:
+            raise ValueError(f"negative track_id {self.track_id}")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -91,6 +93,12 @@ class _TubeRecord:
         if frames[0] < self.t0 or frames[-1] >= self.t1:
             raise ValueError(f"tube frames outside the {kind} window")
         self.__dict__.update(frames=frames, boxes=boxes)
+
+    def frame_boxes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Tube arrays, or the box on every frame when ``frames`` is ``None``."""
+        if self.frames is None:
+            return _static_tube(self.t0, self.t1, self.bbox)
+        return self.frames, self.boxes
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -214,12 +222,6 @@ class ActivityInstance(_TubeRecord):
                              seed_track=seed_track, frames=frames, boxes=boxes)
         self._check_tube("instance", tube)
 
-    def frame_boxes(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Tube arrays, or the box on every frame when ``frames`` is ``None``."""
-        if self.frames is None:
-            return _static_tube(self.t0, self.t1, self.bbox)
-        return self.frames, self.boxes
-
 
 @dataclass(frozen=True)
 class ReportRecord:
@@ -262,6 +264,13 @@ def _str(value, name: str) -> str:
     """A JSON string; numbers, lists, objects and null raise."""
     if type(value) is not str:
         raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _bool(value, name: str) -> bool:
+    """A JSON bool; strings and numbers raise."""
+    if type(value) is not bool:
+        raise ValueError(f"{name} must be true or false, got {value!r}")
     return value
 
 
@@ -444,8 +453,16 @@ def _curve_to_json(r) -> dict:
 def _curve_from_json(obj: dict):
     from .evaluation import DetCurve, DetPoint
 
-    points = tuple(DetPoint(th, tfa, pm) for th, tfa, pm in obj["points"])
-    return DetCurve(obj["activity_class"], points, bool(obj["no_reference"]))
+    activity_class = _str(obj["activity_class"], "activity_class")
+    no_reference = _bool(obj["no_reference"], "no_reference")
+    points = []
+    for point in _list(obj["points"], "points"):
+        if len(_list(point, "points entry")) != 3:
+            raise ValueError(f"points entry must be [threshold, tfa, pmiss], "
+                             f"got {point!r}")
+        points.append(DetPoint(*(_float(value, name) for value, name in
+                                 zip(point, ("threshold", "tfa", "pmiss")))))
+    return DetCurve(activity_class, tuple(points), no_reference)
 
 
 def _report_to_json(r: ReportRecord) -> dict:

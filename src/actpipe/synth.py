@@ -17,18 +17,11 @@ import numpy as np
 
 from .config import PipelineConfig
 from .geometry import BBox
-from .records import (ActivityAnnotation, DetectionRecord, MaskFrame, _box_from,
-                      _float, _int, _str)
+from .records import (ActivityAnnotation, DetectionRecord, MaskFrame, _bool,
+                      _box_from, _float, _int, _str)
 
 __all__ = ["ObjectSpec", "ActivitySpec", "SceneSpec", "generate_scene",
            "generate_corpus", "Scene"]
-
-
-def _bool(value, name: str) -> bool:
-    """A JSON bool; strings and numbers raise."""
-    if type(value) is not bool:
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

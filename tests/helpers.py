@@ -1,9 +1,10 @@
-"""Scene builders shared by the pipeline, acceptance and digest tests, plus plain
-per-``BBox`` reference versions of the box overlap kernel, the array-backed
-proposal, labeling and tube steps and box coverage, the per-pair greedy
-tracker, the outcome-counting label statistics, the per-class dedup and
-per-level proposal-quality sweep, the coverage-counter DET sweep and the
-per-cube foreground score, for differential tests."""
+"""Scene builders shared by the pipeline, acceptance and digest tests, plus
+plain per-``BBox`` reference versions of the box overlap kernel, the
+array-backed proposal, labeling and tube steps and box coverage, the
+per-pair greedy tracker, the outcome-counting label statistics, the
+per-class dedup and per-level proposal-quality sweep, the coverage-counter
+DET sweep, the per-pair tube-IoU mAP and the per-cube foreground score, for
+differential tests."""
 
 import bisect
 import math
@@ -14,13 +15,13 @@ import numpy as np
 from actpipe.dedup import CHAIN_IOU, SegmentCube, merge_groups, \
     select_group, split_segments
 from actpipe.evaluation import QUALITY_LEVELS, DetCurve, DetPoint, \
-    _check_videos, det_curve, naudc
+    Map3dResult, _average_precision, _check_videos, _tube_ious, det_curve, naudc
 from actpipe.geometry import BBox, Cube, bbox_enlarge, bbox_intersection, \
     bbox_union, tube_arrays
 from actpipe.labeling import SAME_WINDOW_TIOU, gt_to_cubes, \
     same_window_blocks, temporal_iou
 from actpipe.proposals import sample_windows
-from actpipe.records import ActivityInstance, DetectionRecord
+from actpipe.records import ActivityAnnotation, ActivityInstance, DetectionRecord
 from actpipe.scoring import oracle_scores
 from actpipe.synth import ActivitySpec, ObjectSpec, SceneSpec
 from actpipe.tracking import IOU_GATE, Track
@@ -173,6 +174,19 @@ def tube_of(boxes):
     frames = sorted(boxes)
     rows = [(boxes[f].x0, boxes[f].x1, boxes[f].y0, boxes[f].y1) for f in frames]
     return tube_arrays(frames, rows)
+
+
+def tube_record(boxes):
+    """A {frame: BBox} tube as an annotation over its frames' window."""
+    frames, rows = tube_of(boxes)
+    return ActivityAnnotation("v", "walk", min(boxes, default=0),
+                              max(boxes, default=0) + 1, frames=frames, boxes=rows)
+
+
+def block_tube_iou(a, b):
+    """Tube IoU of one pair of instances or annotations through
+    ``map_3diou``'s block."""
+    return float(_tube_ious([a], [b])[0, 0])
 
 
 def tube_pairs(frames, boxes):
@@ -468,6 +482,37 @@ def ref_tube_iou_3d(a, b):
         else:
             union += ref_box_area(box_b)
     return inter / union
+
+
+def ref_map_3diou(predictions, annotations, thresholds):
+    """``map_3diou`` with every candidate IoU from :func:`ref_tube_iou_3d`,
+    one same-video pair at a time."""
+    classes = sorted({a.activity_class for a in annotations})
+    ap = {t: {} for t in thresholds}
+    for activity_class in classes:
+        gts = [a for a in annotations if a.activity_class == activity_class]
+        preds = sorted((p for p in predictions
+                        if p.activity_class == activity_class),
+                       key=lambda p: (-p.score, p.video_id, p.t0, p.t1))
+        candidates = [[(g, ref_tube_iou_3d(ref_frame_boxes(p),
+                                           dict(tube_pairs(gt.frames, gt.boxes))))
+                       for g, gt in enumerate(gts) if gt.video_id == p.video_id]
+                      for p in preds]
+        for threshold in thresholds:
+            matched = set()
+            flags = []
+            for pairs in candidates:
+                best_iou, best_g = 0.0, -1
+                for g, iou in pairs:
+                    if g not in matched and iou > best_iou:
+                        best_iou, best_g = iou, g
+                flags.append(best_g >= 0 and best_iou >= threshold)
+                if flags[-1]:
+                    matched.add(best_g)
+            ap[threshold][activity_class] = _average_precision(flags, len(gts))
+    map_at = {t: sum(ap[t].values()) / len(classes) if classes else 0.0
+              for t in thresholds}
+    return Map3dResult(ap, map_at, sum(map_at.values()) / len(map_at))
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,16 @@ class TestDeduplicate:
         assert all(tid < 0 for tid in chains)
         assert len(chains) == 2
 
+    def test_seed_tracks_cannot_take_chain_ids(self):
+        # seedless cubes chain under ids -1, -2, ...; a seed track of -1
+        # would share, and overwrite, the first chain's partition
+        with pytest.raises(ValueError, match="negative seed_track -1"):
+            scored("v", -1, 0, 64, (0.9,))
+        cubes = [scored("v", 0, 0, 64, (0.9,)), scored("v", None, 0, 64, (0.8,))]
+        assert sorted((i.seed_track, i.score)
+                      for i in deduplicate(cubes, self.config)) == [(-1, 0.8),
+                                                                   (0, 0.9)]
+
     def test_vector_length_checked(self):
         with pytest.raises(ValueError, match="score vector"):
             deduplicate([scored("v", 1, 0, 64, (0.1, 0.2))], self.config)

@@ -25,7 +25,7 @@ from actpipe.config import PipelineConfig
 from actpipe.dedup import deduplicate, deduplicate_subsets, merge_adjacent
 from actpipe.evaluation import det_curve, proposal_quality
 from actpipe.geometry import BBox, Cube, box_areas, box_intersections, box_ious, \
-    box_rows, tube_iou_3d
+    box_rows
 from actpipe.labeling import (SAME_WINDOW_TIOU, assign_labels, gt_to_cubes,
                               proposal_stats, same_window_blocks, temporal_iou)
 from actpipe.proposals import generate_video_proposals, sample_windows
@@ -33,12 +33,12 @@ from actpipe.tracking import IOU_GATE, greedy_iou_track
 from actpipe.records import (ActivityAnnotation, ActivityInstance,
                              DetectionRecord, ReportRecord, ScoredCube,
                              write_records)
-from helpers import (make_track, ref_assign_labels, ref_bbox_iou, ref_box_area,
-                     ref_coverage, ref_deduplicate, ref_det_curve,
+from helpers import (block_tube_iou, make_track, ref_assign_labels, ref_bbox_iou,
+                     ref_box_area, ref_coverage, ref_deduplicate, ref_det_curve,
                      ref_frame_boxes, ref_generate_video_proposals,
                      ref_greedy_iou_track, ref_intersection_area, ref_gt_to_cubes,
-                     ref_proposal_quality, ref_proposal_stats, ref_tube_iou_3d,
-                     tube_of)
+                     ref_map_3diou, ref_proposal_quality, ref_proposal_stats,
+                     ref_tube_iou_3d, tube_record)
 
 # a few fixed boxes make exact IoU ties (and an IoU of exactly 0.5) likely
 FIXED_BOXES = (BBox(0, 2, 0, 1), BBox(0, 1, 0, 1), BBox(1, 2, 0, 1),
@@ -393,12 +393,13 @@ class TestTubeIou3d:
     @settings(max_examples=300, deadline=None)
     @given(a=tube_maps(), b=tube_maps())
     def test_matches_sorted_reference(self, a, b):
-        assert tube_iou_3d(*tube_of(a), *tube_of(b)) == ref_tube_iou_3d(a, b)
+        assert block_tube_iou(tube_record(a), tube_record(b)) == \
+            ref_tube_iou_3d(a, b)
 
     @settings(max_examples=150, deadline=None)
     @given(inst=tubeless_instances(), b=tube_maps())
     def test_tubeless_instance_matches_reference(self, inst, b):
-        assert tube_iou_3d(*inst.frame_boxes(), *tube_of(b)) == \
+        assert block_tube_iou(inst, tube_record(b)) == \
             ref_tube_iou_3d(ref_frame_boxes(inst), b)
 
     def test_high_frames_leave_set_order(self):
@@ -407,7 +408,64 @@ class TestTubeIou3d:
         b = {f: other for f in (5, 1030, 2049)}
         # the case the sorted-order sum is for: set order is not frame order
         assert list(a.keys() | b.keys()) != sorted(a.keys() | b.keys())
-        assert tube_iou_3d(*tube_of(a), *tube_of(b)) == ref_tube_iou_3d(a, b)
+        assert block_tube_iou(tube_record(a), tube_record(b)) == \
+            ref_tube_iou_3d(a, b)
+
+
+@st.composite
+def map_corpora(draw):
+    """Predictions and annotations over one to three videos and one or two
+    classes, zero to four of each per (video, class): dense runs, runs with
+    gaps and single frames, and static-box instances, all starting near
+    each other so tubes touch, nest, overlap in part or miss."""
+    pick = draw(box_picker())
+    starts = st.sampled_from([0, 2, 5, 9, 30])
+
+    def tube():
+        start = draw(starts)
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            frames = range(start, start + draw(st.integers(1, 24)))
+        elif kind == 1:
+            frames = draw(st.sets(st.integers(start, start + 40), min_size=1,
+                                  max_size=12))
+        else:
+            frames = [start]
+        return sorted((f, pick()) for f in frames)
+
+    predictions, annotations = [], []
+    for video_id in ("v0", "v1", "v2")[:draw(st.integers(1, 3))]:
+        for cls in ("walk", "ride")[:draw(st.integers(1, 2))]:
+            for _ in range(draw(st.integers(0, 3))):
+                pairs = tube()
+                annotations.append(ActivityAnnotation(
+                    video_id, cls, pairs[0][0], pairs[-1][0] + 1, pairs))
+            for _ in range(draw(st.integers(0, 4))):
+                score = draw(st.sampled_from([0.25, 0.5, 0.75]))
+                if draw(st.booleans()):
+                    t0 = draw(starts)
+                    predictions.append(ActivityInstance(
+                        video_id, cls, t0, t0 + draw(st.integers(1, 24)),
+                        pick(), score))
+                else:
+                    pairs = tube()
+                    predictions.append(ActivityInstance(
+                        video_id, cls, pairs[0][0], pairs[-1][0] + 1, pick(),
+                        score, tube=pairs))
+    return predictions, annotations
+
+
+class TestMap3dIou:
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=map_corpora())
+    def test_matches_per_pair_reference(self, corpus):
+        predictions, annotations = corpus
+        thresholds = (0.1, 0.25, 0.5, 1.0)
+        got = evaluation.map_3diou(predictions, annotations, thresholds)
+        want = ref_map_3diou(predictions, annotations, thresholds)
+        assert got.ap == want.ap
+        assert got.map_at == want.map_at
+        assert got.mean == want.mean
 
 
 @st.composite

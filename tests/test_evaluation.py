@@ -1,5 +1,6 @@
 import ast
 import inspect
+import tracemalloc
 
 import pytest
 
@@ -201,6 +202,31 @@ class TestMap3dIou:
         preds = [pred(0, 64, 0.9)]  # no explicit tube: box on every frame
         result = map_3diou(preds, gts, thresholds=(0.5,))
         assert result.ap[0.5]["walk"] == 1.0
+
+
+    def test_ties_claim_the_first_ground_truth(self):
+        # the first prediction overlaps both GTs at IoU 1/3; claiming the
+        # second would leave the first free for the exact second prediction
+        gts = [ann(0, 10, box=BBox(0, 10, 0, 10)),
+               ann(0, 10, box=BBox(10, 20, 0, 10))]
+        preds = [pred(0, 10, 0.9, box=BBox(5, 15, 0, 10)),
+                 pred(0, 10, 0.8, box=BBox(0, 10, 0, 10))]
+        assert map_3diou(preds, gts, thresholds=(0.1,)).ap[0.1]["walk"] == 0.5
+
+    def test_long_video_blocks_stay_bounded(self):
+        # 40 x 40 tubes on a 20,000-frame span: one unchunked block would
+        # hold 256 MB per (prediction x GT x frame) float64 array
+        gts = [ann(500 * g, 500 * g + 500, box=BBox(g, g + 10, 0, 10))
+               for g in range(40)]
+        preds = [pred(a.t0, a.t1, 0.5, box=BBox(*a.boxes[0])) for a in gts]
+        tracemalloc.start()
+        try:
+            result = map_3diou(preds, gts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.mean == 1.0
+        assert peak < 64 * 2**20
 
 
 class TestProposalQuality:

@@ -3,8 +3,8 @@ from hypothesis import given, strategies as st
 
 from actpipe.geometry import (BBox, Cube, bbox_enlarge, bbox_intersection,
                               bbox_union, box_areas, box_intersections, box_ious,
-                              box_rows, tube_iou_3d)
-from helpers import ref_coverage, tube_of
+                              box_rows)
+from helpers import block_tube_iou, ref_coverage, tube_record
 
 
 def boxes():
@@ -121,30 +121,32 @@ class TestCoverage:
 
 
 class TestTubeIou:
+    """Tube IoU of one pair through ``map_3diou``'s block."""
+
     def test_identical(self):
-        tube = tube_of({0: BBox(0, 2, 0, 2), 1: BBox(1, 3, 1, 3)})
-        assert tube_iou_3d(*tube, *tube) == 1.0
+        tube = tube_record({0: BBox(0, 2, 0, 2), 1: BBox(1, 3, 1, 3)})
+        assert block_tube_iou(tube, tube) == 1.0
 
     def test_temporally_disjoint(self):
-        a = tube_of({0: BBox(0, 2, 0, 2)})
-        b = tube_of({5: BBox(0, 2, 0, 2)})
-        assert tube_iou_3d(*a, *b) == 0.0
+        a = tube_record({0: BBox(0, 2, 0, 2)})
+        b = tube_record({5: BBox(0, 2, 0, 2)})
+        assert block_tube_iou(a, b) == 0.0
 
     def test_partial_frames(self):
         box = BBox(0, 2, 0, 2)
-        a = tube_of({0: box, 1: box})
-        b = tube_of({1: box, 2: box})
-        assert tube_iou_3d(*a, *b) == pytest.approx(1 / 3)
+        a = tube_record({0: box, 1: box})
+        b = tube_record({1: box, 2: box})
+        assert block_tube_iou(a, b) == pytest.approx(1 / 3)
 
     def test_both_empty_error(self):
         with pytest.raises(ValueError):
-            tube_iou_3d(*tube_of({}), *tube_of({}))
+            block_tube_iou(tube_record({}), tube_record({}))
 
     @given(st.dictionaries(st.integers(0, 5), boxes(), min_size=1),
            st.dictionaries(st.integers(0, 5), boxes(), min_size=1))
     def test_symmetric_and_bounded(self, a, b):
-        v = tube_iou_3d(*tube_of(a), *tube_of(b))
-        assert v == pytest.approx(tube_iou_3d(*tube_of(b), *tube_of(a)))
+        v = block_tube_iou(tube_record(a), tube_record(b))
+        assert v == pytest.approx(block_tube_iou(tube_record(b), tube_record(a)))
         assert 0.0 <= v <= 1.0
 
 
@@ -158,6 +160,10 @@ class TestCube:
     def test_rejects_bad_fg_score(self):
         with pytest.raises(ValueError):
             Cube("v", BBox(0, 1, 0, 1), 0, 4, fg_score=1.5)
+
+    def test_rejects_negative_seed_track(self):
+        with pytest.raises(ValueError, match="negative seed_track -2"):
+            Cube("v", BBox(0, 1, 0, 1), 0, 4, seed_track=-2)
 
     def test_labels_normalized(self):
         c = Cube("v", BBox(0, 1, 0, 1), 0, 4, labels={"a", "b"})

@@ -312,6 +312,46 @@ class TestReaderErrors:
                            match=rf"types\.jsonl:2: {re.escape(message)}"):
             list(read_records(path, kind))
 
+    @pytest.mark.parametrize("kind, fields, message", [
+        ("detections", DETECTION + ',"frame":4,"track_id":-1',
+         "negative track_id -1"),
+        ("proposals", PROPOSAL.replace('"seed_track":1', '"seed_track":-1')
+         + ',"t0":0,"t1":4',
+         "negative seed_track -1"),
+        ("scored-proposals", SCORED.replace('"seed_track":1', '"seed_track":-3')
+         + ',"scores":[0.5]', "negative seed_track -3"),
+    ], ids=["detection-track-id", "proposal-seed-track", "scored-seed-track"])
+    def test_negative_track_ids_name_line(self, tmp_path, kind, fields, message):
+        # dedup numbers seedless chains -1, -2, ..., so input ids must not
+        path = tmp_path / "ids.jsonl"
+        path.write_text(f"#actpipe/{kind}/v1\n{{{fields}}}\n")
+        with pytest.raises(RecordError,
+                           match=rf"ids\.jsonl:2: {re.escape(message)}"):
+            list(read_records(path, kind))
+
+    CURVE = '"activity_class":"walk","no_reference":false,"points":[[0.5,0.1,0.2]]'
+
+    @pytest.mark.parametrize("fields, message", [
+        (CURVE.replace("false", '"false"'),
+         "no_reference must be true or false, got 'false'"),
+        ('"activity_class":3,"no_reference":false,"points":[["x",1,2]]',
+         "activity_class must be a string, got 3"),
+        (CURVE.replace("[0.5,", '["x",'),
+         "threshold must be a finite number, got 'x'"),
+        (CURVE.replace("0.2]", "NaN]"), "pmiss must be a finite number, got nan"),
+        (CURVE.replace("[[0.5,0.1,0.2]]", "[[0.5,0.1]]"),
+         "points entry must be [threshold, tfa, pmiss], got [0.5, 0.1]"),
+        (CURVE.replace("[[0.5,0.1,0.2]]", '"none"'),
+         "points must be a list, got 'none'"),
+    ], ids=["no-reference-string", "class-number", "threshold-string",
+            "pmiss-nan", "point-short", "points-string"])
+    def test_det_curve_fields_have_their_types(self, tmp_path, fields, message):
+        path = tmp_path / "curves.jsonl"
+        path.write_text(f"#actpipe/det-curves/v1\n{{{fields}}}\n")
+        with pytest.raises(RecordError,
+                           match=rf"curves\.jsonl:2: {re.escape(message)}"):
+            list(read_records(path, "det-curves"))
+
     def test_deep_nesting_names_line(self, tmp_path):
         path = tmp_path / "deep.jsonl"
         path.write_text("#actpipe/detections/v1\n" + "[" * 200_000 + "\n")
