@@ -124,6 +124,11 @@ def _print_metrics(config: PipelineConfig, summary: dict) -> None:
         print(f"mean mAP(3D IoU): {summary['map_3d_iou']['mean']:.4f}")
 
 
+def _rate_text(value: Optional[float], width: int = 12, digits: int = 1) -> str:
+    """A rate for the tables; a rate over zero seconds (null) prints as -."""
+    return ("-" if value is None else f"{value:.{digits}f}").rjust(width)
+
+
 def _cmd_run(args) -> None:
     config = _load_config(args)
     inputs = PipelineInputs(args.detections, args.annotations, args.masks,
@@ -134,9 +139,9 @@ def _cmd_run(args) -> None:
     for timing in result.stages:
         entry = timing.to_dict(result.total_frames)
         print(f"{timing.name:>15}: {timing.seconds:8.3f}s  "
-              f"{entry['records_per_sec']:12.1f} rec/s  "
-              f"{entry['frames_per_sec']:12.1f} frames/s")
-    print(f"real-time factor: {result.real_time_factor:.2f}x "
+              f"{_rate_text(entry['records_per_sec'])} rec/s  "
+              f"{_rate_text(entry['frames_per_sec'])} frames/s")
+    print(f"real-time factor: {_rate_text(result.real_time_factor, 0, 2)}x "
           f"at {config.video_fps:g} fps")
     if result.summary is not None:
         _print_metrics(config, result.summary)
@@ -148,11 +153,11 @@ def _cmd_bench(args) -> None:
                            seed=args.seed)
     for entry in report["stages"]:
         print(f"{entry['stage']:>15}: {entry['seconds']:8.3f}s  "
-              f"{entry['records_per_sec']:12.1f} rec/s")
+              f"{_rate_text(entry['records_per_sec'])} rec/s")
     print(f"{report['n_detections']} detections, "
           f"{report['video_seconds']:.1f} video seconds in "
           f"{report['wall_seconds']:.1f}s wall")
-    print(f"real-time factor: {report['real_time_factor']:.2f}x")
+    print(f"real-time factor: {_rate_text(report['real_time_factor'], 0, 2)}x")
 
 
 def _stage_parser(sub, stage: str, help: str, input_help: Optional[str] = None,

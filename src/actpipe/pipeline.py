@@ -77,11 +77,14 @@ class StageTiming:
             "seconds": self.seconds,
             "records_in": self.records_in,
             "records_out": self.records_out,
-            "records_per_sec": (self.records_in / self.seconds
-                                if self.seconds > 0 else float("inf")),
-            "frames_per_sec": (total_frames / self.seconds
-                               if self.seconds > 0 else float("inf")),
+            "records_per_sec": _rate(self.records_in, self.seconds),
+            "frames_per_sec": _rate(total_frames, self.seconds),
         }
+
+
+def _rate(amount: float, seconds: float) -> Optional[float]:
+    """``amount`` per second, or None (written null) over zero seconds."""
+    return amount / seconds if seconds > 0 else None
 
 
 @dataclass
@@ -98,9 +101,8 @@ class PipelineResult:
         return sum(s.seconds for s in self.stages)
 
     @property
-    def real_time_factor(self) -> float:
-        video_seconds = self.total_frames / self.video_fps
-        return video_seconds / self.wall_seconds if self.wall_seconds > 0 else float("inf")
+    def real_time_factor(self) -> Optional[float]:
+        return _rate(self.total_frames / self.video_fps, self.wall_seconds)
 
     def timing_report(self) -> dict:
         return {
@@ -306,6 +308,8 @@ def run_pipeline(config: PipelineConfig, inputs: PipelineInputs,
     """
     clock = time.perf_counter()
     stage_list = list(stages) if stages is not None else list(CANONICAL_STAGES)
+    if not stage_list:
+        raise ValueError("no stages to run")
     order = {name: i for i, name in enumerate(CANONICAL_STAGES)}
     unknown = [s for s in stage_list if s not in order]
     if unknown:

@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _quote
+from operator import mul
 from pathlib import Path
 from typing import (Any, Callable, Iterable, Iterator, List, Optional, Sequence,
                     Tuple, Union)
@@ -231,8 +233,22 @@ class ReportRecord:
     data: dict = field(default_factory=dict)
 
 
-def _box_fields(bbox: BBox) -> dict:
-    return {"x0": bbox.x0, "x1": bbox.x1, "y0": bbox.y0, "y1": bbox.y1}
+# Each kind's line is one %-template in its SCHEMAS.md key order, filled with
+# what json.dumps(..., separators=(",", ":")) writes: checked numbers by %r or
+# %s (an optional one is "null" or itself), strings by json's ASCII escaper,
+# mask runs and free-form objects by one shared encoder, not a new one a call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+_NUMBER_TYPES = frozenset((int, float))
+_ZEROS = repeat(0)
+
+
+def _numbers(*values) -> None:
+    """Raise unless each value is an int or a finite float, whose %r is the
+    json.dumps text: TypeError for bools or numpy scalars, else ValueError."""
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        raise TypeError(f"record numbers must be int or float, got {values!r}")
+    if sum(map(mul, values, _ZEROS)):  # x * 0 is NaN only for NaN and infinities
+        raise ValueError(f"record numbers must be finite, got {values!r}")
 
 
 def _box_from(obj: dict) -> BBox:
@@ -285,10 +301,22 @@ def _optional_int(obj: dict, key: str) -> Optional[int]:
     return None if obj.get(key) is None else _int(obj[key], key)
 
 
-def _tube_to_json(frames: Optional[np.ndarray], boxes: Optional[np.ndarray]):
+def _tube_text(frames: Optional[np.ndarray], boxes: Optional[np.ndarray]) -> str:
+    """``[[frame, x0, x1, y0, y1], ...]`` or null. When runs of bitwise-equal
+    box rows average two rows or more, each run's row text is formatted once
+    and follows each of its frames; otherwise all rows are formatted at once."""
     if frames is None:
-        return None
-    return [[f, *b] for f, b in zip(frames.tolist(), boxes.tolist())]
+        return "null"
+    n, bits = len(frames), np.ascontiguousarray(boxes).view(np.int64)  # 0.0 != -0.0
+    ends = [*(np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1).tolist(), n]
+    if 2 * len(ends) > n:
+        rows = np.empty((n, 5), dtype=object)  # Python ints and floats
+        rows[:, 0], rows[:, 1:] = frames, boxes
+        return "[" + ",".join(["[%r,%r,%r,%r,%r]"] * n) % tuple(rows.ravel().tolist()) + "]"
+    frames, starts = frames.tolist(), [0, *ends[:-1]]
+    rows = [",%r,%r,%r,%r]" % tuple(boxes[start].tolist()) for start in starts]
+    return "[%s]" % ",".join(["[" + (row + ",[").join(map(repr, frames[start:end])) + row
+                              for start, end, row in zip(starts, ends, rows)])
 
 
 def _tube_from_json(items) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
@@ -307,12 +335,13 @@ def _tube_from_json(items) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     return raw[:, 0], raw[:, 1:]
 
 
-def _detection_to_json(r: DetectionRecord) -> dict:
-    out = {"video_id": r.video_id, "frame": r.frame, "object_class": r.object_class}
-    out.update(_box_fields(r.bbox))
-    out["confidence"] = r.confidence
-    out["track_id"] = r.track_id
-    return out
+def _detection_line(r: DetectionRecord) -> str:
+    b, track = r.bbox, r.track_id
+    _numbers(r.frame, b.x0, b.x1, b.y0, b.y1, r.confidence, 0 if track is None else track)
+    return ('{"video_id":%s,"frame":%r,"object_class":%s,"x0":%r,"x1":%r,"y0":%r,'
+            '"y1":%r,"confidence":%r,"track_id":%s}\n') % (
+        _quote(r.video_id), r.frame, _quote(r.object_class), b.x0, b.x1, b.y0, b.y1,
+        r.confidence, "null" if track is None else track)
 
 
 def _detection_from_json(obj: dict) -> DetectionRecord:
@@ -326,14 +355,11 @@ def _detection_from_json(obj: dict) -> DetectionRecord:
     )
 
 
-def _annotation_to_json(r: ActivityAnnotation) -> dict:
-    return {
-        "video_id": r.video_id,
-        "activity_class": r.activity_class,
-        "t0": r.t0,
-        "t1": r.t1,
-        "tube": _tube_to_json(r.frames, r.boxes),
-    }
+def _annotation_line(r: ActivityAnnotation) -> str:
+    _numbers(r.t0, r.t1)
+    return '{"video_id":%s,"activity_class":%s,"t0":%r,"t1":%r,"tube":%s}\n' % (
+        _quote(r.video_id), _quote(r.activity_class), r.t0, r.t1,
+        _tube_text(r.frames, r.boxes))
 
 
 def _annotation_from_json(obj: dict) -> ActivityAnnotation:
@@ -347,14 +373,10 @@ def _annotation_from_json(obj: dict) -> ActivityAnnotation:
     return ActivityAnnotation.with_static_box(*args, _box_from(obj["box"]))
 
 
-def _mask_to_json(r: MaskFrame) -> dict:
-    return {
-        "video_id": r.video_id,
-        "frame": r.frame,
-        "width": r.width,
-        "height": r.height,
-        "rle": list(r.rle),
-    }
+def _mask_line(r: MaskFrame) -> str:
+    _numbers(r.frame, r.width, r.height)
+    return '{"video_id":%s,"frame":%r,"width":%r,"height":%r,"rle":%s}\n' % (
+        _quote(r.video_id), r.frame, r.width, r.height, _ENCODER.encode(r.rle))
 
 
 def _mask_from_json(obj: dict) -> MaskFrame:
@@ -367,20 +389,16 @@ def _mask_from_json(obj: dict) -> MaskFrame:
                      tuple(rle))
 
 
-def _labels_to_json(labels: Optional[frozenset]) -> Optional[list]:
-    if labels is None:
-        return None
-    return sorted(labels)
-
-
-def _cube_to_json(c: Cube) -> dict:
-    out = {"video_id": c.video_id, "t0": c.t0, "t1": c.t1}
-    out.update(_box_fields(c.bbox))
-    out["seed_track"] = c.seed_track
-    out["object_class"] = c.object_class
-    out["fg_score"] = c.fg_score
-    out["labels"] = _labels_to_json(c.labels)
-    return out
+def _cube_line(c: Cube) -> str:
+    b, seed, fg = c.bbox, c.seed_track, c.fg_score
+    _numbers(c.t0, c.t1, b.x0, b.x1, b.y0, b.y1, 0 if seed is None else seed,
+             0 if fg is None else fg)
+    return ('{"video_id":%s,"t0":%r,"t1":%r,"x0":%r,"x1":%r,"y0":%r,"y1":%r,'
+            '"seed_track":%s,"object_class":%s,"fg_score":%s,"labels":%s}\n') % (
+        _quote(c.video_id), c.t0, c.t1, b.x0, b.x1, b.y0, b.y1,
+        "null" if seed is None else seed,
+        _quote(c.object_class), "null" if fg is None else fg,
+        "null" if c.labels is None else "[%s]" % ",".join(map(_quote, sorted(c.labels))))
 
 
 def _cube_from_json(obj: dict) -> Cube:
@@ -400,10 +418,9 @@ def _cube_from_json(obj: dict) -> Cube:
     )
 
 
-def _scored_to_json(r: ScoredCube) -> dict:
-    out = _cube_to_json(r.cube)
-    out["scores"] = list(r.scores)
-    return out
+def _scored_line(r: ScoredCube) -> str:
+    # the constructor holds scores as finite Python floats
+    return f'{_cube_line(r.cube)[:-2]},"scores":[{",".join(map(repr, r.scores))}]}}\n'
 
 
 def _scored_from_json(obj: dict) -> ScoredCube:
@@ -412,18 +429,13 @@ def _scored_from_json(obj: dict) -> ScoredCube:
                                    for s in _list(obj["scores"], "scores")))
 
 
-def _instance_to_json(r: ActivityInstance) -> dict:
-    out = {
-        "video_id": r.video_id,
-        "activity_class": r.activity_class,
-        "t0": r.t0,
-        "t1": r.t1,
-    }
-    out.update(_box_fields(r.bbox))
-    out["score"] = r.score
-    out["seed_track"] = r.seed_track
-    out["tube"] = _tube_to_json(r.frames, r.boxes)
-    return out
+def _instance_line(r: ActivityInstance) -> str:
+    b, seed = r.bbox, r.seed_track
+    _numbers(r.t0, r.t1, b.x0, b.x1, b.y0, b.y1, r.score, 0 if seed is None else seed)
+    return ('{"video_id":%s,"activity_class":%s,"t0":%r,"t1":%r,"x0":%r,"x1":%r,'
+            '"y0":%r,"y1":%r,"score":%r,"seed_track":%s,"tube":%s}\n') % (
+        _quote(r.video_id), _quote(r.activity_class), r.t0, r.t1, b.x0, b.x1, b.y0,
+        b.y1, r.score, "null" if seed is None else seed, _tube_text(r.frames, r.boxes))
 
 
 def _instance_from_json(obj: dict) -> ActivityInstance:
@@ -441,13 +453,13 @@ def _instance_from_json(obj: dict) -> ActivityInstance:
     )
 
 
-def _curve_to_json(r) -> dict:
+def _curve_line(r) -> str:
     # DetCurve lives in evaluation; serialized here to keep all kinds together.
-    return {
+    return _ENCODER.encode({
         "activity_class": r.activity_class,
         "no_reference": r.no_reference,
         "points": [[p.threshold, p.tfa, p.pmiss] for p in r.points],
-    }
+    }) + "\n"
 
 
 def _curve_from_json(obj: dict):
@@ -465,8 +477,8 @@ def _curve_from_json(obj: dict):
     return DetCurve(activity_class, tuple(points), no_reference)
 
 
-def _report_to_json(r: ReportRecord) -> dict:
-    return {"section": r.section, "data": r.data}
+def _report_line(r: ReportRecord) -> str:
+    return _ENCODER.encode({"section": r.section, "data": r.data}) + "\n"
 
 
 def _report_from_json(obj: dict) -> ReportRecord:
@@ -475,16 +487,16 @@ def _report_from_json(obj: dict) -> ReportRecord:
     return ReportRecord(_str(obj["section"], "section"), obj["data"])
 
 
-# kind -> (serializer, parser, frame-order enforced)
+# kind -> (line formatter, parser, frame-order enforced)
 RECORD_KINDS = {
-    "detections": (_detection_to_json, _detection_from_json, True),
-    "annotations": (_annotation_to_json, _annotation_from_json, False),
-    "masks": (_mask_to_json, _mask_from_json, True),
-    "proposals": (_cube_to_json, _cube_from_json, False),
-    "scored-proposals": (_scored_to_json, _scored_from_json, False),
-    "instances": (_instance_to_json, _instance_from_json, False),
-    "det-curves": (_curve_to_json, _curve_from_json, False),
-    "reports": (_report_to_json, _report_from_json, False),
+    "detections": (_detection_line, _detection_from_json, True),
+    "annotations": (_annotation_line, _annotation_from_json, False),
+    "masks": (_mask_line, _mask_from_json, True),
+    "proposals": (_cube_line, _cube_from_json, False),
+    "scored-proposals": (_scored_line, _scored_from_json, False),
+    "instances": (_instance_line, _instance_from_json, False),
+    "det-curves": (_curve_line, _curve_from_json, False),
+    "reports": (_report_line, _report_from_json, False),
 }
 
 
@@ -494,8 +506,7 @@ def _header(kind: str) -> str:
 
 def _formatter(kind: str) -> Callable[[Any], str]:
     """A record of ``kind`` as its file line: compact JSON and a newline."""
-    serializer = RECORD_KINDS[kind][0]
-    return lambda record: json.dumps(serializer(record), separators=(",", ":")) + "\n"
+    return RECORD_KINDS[kind][0]
 
 
 def _check_kind(kind: str) -> None:

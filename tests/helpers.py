@@ -3,10 +3,11 @@ plain per-``BBox`` reference versions of the box overlap kernel, the
 array-backed proposal, labeling and tube steps and box coverage, the
 per-pair greedy tracker, the outcome-counting label statistics, the
 per-class dedup and per-level proposal-quality sweep, the coverage-counter
-DET sweep, the per-pair tube-IoU mAP and the per-cube foreground score, for
-differential tests."""
+DET sweep, the per-pair tube-IoU mAP, the per-cube foreground score and the
+dict-and-``json.dumps`` record line, for differential tests."""
 
 import bisect
+import json
 import math
 import random
 
@@ -731,3 +732,59 @@ def ref_foreground_score(cube, masks):
             f"no masks inside [{cube.t0}, {cube.t1}) for video {cube.video_id!r}"
         )
     return total / count if count else 0.0
+
+
+# ---------------------------------------------------------------------------
+# record line reference: each record as a dict, then json.dumps
+
+
+def _box_fields(bbox):
+    return {"x0": bbox.x0, "x1": bbox.x1, "y0": bbox.y0, "y1": bbox.y1}
+
+
+def _tube_to_json(frames, boxes):
+    if frames is None:
+        return None
+    return [[f, *b] for f, b in zip(frames.tolist(), boxes.tolist())]
+
+
+def _cube_to_json(c):
+    out = {"video_id": c.video_id, "t0": c.t0, "t1": c.t1}
+    out.update(_box_fields(c.bbox))
+    out["seed_track"] = c.seed_track
+    out["object_class"] = c.object_class
+    out["fg_score"] = c.fg_score
+    out["labels"] = None if c.labels is None else sorted(c.labels)
+    return out
+
+
+def _record_to_json(kind, r):
+    if kind == "detections":
+        return {"video_id": r.video_id, "frame": r.frame,
+                "object_class": r.object_class, **_box_fields(r.bbox),
+                "confidence": r.confidence, "track_id": r.track_id}
+    if kind == "annotations":
+        return {"video_id": r.video_id, "activity_class": r.activity_class,
+                "t0": r.t0, "t1": r.t1, "tube": _tube_to_json(r.frames, r.boxes)}
+    if kind == "masks":
+        return {"video_id": r.video_id, "frame": r.frame, "width": r.width,
+                "height": r.height, "rle": list(r.rle)}
+    if kind == "proposals":
+        return _cube_to_json(r)
+    if kind == "scored-proposals":
+        return {**_cube_to_json(r.cube), "scores": list(r.scores)}
+    if kind == "instances":
+        return {"video_id": r.video_id, "activity_class": r.activity_class,
+                "t0": r.t0, "t1": r.t1, **_box_fields(r.bbox), "score": r.score,
+                "seed_track": r.seed_track, "tube": _tube_to_json(r.frames, r.boxes)}
+    if kind == "det-curves":
+        return {"activity_class": r.activity_class, "no_reference": r.no_reference,
+                "points": [[p.threshold, p.tfa, p.pmiss] for p in r.points]}
+    if kind == "reports":
+        return {"section": r.section, "data": r.data}
+    raise ValueError(f"unknown record kind {kind!r}")
+
+
+def ref_record_line(kind, record):
+    """A record's file line as the record's dict through ``json.dumps``."""
+    return json.dumps(_record_to_json(kind, record), separators=(",", ":")) + "\n"

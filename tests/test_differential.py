@@ -1,6 +1,7 @@
 """The box overlap kernel, the tracker and the array-backed proposal,
-labeling and tube steps against per-BBox references, and label statistics,
-dedup, proposal quality and DET curves against their plain sweeps.
+labeling and tube steps against per-BBox references, label statistics,
+dedup, proposal quality and DET curves against their plain sweeps, and
+every record kind's line against its dict through ``json.dumps``.
 
 The references in ``helpers`` compute one ``BBox`` (or one pair of boxes)
 at a time, as the steps did before boxes, tracks and tubes became arrays;
@@ -17,28 +18,29 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from actpipe import evaluation
 from actpipe.config import PipelineConfig
 from actpipe.dedup import deduplicate, deduplicate_subsets, merge_adjacent
-from actpipe.evaluation import det_curve, proposal_quality
+from actpipe.evaluation import DetCurve, DetPoint, det_curve, proposal_quality
 from actpipe.geometry import BBox, Cube, box_areas, box_intersections, box_ious, \
     box_rows
 from actpipe.labeling import (SAME_WINDOW_TIOU, assign_labels, gt_to_cubes,
                               proposal_stats, same_window_blocks, temporal_iou)
 from actpipe.proposals import generate_video_proposals, sample_windows
 from actpipe.tracking import IOU_GATE, greedy_iou_track
-from actpipe.records import (ActivityAnnotation, ActivityInstance,
-                             DetectionRecord, ReportRecord, ScoredCube,
-                             write_records)
+from actpipe.records import (RECORD_KINDS, ActivityAnnotation, ActivityInstance,
+                             DetectionRecord, MaskFrame, ReportRecord, ScoredCube,
+                             _formatter, write_records)
 from helpers import (block_tube_iou, make_track, ref_assign_labels, ref_bbox_iou,
                      ref_box_area, ref_coverage, ref_deduplicate, ref_det_curve,
                      ref_frame_boxes, ref_generate_video_proposals,
                      ref_greedy_iou_track, ref_intersection_area, ref_gt_to_cubes,
                      ref_map_3diou, ref_proposal_quality, ref_proposal_stats,
-                     ref_tube_iou_3d, tube_record)
+                     ref_record_line, ref_tube_iou_3d, tube_record)
 
 # a few fixed boxes make exact IoU ties (and an IoU of exactly 0.5) likely
 FIXED_BOXES = (BBox(0, 2, 0, 1), BBox(0, 1, 0, 1), BBox(1, 2, 0, 1),
@@ -786,3 +788,183 @@ class TestDetCurve:
         assert got == want
         assert written([got[c] for c in got], "det-curves") == \
             written([want[c] for c in want], "det-curves")
+
+
+# ---------------------------------------------------------------------------
+# record lines: each kind's template against its dict through json.dumps
+
+# floats whose shortest repr takes each form json.dumps writes, and ints
+# past 2**63
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-7, 1e16, 1e22, 0.1, 1 / 3, 2.5, 123456789.125]
+numbers = st.one_of(st.sampled_from(EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-2**70, 2**70))
+unit_numbers = st.one_of(st.sampled_from([0, 1, 0.0, -0.0, 5e-324, 1e-7, 0.5, 1.0]),
+                         st.floats(0, 1))
+counts = st.one_of(st.integers(0, 2**70), st.sampled_from([0.0, 3.0, 1e16, 1e22]))
+optional_counts = st.none() | st.integers(0, 2**70)
+# quotes, backslashes, control characters, non-ASCII text and U+2028
+names = st.one_of(st.sampled_from(["", "v", 'a"b', "c\\d", "\x00\x1f\n\t\x7f",
+                                   "caf\u00e9 \u6f22", "\u2028\u2029", "\U0001f600"]),
+                  st.text(max_size=8))
+labels = st.none() | st.frozensets(names, max_size=3)
+
+
+@st.composite
+def record_boxes(draw):
+    """Box coordinates of any numeric form, ints among them (written ``1``)."""
+    x0, x1 = sorted(draw(st.lists(numbers, min_size=2, max_size=2, unique=True)))
+    y0, y1 = sorted(draw(st.lists(numbers, min_size=2, max_size=2, unique=True)))
+    return BBox(x0, x1, y0, y1)
+
+
+# tube rows: 0.0 and -0.0 are equal values but different row texts
+TUBE_ROWS = [(0.0, 1.0, 0.0, 1.0), (-0.0, 1.0, 0.0, 1.0), (1, 2, 3, 4),
+             (1e-7, 1e16, 5e-324, 1e22), (0.1, 1 / 3, 2.5, 7.75)]
+
+
+@st.composite
+def tubes(draw, t0, t1, optional=True):
+    """``frames``/``boxes`` arrays in ``[t0, t1)``, or ``(None, None)`` when
+    ``optional``: a single frame, all-distinct rows, one long run, or runs
+    from a small palette, with run boundaries at the first and last frames."""
+    shape = draw(st.sampled_from(["none"] * optional + [
+        "single", "distinct", "one run", "first differs", "last differs", "runs"]))
+    if shape == "none":
+        return None, None
+    n = 1 if shape == "single" else draw(st.integers(min(2, t1 - t0), min(40, t1 - t0)))
+    frames = sorted(draw(st.lists(st.integers(t0, t1 - 1), min_size=n, max_size=n,
+                                  unique=True)))
+    if shape == "distinct":
+        rows = [(f + 0.5, f + draw(st.sampled_from([1, 1.25, 3.75])), -0.0, 1 / 3)
+                for f in frames]
+        return np.array(frames), np.array(rows, dtype=np.float64)
+    # runs of palette rows with random lengths; the palette's first two rows
+    # differ only in the sign of zero
+    runs = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 8)), min_size=1))
+    pick = {"single": [0], "one run": [0] * n, "first differs": [1] + [0] * (n - 1),
+            "last differs": [0] * (n - 1) + [1],
+            "runs": ([i for i, length in runs for _ in range(length)] * n)[:n]}[shape]
+    palette = TUBE_ROWS[:2] + draw(st.permutations(TUBE_ROWS[2:]))
+    return np.array(frames), np.array([palette[i] for i in pick], dtype=np.float64)
+
+
+@st.composite
+def windows(draw):
+    t0 = draw(st.integers(0, 2**40))
+    return t0, t0 + draw(st.integers(1, 60))
+
+
+@st.composite
+def records_of(draw, kind):
+    if kind == "detections":
+        return DetectionRecord(draw(names), draw(counts), draw(names),
+                               draw(record_boxes()), draw(unit_numbers),
+                               draw(optional_counts))
+    if kind == "annotations":
+        t0, t1 = draw(windows())
+        frames, rows = draw(tubes(t0, t1, optional=False))
+        return ActivityAnnotation(draw(names), draw(names), t0, t1,
+                                  frames=frames, boxes=rows)
+    if kind == "masks":
+        width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        raster = np.array(draw(st.lists(st.booleans(), min_size=width * height,
+                                        max_size=width * height)), dtype=np.uint8)
+        return MaskFrame.from_array(draw(names), draw(counts),
+                                    raster.reshape(height, width))
+    if kind in ("proposals", "scored-proposals"):
+        t0, t1 = draw(windows())
+        cube = Cube(draw(names), draw(record_boxes()), t0, t1, draw(optional_counts),
+                    draw(names), draw(st.none() | unit_numbers), draw(labels))
+        if kind == "proposals":
+            return cube
+        return ScoredCube(cube, tuple(draw(st.lists(unit_numbers, max_size=6))))
+    if kind == "instances":
+        t0, t1 = draw(windows())
+        frames, rows = draw(tubes(t0, t1))
+        return ActivityInstance(draw(names), draw(names), t0, t1, draw(record_boxes()),
+                                draw(numbers), draw(st.none() | st.integers(-2**70, 2**70)),
+                                frames=frames, boxes=rows)
+    if kind == "det-curves":
+        points = draw(st.lists(st.tuples(numbers, unit_numbers, unit_numbers), max_size=4))
+        return DetCurve(draw(names), tuple(DetPoint(*p) for p in points),
+                        draw(st.booleans()))
+    values = st.none() | st.booleans() | numbers | names
+    data = draw(st.dictionaries(names, values | st.lists(values, max_size=3)
+                                | st.dictionaries(names, values, max_size=3), max_size=4))
+    return ReportRecord(draw(names), data)
+
+
+def _number_swaps(value):
+    """(kind, record) pairs with one number field of a kind set to ``value``,
+    which stands for 1; list entries and report data included."""
+    box = BBox(0.5, 2.5, 0.5, 2.5)
+    boxes = [replace(box, **{name: value}) for name in ("x0", "x1", "y0", "y1")]
+    detection = DetectionRecord("v", 2, "person", box, 0.5, 3)
+    for name in ("frame", "confidence", "track_id"):
+        yield "detections", replace(detection, **{name: value})
+    yield from (("detections", replace(detection, bbox=b)) for b in boxes)
+    cube = Cube("v", box, 0, 4, 3, "person", 0.5, frozenset({"walk"}))
+    cubes = [replace(cube, **{name: value}) for name in ("t0", "t1", "seed_track",
+                                                        "fg_score")]
+    cubes += [replace(cube, bbox=b) for b in boxes]
+    yield from (("proposals", c) for c in cubes)
+    yield from (("scored-proposals", ScoredCube(c, (0.5,))) for c in cubes)
+    yield "scored-proposals", ScoredCube(cube, (0.5, value))
+    instance = ActivityInstance("v", "walk", 0, 4, box, 0.5, 3)
+    for name in ("t0", "t1", "score", "seed_track"):
+        yield "instances", replace(instance, **{name: value})
+    yield from (("instances", replace(instance, bbox=b)) for b in boxes)
+    for name, frame in (("t0", 1), ("t1", 0)):
+        yield "annotations", ActivityAnnotation(
+            **{"video_id": "v", "activity_class": "walk", "t0": 0, "t1": 4, name: value},
+            tube=((frame, box),))
+    mask = MaskFrame("v", 0, 1, 1, (0, 1))
+    for name in ("frame", "width", "height"):
+        yield "masks", replace(mask, **{name: value})
+    yield "masks", replace(mask, rle=(0, value))
+    for name in ("threshold", "tfa", "pmiss"):
+        yield "det-curves", DetCurve("walk", (DetPoint(**{"threshold": 0.5, "tfa": 0.5,
+                                                          "pmiss": 0.5, name: value}),),
+                                     False)
+    yield "reports", ReportRecord("s", {"x": value})
+
+
+class TestRecordLines:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(sorted(RECORD_KINDS)))
+    def test_line_matches_json_dumps_reference(self, data, kind):
+        record = data.draw(records_of(kind))
+        assert _formatter(kind)(record) == ref_record_line(kind, record)
+
+    @pytest.mark.parametrize("kind", sorted(RECORD_KINDS))
+    def test_file_is_header_and_reference_lines(self, kind):
+        # frame order holds for detections and masks: all in one video
+        records = sorted((record for k, record in _number_swaps(1) if k == kind),
+                         key=lambda record: getattr(record, "frame", 0))
+        assert written(records, kind).decode("ascii").splitlines(True)[1:] == \
+            [ref_record_line(kind, record) for record in records]
+
+    @pytest.mark.parametrize("value", [np.float64(1.0), np.int64(1), True, 1, 1.0],
+                             ids=repr)
+    def test_foreign_numbers_raise_or_write_the_reference(self, value):
+        """A formatter writes exactly the reference's bytes or raises
+        TypeError/ValueError: never ``np.float64(1.0)`` or ``True``."""
+        raised = set()
+        for kind, record in _number_swaps(value):
+            try:
+                line = _formatter(kind)(record)
+            except (TypeError, ValueError):
+                raised.add(kind)
+                continue
+            assert line == ref_record_line(kind, record), kind
+        # the templated kinds take no number but an int or a float
+        templated = set(RECORD_KINDS) - {"det-curves", "reports"}
+        assert raised >= templated if type(value) not in (int, float) else not raised
+
+    def test_a_rejected_record_writes_no_line(self, tmp_path):
+        good = DetectionRecord("v", 2, "person", BBox(0.5, 2.5, 0.5, 2.5), 0.5)
+        path = tmp_path / "d.jsonl"
+        with pytest.raises(TypeError):
+            write_records([good, replace(good, frame=np.int64(3))], path, "detections")
+        assert path.read_text().splitlines(True)[1:] == [ref_record_line("detections", good)]

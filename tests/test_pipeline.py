@@ -110,6 +110,27 @@ class TestRunPipeline:
             run_pipeline(CONFIG, inputs, tmp_path / "out",
                          stages=("propose", "track"))
 
+    def test_empty_stage_list_rejected(self, tmp_path):
+        # it would time nothing, and divide by zero seconds
+        with pytest.raises(ValueError, match="no stages"):
+            run_pipeline(CONFIG, PipelineInputs(), tmp_path / "out", stages=[])
+        assert not (tmp_path / "out").exists()
+
+    def test_rates_over_zero_seconds_are_null(self, tmp_path, closure_corpus,
+                                              monkeypatch):
+        assert pipeline.StageTiming("track", 0.0, 4, 4).to_dict(10) == {
+            "stage": "track", "seconds": 0.0, "records_in": 4, "records_out": 4,
+            "records_per_sec": None, "frames_per_sec": None}
+        # a clock that never moves: every stage takes zero seconds
+        monkeypatch.setattr(pipeline.time, "perf_counter", lambda: 0.0)
+        result = run_pipeline(CONFIG, closure_corpus[0], tmp_path / "out",
+                              stages=["track"])
+        text = result.outputs["timing"].read_text()
+        assert "Infinity" not in text
+        (timing,) = read_records(result.outputs["timing"], "reports")
+        assert timing.data["real_time_factor"] is None
+        assert timing.data["stages"][0]["records_per_sec"] is None
+
     def test_annotations_parsed_once(self, tmp_path, closure_corpus,
                                      monkeypatch):
         # no classes and no lengths given: both come from the records too
@@ -356,6 +377,17 @@ class TestCli:
         (report,) = read_records(tmp_path / "out" / "evaluation.jsonl",
                                  "reports")
         assert report.data["mean_naudc"] == 0.0
+
+    def test_run_table_prints_zero_second_rates_as_dash(
+            self, tmp_path, closure_corpus, monkeypatch, capsys):
+        monkeypatch.setattr(pipeline.time, "perf_counter", lambda: 0.0)
+        assert self.run("run", "--detections", closure_corpus[1]["detections"],
+                        "--stages", "track", "--out-dir", tmp_path / "out",
+                        "--video-frames", "act00=192",
+                        "--video-frames", "bg00=192") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r" +track: +0\.000s +- rec/s +- frames/s", lines[0])
+        assert lines[1] == "real-time factor: -x at 30 fps"
 
     def test_external_scores_and_fusion(self, tmp_path):
         spec_path = tmp_path / "scenes.json"

@@ -400,6 +400,29 @@ class TestReaderErrors:
             write_records([], tmp_path / "x.jsonl", "nope")
 
 
+class TestWriterNumbers:
+    """No file holds NaN or Infinity: a record with a non-finite number
+    raises ValueError before its line is written."""
+
+    BOX = BBox(0.0, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("kind,record", [
+        ("detections", DetectionRecord("v", 0, "person",
+                                       BBox(0.0, float("inf"), 0.0, 1.0), 0.5)),
+        ("detections", DetectionRecord("v", float("inf"), "person", BOX, 0.5)),
+        ("proposals", Cube("v", BBox(-float("inf"), 1.0, 0.0, 1.0), 0, 4)),
+        ("instances", ActivityInstance("v", "walk", 0, 4, BOX, float("nan"))),
+        ("instances", ActivityInstance("v", "walk", 0, 4, BOX, -float("inf"))),
+        ("reports", ReportRecord("s", {"rate": float("inf")})),
+        ("reports", ReportRecord("s", {"rates": [0.5, float("nan")]})),
+    ], ids=lambda value: value if isinstance(value, str) else "")
+    def test_non_finite_numbers_raise(self, tmp_path, kind, record):
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError):
+            write_records([record], path, kind)
+        assert path.read_text() == f"#actpipe/{kind}/v1\n"
+
+
 class TestAnnotationType:
     def test_static_box_expands(self):
         ann = ActivityAnnotation.with_static_box("v", "walk", 2, 6,
