@@ -22,8 +22,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .config import ConfigError, PipelineConfig, parse_config, parse_overrides
 from .pipeline import (CANONICAL_STAGES, OUTPUT_FILES, STAGE_INPUT,
-                       PipelineInputs, StageRun, bench, run_pipeline, run_stage)
-from .records import read_records, write_records
+                       PipelineInputs, StageRun, bench, read_input, run_pipeline,
+                       run_stage)
+from .records import write_records
 from .synth import SceneSpec, generate_corpus
 
 
@@ -105,7 +106,7 @@ def _cmd_stage(args) -> None:
                    proposals=flags.get("proposals"))
     stage = args.command
     records_in, outputs = run_stage(
-        stage, read_records(args.input, STAGE_INPUT[stage]), run)
+        stage, read_input(args.input, STAGE_INPUT[stage]), run)
     for output, records in outputs.items():
         path = flags.get(_OUTPUT_FLAGS.get(output, "output"))
         if path:

@@ -48,10 +48,10 @@ def score_foreground(cubes: Sequence[Cube],
                      masks: Iterable[MaskFrame]) -> List[Cube]:
     """The cubes with their foreground scores, from one pass over the masks.
 
-    The mask stream must be frame-ordered with contiguous videos, as record
-    files are. Each mask is decoded once, and every cube whose window covers
-    its frame adds its set and total cell counts there. Raises when no mask
-    frame falls in a cube's window.
+    The mask stream must be frame-ordered with contiguous videos and no
+    repeated frame, as mask files are. Each mask is decoded once, and every
+    cube whose window covers its frame adds its set and total cell counts
+    there. Raises when no mask frame falls in a cube's window.
     """
     order = list(cubes)
     pending: Dict[str, List[int]] = {}
@@ -65,7 +65,7 @@ def score_foreground(cubes: Sequence[Cube],
     counts = [0] * len(order)
     seen = [False] * len(order)
 
-    frame_order = FrameOrder("mask stream")
+    frame_order = FrameOrder("mask stream", strict=True)
     video = None
     queue: List[int] = []
     ptr = 0

@@ -39,14 +39,15 @@ from .filtering import filter_stage, load_thresholds
 from .geometry import BBox
 from .labeling import label_stage
 from .proposals import generate_proposals
-from .records import ReportRecord, _formatter, _header, read_records, write_records
+from .records import (ReportRecord, _formatter, _header, read_detections, read_records,
+                      write_records)
 from .scoring import load_fuse_weights, score_stage
 from .synth import ActivitySpec, ObjectSpec, SceneSpec, generate_scene
 from .tracking import Track, greedy_iou_track, tracks_from_records
 
 __all__ = ["PipelineInputs", "StageTiming", "PipelineResult", "StageRun", "run_stage",
            "run_pipeline", "bench", "CANONICAL_STAGES", "STAGE_INPUT", "OUTPUT_FILES",
-           "infer_video_lengths", "track_ends"]
+           "infer_video_lengths", "track_ends", "read_input"]
 
 logger = logging.getLogger(__name__)
 
@@ -169,6 +170,11 @@ OUTPUT_FILES = {
 }
 
 
+def read_input(path: Path, kind: str):
+    """A stage's input file: detections as per-video batches, else records."""
+    return read_detections(path) if kind == "detections" else read_records(path, kind)
+
+
 @dataclass
 class StageRun:
     """What the stages of one run share: the config, whose activity classes
@@ -238,9 +244,10 @@ def run_stage(stage: str, records: Iterable, run: StageRun
                 {"propose": generate_proposals(tracks, run.video_lengths, sizes,
                                                config)})
 
-    items = list(records)
     if stage == "track":
-        return len(items), {"track": greedy_iou_track(items, max_gap=config.s_det)}
+        tracked = greedy_iou_track(records, max_gap=config.s_det)
+        return len(tracked), {"track": tracked}
+    items = list(records)
 
     if stage == "assign-labels":
         labeled, stats = label_stage(items, run.annotations, config)
@@ -344,7 +351,7 @@ def run_pipeline(config: PipelineConfig, inputs: PipelineInputs,
         # once it has their tracks
         records_in, stage_outputs = run_stage(
             stage, handoff.pop(kind) if kind in handoff
-            else read_records(inputs.detections, kind), run)
+            else read_input(inputs.detections, kind), run)
         written = [emit(output, items) for output, items in stage_outputs.items()]
         if stage == "evaluate":
             summary = stage_outputs["evaluate"][0].data

@@ -3,8 +3,9 @@
 Each file is UTF-8 JSON lines with a header line naming the record kind and
 schema version (``#actpipe/<kind>/v1``). Field names and ordering are
 documented in SCHEMAS.md at the repository root. Readers and writers stream
-one record at a time and never hold a whole file themselves; the pipeline's
-stages do hold each stage's records as one list.
+one record at a time, but for :func:`read_detections`, which reads a file
+whole into per-video column batches (:class:`Detections`); the pipeline's
+stages hold each stage's records as one list.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import mul
+from operator import itemgetter, lt, mul
 from pathlib import Path
-from typing import (Any, Callable, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .geometry import BBox, Cube, box_rows, tube_arrays
 __all__ = [
     "RecordError",
     "DetectionRecord",
+    "Detections",
     "ActivityAnnotation",
     "MaskFrame",
     "ScoredCube",
@@ -35,6 +37,7 @@ __all__ = [
     "rle_decode",
     "FrameOrder",
     "read_records",
+    "read_detections",
     "write_records",
     "RECORD_KINDS",
 ]
@@ -150,7 +153,7 @@ def rle_encode(raster: np.ndarray) -> List[int]:
 def rle_decode(runs: Sequence[int], width: int, height: int) -> np.ndarray:
     """Inverse of :func:`rle_encode`; :class:`MaskFrame` validates the runs,
     and numpy raises ``ValueError`` on negative or miscounted ones."""
-    values = np.resize(np.array([0, 1], dtype=np.uint8), len(runs))
+    values = (np.arange(len(runs)) & 1).astype(np.uint8)
     return np.repeat(values, runs).reshape(height, width)
 
 
@@ -335,13 +338,16 @@ def _tube_from_json(items) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     return raw[:, 0], raw[:, 1:]
 
 
+_DETECTION_LINE = ('{"video_id":%s,"frame":%r,"object_class":%s,"x0":%r,"x1":%r,'
+                   '"y0":%r,"y1":%r,"confidence":%r,"track_id":%s}\n')
+
+
 def _detection_line(r: DetectionRecord) -> str:
     b, track = r.bbox, r.track_id
     _numbers(r.frame, b.x0, b.x1, b.y0, b.y1, r.confidence, 0 if track is None else track)
-    return ('{"video_id":%s,"frame":%r,"object_class":%s,"x0":%r,"x1":%r,"y0":%r,'
-            '"y1":%r,"confidence":%r,"track_id":%s}\n') % (
-        _quote(r.video_id), r.frame, _quote(r.object_class), b.x0, b.x1, b.y0, b.y1,
-        r.confidence, "null" if track is None else track)
+    return _DETECTION_LINE % (_quote(r.video_id), r.frame, _quote(r.object_class),
+                              b.x0, b.x1, b.y0, b.y1, r.confidence,
+                              "null" if track is None else track)
 
 
 def _detection_from_json(obj: dict) -> DetectionRecord:
@@ -353,6 +359,131 @@ def _detection_from_json(obj: dict) -> DetectionRecord:
         confidence=_float(obj["confidence"], "confidence"),
         track_id=_optional_int(obj, "track_id"),
     )
+
+
+@dataclass(eq=False)
+class DetectionBatch:
+    """One video's detections as columns in file order (frames never
+    decrease): boxes as float64 x0, x1, y0, y1 rows, -1 for no track id,
+    and each row's line. ``coords`` keeps the parsed coordinate columns for
+    writing (an int stays an int), or is None when all are floats."""
+
+    video_id: str
+    frames: np.ndarray
+    classes: Sequence[str]
+    boxes: np.ndarray
+    coords: Optional[Tuple[tuple, ...]]
+    confidences: np.ndarray
+    track_ids: np.ndarray
+    lines: np.ndarray
+
+
+class Detections:
+    """One :class:`DetectionBatch` per video, in file order: the form the
+    track and propose stages read, take and write. Iterating builds a
+    :class:`DetectionRecord` per row, for tests and tools."""
+
+    def __init__(self, videos: List[DetectionBatch], source: str):
+        self.videos, self.source = videos, source
+
+    @classmethod
+    def from_records(cls, records: Iterable[DetectionRecord], lines: Sequence[int] = (),
+                     source: str = "detection stream") -> "Detections":
+        """Records grouped by video, each video's sorted by frame (stable),
+        with ``lines`` or stream positions; Detections pass through."""
+        if isinstance(records, Detections):
+            return records
+        by_video: Dict[str, list] = {}
+        for i, d in enumerate(records):
+            b = d.bbox
+            by_video.setdefault(d.video_id, []).append((lines[i] if lines else i + 1, (
+                d.video_id, d.frame, d.object_class, b.x0, b.x1, b.y0, b.y1,
+                d.confidence, d.track_id)))
+        return cls([_detection_batch(*zip(*sorted(items, key=lambda x: x[1][1])))
+                    for items in by_video.values()], source)
+
+    def __len__(self) -> int:
+        return sum(len(b.frames) for b in self.videos)
+
+    def __iter__(self) -> Iterator[DetectionRecord]:
+        for b in self.videos:
+            for frame, object_class, box, confidence, track in zip(
+                    b.frames.tolist(), b.classes, zip(*b.coords) if b.coords
+                    else b.boxes.tolist(), b.confidences.tolist(), b.track_ids.tolist()):
+                yield DetectionRecord(b.video_id, frame, object_class, BBox(*box),
+                                      confidence, None if track < 0 else track)
+
+
+# what the column reader takes from a line, in DetectionRecord order
+_DETECTION_FIELDS = itemgetter("video_id", "frame", "object_class", "x0", "x1", "y0",
+                               "y1", "confidence", "track_id")
+
+
+def _detection_batch(lines: Sequence[int], rows: Sequence[tuple]) -> DetectionBatch:
+    """One video's batch from its lines' ``_DETECTION_FIELDS``; ValueError
+    unless they pass the record checks as read."""
+    videos, frames, classes, *coords, confidences, tracks = zip(*rows)
+    coord_types = set(map(type, chain(*coords)))
+    if not (set(map(type, frames)) <= {int} and set(map(type, classes)) <= {str}
+            and coord_types | set(map(type, confidences)) <= _NUMBER_TYPES
+            and set(map(type, tracks)) <= {int, type(None)} and -1 not in tracks):
+        raise ValueError("detection fields of other types than a batch holds")
+    try:
+        frames = np.array(frames, dtype=np.int64)
+        track_ids = np.array([-1 if t is None else t for t in tracks], dtype=np.int64)
+        boxes = np.array(coords, dtype=np.float64).T
+    except OverflowError:
+        raise ValueError("a detection number beyond int64 or float64") from None
+    confidences = np.array(confidences, dtype=np.float64)
+    x0, x1, y0, y1 = coords  # compared as parsed: ints past 2**53 stay exact
+    if not (frames[0] >= 0 and (np.diff(frames) >= 0).all() and track_ids.min() >= -1
+            and np.isfinite(boxes).all() and all(map(lt, x0, x1)) and all(map(lt, y0, y1))
+            and ((0 <= confidences) & (confidences <= 1)).all()):
+        raise ValueError("a detection breaks a record check")
+    return DetectionBatch(videos[0], frames, classes, boxes,
+                          None if coord_types == {float} else tuple(coords),
+                          confidences, track_ids, np.array(lines))
+
+
+def read_detections(path: Union[str, Path]) -> Detections:
+    """The detections of ``path`` as per-video batches, under the checks and
+    errors of :func:`read_records`, which parses a file with a line that a
+    batch does not hold as read (a broken line, an integral float frame, ...)."""
+    path, batches, seen = Path(path), [], set()
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            first = fh.readline()
+            if first and first.rstrip("\n") != _header("detections"):
+                raise ValueError("not a detections header")
+            rows = ((lineno, _DETECTION_FIELDS(json.loads(line))) for lineno, line
+                    in enumerate(fh, start=2) if not line.isspace())
+            for video, group in groupby(rows, key=lambda row: row[1][0]):
+                if type(video) is not str or video in seen:
+                    raise ValueError("a video id that is no string or reappears")
+                seen.add(video)
+                batches.append(_detection_batch(*zip(*group)))
+        return Detections(batches, str(path))
+    except (ValueError, KeyError, TypeError, RecursionError):
+        pass  # the record parser raises at the first bad line, or takes the file
+    lines, records = [], []
+    for lineno, d in _numbered_records(path, "detections"):
+        if max(d.frame, d.track_id or 0) >= 2**63:
+            raise RecordError(f"{path}:{lineno}: frame or track_id beyond int64")
+        lines.append(lineno)
+        records.append(d)
+    return Detections.from_records(records, lines, str(path))
+
+
+def _detection_text(b: DetectionBatch) -> str:
+    """A batch's lines: :data:`_DETECTION_LINE` filled from its columns."""
+    line = _DETECTION_LINE.replace("%s", _quote(b.video_id).replace("%", "%%"), 1)
+    quoted = {c: _quote(c) for c in set(b.classes)}
+    tracks = b.track_ids.tolist()
+    if b.track_ids.min() < 0:
+        tracks = ["null" if t < 0 else t for t in tracks]
+    columns = (b.frames.tolist(), map(quoted.__getitem__, b.classes),
+               *(b.coords or b.boxes.T.tolist()), b.confidences.tolist(), tracks)
+    return (line * len(tracks)) % tuple(chain.from_iterable(zip(*columns)))
 
 
 def _annotation_line(r: ActivityAnnotation) -> str:
@@ -487,16 +618,17 @@ def _report_from_json(obj: dict) -> ReportRecord:
     return ReportRecord(_str(obj["section"], "section"), obj["data"])
 
 
-# kind -> (line formatter, parser, frame-order enforced)
+# kind -> (line formatter, parser, frame order: None for none, else whether
+# a video's frames must strictly increase)
 RECORD_KINDS = {
-    "detections": (_detection_line, _detection_from_json, True),
-    "annotations": (_annotation_line, _annotation_from_json, False),
+    "detections": (_detection_line, _detection_from_json, False),
+    "annotations": (_annotation_line, _annotation_from_json, None),
     "masks": (_mask_line, _mask_from_json, True),
-    "proposals": (_cube_line, _cube_from_json, False),
-    "scored-proposals": (_scored_line, _scored_from_json, False),
-    "instances": (_instance_line, _instance_from_json, False),
-    "det-curves": (_curve_line, _curve_from_json, False),
-    "reports": (_report_line, _report_from_json, False),
+    "proposals": (_cube_line, _cube_from_json, None),
+    "scored-proposals": (_scored_line, _scored_from_json, None),
+    "instances": (_instance_line, _instance_from_json, None),
+    "det-curves": (_curve_line, _curve_from_json, None),
+    "reports": (_report_line, _report_from_json, None),
 }
 
 
@@ -515,10 +647,11 @@ def _check_kind(kind: str) -> None:
 
 
 class FrameOrder:
-    """Enforces sorted-by-(video_id, frame) streams with contiguous videos."""
+    """Enforces sorted-by-(video_id, frame) streams with contiguous videos;
+    a ``strict`` stream's frames also never repeat within a video."""
 
-    def __init__(self, where: str):
-        self.where = where
+    def __init__(self, where: str, strict: bool = False):
+        self.where, self.strict = where, strict
         self.video: Optional[str] = None
         self.frame = -1
         self.seen: set = set()
@@ -532,9 +665,10 @@ class FrameOrder:
             self.seen.add(video_id)
             self.video = video_id
             self.frame = -1
-        if frame < self.frame:
+        if frame < self.frame + self.strict:
             raise RecordError(
-                f"{self.where}:{lineno}: frame {frame} out of order in video "
+                f"{self.where}:{lineno}: frame {frame} "
+                f"{'repeated' if frame == self.frame else 'out of order'} in video "
                 f"{video_id!r} (previous {self.frame})"
             )
         self.frame = frame
@@ -547,36 +681,36 @@ def read_records(path: Union[str, Path], kind: str) -> Iterator:
     lines raise :class:`RecordError` naming the offending line.
     """
     _check_kind(kind)
-    _, parser, ordered = RECORD_KINDS[kind]
-    path = Path(path)
+    return (record for _, record in _numbered_records(Path(path), kind))
 
-    def gen() -> Iterator:
-        order = FrameOrder(str(path)) if ordered else None
-        with path.open("r", encoding="utf-8") as fh:
-            first = fh.readline()
-            if not first:
-                return
-            if first.rstrip("\n") != _header(kind):
-                raise RecordError(
-                    f"{path}:1: expected header {_header(kind)!r}, "
-                    f"got {first.rstrip()!r}"
-                )
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = parser(json.loads(line))
-                except RecordError:
-                    raise
-                except (ValueError, KeyError, TypeError, OverflowError,
-                        RecursionError) as exc:
-                    raise RecordError(f"{path}:{lineno}: {exc}") from exc
-                if order is not None:
-                    order.check(record.video_id, record.frame, lineno)
-                yield record
 
-    return gen()
+def _numbered_records(path: Path, kind: str) -> Iterator[Tuple[int, Any]]:
+    """The records of :func:`read_records`, each with its line number."""
+    _, parser, strict = RECORD_KINDS[kind]
+    order = None if strict is None else FrameOrder(str(path), strict)
+    with path.open("r", encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first:
+            return
+        if first.rstrip("\n") != _header(kind):
+            raise RecordError(
+                f"{path}:1: expected header {_header(kind)!r}, "
+                f"got {first.rstrip()!r}"
+            )
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = parser(json.loads(line))
+            except RecordError:
+                raise
+            except (ValueError, KeyError, TypeError, OverflowError,
+                    RecursionError) as exc:
+                raise RecordError(f"{path}:{lineno}: {exc}") from exc
+            if order is not None:
+                order.check(record.video_id, record.frame, lineno)
+            yield lineno, record
 
 
 def write_records(records: Iterable, path: Union[str, Path], kind: str) -> int:
@@ -585,12 +719,15 @@ def write_records(records: Iterable, path: Union[str, Path], kind: str) -> int:
     Round-trip law: ``read_records(write_records(s))`` reproduces ``s``.
     """
     _check_kind(kind)
-    line, ordered = _formatter(kind), RECORD_KINDS[kind][2]
+    line, strict = _formatter(kind), RECORD_KINDS[kind][2]
     path = Path(path)
-    order = FrameOrder(str(path)) if ordered else None
+    order = None if strict is None else FrameOrder(str(path), strict)
     count = 0
     with path.open("w", encoding="utf-8") as fh:
         fh.write(_header(kind) + "\n")
+        if kind == "detections" and isinstance(records, Detections):
+            fh.writelines(map(_detection_text, records.videos))  # in order as built
+            return len(records)
         for record in records:
             if order is not None:
                 order.check(record.video_id, record.frame, count + 2)

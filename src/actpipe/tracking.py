@@ -8,13 +8,13 @@ rest are taken greedily, best IoU first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List
 
 import numpy as np
 
-from .geometry import box_ious, box_rows
-from .records import DetectionRecord
+from .geometry import box_ious
+from .records import DetectionBatch, Detections
 
 __all__ = ["Track", "greedy_iou_track", "tracks_from_records"]
 
@@ -32,16 +32,11 @@ class Track:
     boxes: np.ndarray
 
 
-def _track_one_video(detections: List[DetectionRecord], max_gap: int
-                     ) -> List[DetectionRecord]:
-    n = len(detections)
-    rows = box_rows(d.bbox for d in detections)
-    frames = np.array([d.frame for d in detections], dtype=np.int64)
-    _, classes = np.unique([d.object_class for d in detections],
-                           return_inverse=True)
+def _track_one_video(batch: DetectionBatch, max_gap: int) -> DetectionBatch:
+    n, rows, frames = len(batch.frames), batch.boxes, batch.frames
+    _, classes = np.unique(batch.classes, return_inverse=True)
     # by frame, then confidence rank: ties by x0, y0 and input order
-    ranked = np.lexsort((rows[:, 2], rows[:, 0],
-                         -np.array([d.confidence for d in detections]), frames))
+    ranked = np.lexsort((rows[:, 2], rows[:, 0], -batch.confidences, frames))
     starts = np.flatnonzero(np.r_[True, np.diff(frames[ranked]) != 0]).tolist()
 
     # per track, at its id - 1: class, last frame and last box
@@ -76,80 +71,61 @@ def _track_one_video(detections: List[DetectionRecord], max_gap: int
         moved = track_of[dets]
         track_class[moved], last_frame[moved], last_box[moved] = \
             classes[dets], frame, rows[dets]
-    ids = (track_of + 1).tolist()
-    return [DetectionRecord(d.video_id, d.frame, d.object_class, d.bbox,
-                            d.confidence, ids[i])
-            for i, d in sorted(enumerate(detections), key=lambda x: x[1].frame)]
+    return replace(batch, track_ids=track_of + 1)
 
 
-def greedy_iou_track(detections: Iterable[DetectionRecord],
-                     max_gap: int) -> List[DetectionRecord]:
+def greedy_iou_track(detections: Iterable, max_gap: int) -> Detections:
     """Assign track ids per video by greedy same-class IoU matching.
 
     Per frame, detections match live tracks in descending IoU order; pairs
     below :data:`IOU_GATE` start new tracks; tracks unseen for more than
     ``max_gap`` frames (``s_det`` in the pipeline) are closed. Ids are
     dense positive integers per video. Existing ids on the input are
-    ignored and reassigned.
+    ignored and reassigned. Takes and gives :class:`Detections` (records
+    are grouped as :meth:`Detections.from_records` does); rows keep order.
     """
-    by_video: Dict[str, List[DetectionRecord]] = {}
-    order: List[str] = []
-    for det in detections:
-        if det.video_id not in by_video:
-            by_video[det.video_id] = []
-            order.append(det.video_id)
-        by_video[det.video_id].append(det)
-    out: List[DetectionRecord] = []
-    for video_id in order:
-        out.extend(_track_one_video(by_video[video_id], max_gap))
-    return out
+    detections = Detections.from_records(detections)
+    return Detections([_track_one_video(b, max_gap) for b in detections.videos],
+                      detections.source)
 
 
-def tracks_from_records(detections: Iterable[DetectionRecord]
-                        ) -> Dict[str, List[Track]]:
+def tracks_from_records(detections: Iterable) -> Dict[str, List[Track]]:
     """Group detections carrying track ids into per-video Track lists.
 
-    A track id spanning two object classes, or with two boxes on one frame,
-    is an error.
+    A detection without a track id, a track id spanning two object classes,
+    or one with two boxes on one frame is an error naming its line.
     """
-    # per video: track id -> object class, then flat id, frame and box columns
-    per_video: Dict[str, tuple] = {}
-    for det in detections:
-        if det.track_id is None:
-            raise ValueError(
-                f"detection at {det.video_id}:{det.frame} has no track id; "
-                "run the tracker first"
-            )
-        entry = per_video.get(det.video_id)
-        if entry is None:
-            entry = per_video[det.video_id] = ({}, [], [], [])
-        classes, ids, frames, boxes = entry
-        object_class = classes.setdefault(det.track_id, det.object_class)
-        if object_class != det.object_class:
-            raise ValueError(
-                f"track {det.track_id} in video {det.video_id!r} spans classes "
-                f"{object_class!r} and {det.object_class!r}"
-            )
-        ids.append(det.track_id)
-        frames.append(det.frame)
-        boxes.append(det.bbox)
-
+    detections = Detections.from_records(detections)
     out: Dict[str, List[Track]] = {}
-    for video_id, (classes, ids, frames, boxes) in per_video.items():
-        # one sort by (track id, frame) for every track of the video
-        ids, frames = np.array(ids, dtype=np.int64), np.array(frames, dtype=np.int64)
-        order = np.lexsort((frames, ids))
-        ids, frames = ids[order], frames[order]
-        boxes = box_rows(boxes)[order]
-        new_id = np.diff(ids) != 0
-        repeated = np.flatnonzero(~new_id & (np.diff(frames) == 0))
+    for b in detections.videos:
+        missing = np.flatnonzero(b.track_ids < 0)
+        if missing.size:
+            k = missing[0]
+            raise ValueError(f"{detections.source}:{b.lines[k]}: detection at "
+                             f"{b.video_id}:{b.frames[k]} has no track id; "
+                             "run the tracker first")
+        names, classes = np.unique(b.classes, return_inverse=True)
+        names = names.tolist()
+        # one sort by (track id, frame) for every track of the video; each
+        # track's rows keep file order, so its first class change is the
+        # first row off its class
+        order = np.lexsort((b.frames, b.track_ids))
+        ids, frames, classes = b.track_ids[order], b.frames[order], classes[order]
+        same_id = np.diff(ids) == 0
+        changed = np.flatnonzero(same_id & (np.diff(classes) != 0)) + 1
+        if changed.size:
+            k = changed[np.argmin(order[changed])]
+            raise ValueError(f"{detections.source}:{b.lines[order[k]]}: track {ids[k]} "
+                             f"in video {b.video_id!r} spans classes "
+                             f"{names[classes[k - 1]]!r} and {names[classes[k]]!r}")
+        repeated = np.flatnonzero(same_id & (np.diff(frames) == 0)) + 1
         if repeated.size:
             k = repeated[0]
-            raise ValueError(f"track {ids[k]} in video {video_id!r} has two "
-                             f"boxes on frame {frames[k]}")
-        starts = np.flatnonzero(np.r_[True, new_id]).tolist()
-        out[video_id] = [
-            Track(tid, classes[tid], frames[a:b], boxes[a:b]) for tid, a, b
-            in zip(ids[starts].tolist(), starts, starts[1:] + [len(ids)])]
+            raise ValueError(f"{detections.source}:{b.lines[order[k]]}: track {ids[k]} "
+                             f"in video {b.video_id!r} has two boxes on frame {frames[k]}")
+        starts = np.flatnonzero(np.r_[True, ~same_id])
+        boxes, bounds = b.boxes[order], [*starts.tolist(), len(ids)]
+        out[b.video_id] = [
+            Track(tid, names[classes[a]], frames[a:e], boxes[a:e]) for tid, a, e
+            in zip(ids[starts].tolist(), bounds, bounds[1:])]
     return out
-

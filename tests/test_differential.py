@@ -1,7 +1,8 @@
 """The box overlap kernel, the tracker and the array-backed proposal,
 labeling and tube steps against per-BBox references, label statistics,
-dedup, proposal quality and DET curves against their plain sweeps, and
-every record kind's line against its dict through ``json.dumps``.
+dedup, proposal quality and DET curves against their plain sweeps,
+every record kind's line against its dict through ``json.dumps``, and the
+detection column reader against the record parser, errors included.
 
 The references in ``helpers`` compute one ``BBox`` (or one pair of boxes)
 at a time, as the steps did before boxes, tracks and tubes became arrays;
@@ -33,8 +34,9 @@ from actpipe.labeling import (SAME_WINDOW_TIOU, assign_labels, gt_to_cubes,
 from actpipe.proposals import generate_video_proposals, sample_windows
 from actpipe.tracking import IOU_GATE, greedy_iou_track
 from actpipe.records import (RECORD_KINDS, ActivityAnnotation, ActivityInstance,
-                             DetectionRecord, MaskFrame, ReportRecord, ScoredCube,
-                             _formatter, write_records)
+                             DetectionRecord, MaskFrame, RecordError, ReportRecord,
+                             ScoredCube, _formatter, read_detections, read_records,
+                             write_records)
 from helpers import (block_tube_iou, make_track, ref_assign_labels, ref_bbox_iou,
                      ref_box_area, ref_coverage, ref_deduplicate, ref_det_curve,
                      ref_frame_boxes, ref_generate_video_proposals,
@@ -189,7 +191,7 @@ class TestGreedyTracker:
     @given(case=detection_sets())
     def test_matches_per_pair_reference(self, case):
         got, want = greedy_iou_track(*case), ref_greedy_iou_track(*case)
-        assert got == want
+        assert list(got) == want
         assert written(got, "detections") == written(want, "detections")
 
     def test_gate_is_inclusive(self):
@@ -199,7 +201,7 @@ class TestGreedyTracker:
                 DetectionRecord("v", 1, "person", at_gate, 0.9),
                 DetectionRecord("v", 2, "person", GATE_BOXES[3], 0.9)]
         got = greedy_iou_track(dets, max_gap=1)
-        assert got == ref_greedy_iou_track(dets, max_gap=1)
+        assert list(got) == ref_greedy_iou_track(dets, max_gap=1)
         assert [d.track_id for d in got] == [1, 1, 2]
 
     @pytest.mark.parametrize("conf, ids", [(0.9, [1, 2, 1]), (1.0, [1, 1, 2])])
@@ -211,7 +213,7 @@ class TestGreedyTracker:
                 DetectionRecord("v", 1, "person", right, conf),
                 DetectionRecord("v", 1, "person", below, 0.9)]
         got = greedy_iou_track(dets, max_gap=1)
-        assert got == ref_greedy_iou_track(dets, max_gap=1)
+        assert list(got) == ref_greedy_iou_track(dets, max_gap=1)
         assert [d.track_id for d in got] == ids
 
 
@@ -919,10 +921,10 @@ def _number_swaps(value):
         yield "annotations", ActivityAnnotation(
             **{"video_id": "v", "activity_class": "walk", "t0": 0, "t1": 4, name: value},
             tube=((frame, box),))
-    mask = MaskFrame("v", 0, 1, 1, (0, 1))
-    for name in ("frame", "width", "height"):
-        yield "masks", replace(mask, **{name: value})
-    yield "masks", replace(mask, rle=(0, value))
+    # each mask on a frame of its own: a video's mask frames never repeat
+    for frame, name in ((0, "frame"), (2, "width"), (3, "height")):
+        yield "masks", replace(MaskFrame("v", frame, 1, 1, (0, 1)), **{name: value})
+    yield "masks", MaskFrame("v", 4, 1, 1, (0, value))
     for name in ("threshold", "tfa", "pmiss"):
         yield "det-curves", DetCurve("walk", (DetPoint(**{"threshold": 0.5, "tfa": 0.5,
                                                           "pmiss": 0.5, name: value}),),
@@ -968,3 +970,126 @@ class TestRecordLines:
         with pytest.raises(TypeError):
             write_records([good, replace(good, frame=np.int64(3))], path, "detections")
         assert path.read_text().splitlines(True)[1:] == [ref_record_line("detections", good)]
+
+
+# ---------------------------------------------------------------------------
+# detections as column batches: the batch reader against the record parser
+
+# (field, value) pairs that break a detection line; DEGENERATE copies the
+# lower edge onto the upper one
+DEGENERATE = object()
+BROKEN_FIELDS = [
+    ("video_id", 5), ("video_id", None), ("video_id", ["v"]), ("object_class", 3),
+    ("frame", -1), ("frame", 2.5), ("frame", "4"), ("frame", True), ("frame", None),
+    ("frame", float("nan")), ("frame", float("inf")),
+    ("x0", "1"), ("x0", True), ("x0", float("nan")), ("y1", float("-inf")),
+    ("y0", None), ("x1", 10**400), ("x1", DEGENERATE), ("y1", DEGENERATE),
+    ("confidence", 1.5), ("confidence", -0.5), ("confidence", "0.5"),
+    ("confidence", True), ("confidence", float("nan")), ("confidence", float("inf")),
+    ("track_id", -1), ("track_id", 2.5), ("track_id", "1"), ("track_id", True)]
+NOT_OBJECTS = ["[1,2]", "5", '"v"', "null", "true", "{", '{"video_id":"v"']
+# each broken field, then each other way to break a file
+BREAKS = [("field", field) for field in BROKEN_FIELDS] + [
+    (how, None) for how in ("missing", "not an object", "int64", "out of order",
+                            "reappears")]
+# a video id no drawn name takes (names have at most eight characters)
+FRESH_VIDEO = "a fresh video"
+
+
+@st.composite
+def detection_objects(draw):
+    """The objects of a valid detections file: up to three videos of frames
+    from 1 on that may repeat, int and float box coordinates, confidences
+    among 0, 1, -0.0 and 5e-324, and null or int track ids. In half of the
+    files, which the batch reader then leaves to the record parser, frames
+    and track ids are sometimes integral floats and a track id left out."""
+    irregular = draw(st.booleans())
+    tracks = ["int", "null"] + (["float", "missing"] if irregular else [])
+    objs = []
+    for video in draw(st.lists(names, min_size=1, max_size=3, unique=True)):
+        frame = draw(st.integers(1, 3))
+        for _ in range(draw(st.integers(1, 5))):
+            frame += draw(st.integers(0, 2))
+            b = draw(record_boxes())
+            obj = {"video_id": video,
+                   "frame": float(frame) if irregular and draw(st.booleans()) else frame,
+                   "object_class": draw(names), "x0": b.x0, "x1": b.x1, "y0": b.y0,
+                   "y1": b.y1, "confidence": draw(unit_numbers)}
+            track = draw(st.sampled_from(tracks))
+            if track != "missing":
+                tid = draw(st.integers(0, 2**63 - 1 if track == "int" else 2**40))
+                obj["track_id"] = {"int": tid, "float": float(tid), "null": None}[track]
+            objs.append(obj)
+    return objs
+
+
+def detection_file(draw, lines):
+    """Write ``lines`` with blank lines drawn in between; their line numbers."""
+    path = Path(OUT_DIR.name) / "detections.jsonl"
+    text, numbers = ["#actpipe/detections/v1"], []
+    for line in lines:
+        text += draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=2))
+        numbers.append(len(text) + 1)
+        text.append(line)
+    path.write_text("\n".join(text) + "\n", encoding="utf-8")
+    return path, numbers
+
+
+class TestDetectionColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_valid_lines_read_and_write_as_records(self, data):
+        path, numbers = detection_file(data.draw, map(json.dumps, data.draw(
+            detection_objects())))
+        want = list(read_records(path, "detections"))
+        got = read_detections(path)
+        assert len(got) == len(want) and list(got) == want
+        assert np.concatenate([b.lines for b in got.videos]).tolist() == numbers
+        assert written(got, "detections") == written(want, "detections")
+
+    def test_int_coordinates_past_float_precision_keep_their_order(self):
+        # -2**70 - 1 < -2**70 as ints, though both are -2**70 as float64
+        obj = {"video_id": "v", "frame": 1, "object_class": "p", "x0": 0, "x1": 1,
+               "y0": -2**70 - 1, "y1": -2**70, "confidence": 0.5, "track_id": 1}
+        path, _ = detection_file(lambda strategy: [], [json.dumps(obj)])
+        want = list(read_records(path, "detections"))
+        assert list(read_detections(path)) == want
+        assert written(read_detections(path), "detections") == written(want, "detections")
+
+    @pytest.mark.parametrize("how, field", BREAKS, ids=[
+        how if field is None else f"{how}-{field[0]}-{i}"
+        for i, (how, field) in enumerate(BREAKS)])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_broken_line_raises_on_the_record_parsers_line(self, data, how, field):
+        objs = data.draw(detection_objects())
+        lines = [json.dumps(obj) for obj in objs]
+        k = data.draw(st.integers(0, len(objs) - 1))
+        obj = objs[k]
+        if how == "field":
+            name, value = field
+            lines[k] = json.dumps({**obj, name: obj[name.replace("1", "0")]
+                                   if value is DEGENERATE else value})
+        elif how == "missing":
+            name = data.draw(st.sampled_from(sorted(set(obj) - {"track_id"})))
+            lines[k] = json.dumps({key: v for key, v in obj.items() if key != name})
+        elif how == "not an object":
+            lines[k] = data.draw(st.sampled_from(NOT_OBJECTS))
+        elif how == "int64":
+            name = data.draw(st.sampled_from(["frame", "track_id"]))
+            lines[k] = json.dumps({**obj, name: data.draw(st.sampled_from(
+                [2**63, 2**64 + 1, float(2**63)]))})
+        elif how == "out of order":
+            k += 1
+            lines.insert(k, json.dumps({**obj, "frame": int(obj["frame"]) - 1}))
+        else:
+            k = len(lines) + 1
+            lines += [json.dumps({**objs[0], "video_id": FRESH_VIDEO}), lines[0]]
+        path, numbers = detection_file(data.draw, lines)
+        with pytest.raises(RecordError) as got:
+            read_detections(path)
+        assert str(got.value).startswith(f"{path}:{numbers[k]}: ")
+        if how != "int64":  # the record parser takes ints past int64
+            with pytest.raises(RecordError) as want:
+                list(read_records(path, "detections"))
+            assert str(got.value) == str(want.value)

@@ -6,7 +6,7 @@ from actpipe.filtering import (SENTINEL_THRESHOLD, calibrate_threshold,
                                collect_positive_scores, filter_proposals,
                                score_foreground)
 from actpipe.geometry import BBox, Cube
-from actpipe.records import MaskFrame
+from actpipe.records import MaskFrame, RecordError
 
 from helpers import ref_foreground_score
 
@@ -130,6 +130,14 @@ class TestForegroundScore:
         masks = [mask(8, np.ones((4, 4))), mask(0, np.ones((4, 4)))]
         with pytest.raises(ValueError, match="frame 0 out of order in video 'v'"):
             score_foreground([cube(0, 16)], masks)
+
+    def test_batched_rejects_a_repeated_frame(self):
+        # a second mask on frame 1 would weigh that frame twice: 1/3, not 1/2
+        masks = [mask(0, np.ones((4, 4))), mask(1, np.zeros((4, 4)))]
+        assert score(cube(0, 8), masks) == 0.5
+        with pytest.raises(RecordError, match=r"^mask stream:3: frame 1 repeated "
+                                              r"in video 'v' \(previous 1\)$"):
+            score(cube(0, 8), masks + [mask(1, np.zeros((4, 4)))])
 
 
 class TestCalibration:

@@ -20,7 +20,8 @@ from actpipe.pipeline import (DEFAULT_FRAME_SIZE, PipelineInputs,
                               infer_video_lengths, run_pipeline, track_ends)
 from actpipe.records import (ActivityAnnotation, ActivityInstance,
                              DetectionRecord, MaskFrame, ReportRecord,
-                             ScoredCube, read_records, write_records)
+                             ScoredCube, read_detections, read_records,
+                             write_records)
 from actpipe.synth import generate_corpus
 from actpipe.tracking import tracks_from_records
 from helpers import closure_scenes
@@ -31,6 +32,21 @@ CLI_CHAIN_OUTPUTS = (
     "detections_tracked", "proposals", "proposals_labeled", "label_stats",
     "proposals_filtered", "filter_thresholds", "proposals_scored",
     "instances", "instances_merged", "det_curves", "evaluation")
+
+
+def record_reads(monkeypatch, reads):
+    """Append the path of every record file an actpipe module reads, by
+    either reader, to ``reads``."""
+    def recording(reader):
+        def read(path, *kind):
+            reads.append(Path(path))
+            return reader(path, *kind)
+        return read
+
+    for name, module in list(sys.modules.items()):
+        for reader in (read_records, read_detections):
+            if name.startswith("actpipe") and hasattr(module, reader.__name__):
+                monkeypatch.setattr(module, reader.__name__, recording(reader))
 
 
 @pytest.fixture()
@@ -160,24 +176,39 @@ class TestRunPipeline:
             inputs.video_lengths = {"act00": 192} if mode == "some-lengths" else {}
         out_dir = tmp_path / "out"
         reads = []
-
-        def recording_read(path, kind):
-            reads.append(Path(path).resolve())
-            return read_records(path, kind)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("actpipe") and hasattr(module, "read_records"):
-                monkeypatch.setattr(module, "read_records", recording_read)
+        record_reads(monkeypatch, reads)
         result = run_pipeline(CONFIG, inputs, out_dir)
         assert result.summary["mean_naudc"] == 0.0
         detections, annotations, masks = (
             Path(p).resolve() for p in (inputs.detections, inputs.annotations,
                                         inputs.masks))
+        reads = [p.resolve() for p in reads]
         counts = Counter(reads)
         assert set(counts) == {detections, annotations, masks}
         assert counts[detections] == counts[annotations] == 1
         assert counts[masks] == 1 if mode == "explicit" else counts[masks] <= 2
         assert not [p for p in reads if out_dir.resolve() in p.parents]
+
+    def test_stage_path_builds_no_detection_record(self, tmp_path, closure_corpus,
+                                                    monkeypatch):
+        # detections go from file to file as per-video column batches: the
+        # run and the track and propose subcommands build no record per line
+        inputs, paths = closure_corpus
+        built = []
+        check = DetectionRecord.__post_init__
+
+        def counting(record):
+            built.append(record)
+            check(record)
+
+        monkeypatch.setattr(DetectionRecord, "__post_init__", counting)
+        run_pipeline(CONFIG, inputs, tmp_path / "out")
+        tracked, proposals = tmp_path / "tracked.jsonl", tmp_path / "props.jsonl"
+        assert main(["track", str(paths["detections"]), "-o", str(tracked)]) == 0
+        assert main(["propose", str(tracked), "-o", str(proposals)]) == 0
+        assert built == []
+        next(read_records(tracked, "detections"))
+        assert len(built) == 1  # the counter sees records built elsewhere
 
     def test_timings_cover_work_before_the_first_stage(self, tmp_path,
                                                       closure_corpus,
@@ -596,14 +627,7 @@ class TestCli:
         tracked = tmp_path / "tracked.jsonl"
         assert self.run("track", paths["detections"], "-o", tracked) == 0
         reads = []
-
-        def recording_read(path, kind):
-            reads.append(Path(path))
-            return read_records(path, kind)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("actpipe") and hasattr(module, "read_records"):
-                monkeypatch.setattr(module, "read_records", recording_read)
+        record_reads(monkeypatch, reads)
         with caplog.at_level(logging.WARNING):
             assert self.run("propose", tracked, "-o", tmp_path / "props.jsonl") == 0
         assert reads == [tracked]

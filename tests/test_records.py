@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from actpipe.geometry import BBox, Cube
 from actpipe.records import (ActivityAnnotation, ActivityInstance,
                              DetectionRecord, MaskFrame, RecordError,
-                             ReportRecord, ScoredCube, read_records,
-                             rle_decode, rle_encode, write_records)
+                             ReportRecord, ScoredCube, read_detections,
+                             read_records, rle_decode, rle_encode, write_records)
 from helpers import tube_pairs
 
 
@@ -102,6 +102,33 @@ class TestRoundTrips:
         path = tmp_path / "r.jsonl"
         write_records([rec], path, "reports")
         assert list(read_records(path, "reports")) == [rec]
+
+
+class TestMaskFrameOrder:
+    """A video's mask frames strictly increase; detection frames may repeat."""
+
+    MASK = '{"video_id":"v","frame":%d,"width":1,"height":1,"rle":[0,1]}\n'
+
+    def test_reader_names_a_repeated_mask_frame(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text("#actpipe/masks/v1\n" + self.MASK % 0 + self.MASK % 1
+                        + self.MASK % 1)
+        with pytest.raises(RecordError, match=rf"^{re.escape(str(path))}:4: "
+                                              r"frame 1 repeated in video 'v'"):
+            list(read_records(path, "masks"))
+
+    def test_writer_rejects_a_repeated_mask_frame(self, tmp_path):
+        masks = [MaskFrame("v", f, 1, 1, (0, 1)) for f in (0, 1, 1)]
+        with pytest.raises(RecordError, match="frame 1 repeated in video 'v'"):
+            write_records(masks, tmp_path / "m.jsonl", "masks")
+
+    def test_detection_frames_may_repeat(self, tmp_path):
+        b = BBox(0, 1, 0, 1)
+        records = [DetectionRecord("v", f, "p", b, 0.5) for f in (0, 1, 1)]
+        path = tmp_path / "d.jsonl"
+        write_records(records, path, "detections")
+        assert list(read_records(path, "detections")) == records
+        assert list(read_detections(path)) == records
 
 
 class TestReaderErrors:

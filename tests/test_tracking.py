@@ -121,7 +121,7 @@ class TestGreedyTracker:
                 for f in range(20)]
         first = greedy_iou_track(dets, max_gap=8)
         second = greedy_iou_track(dets, max_gap=8)
-        assert first == second
+        assert list(first) == list(second)
 
     def test_no_double_assignment_per_frame(self):
         box = BBox(0, 40, 0, 40)
