@@ -28,13 +28,14 @@ instances are merged afterwards for the strict setting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .config import PipelineConfig
-from .geometry import BBox, bbox_intersection, bbox_union, box_ious, box_rows
-from .records import ActivityInstance, ScoredCube
+from .geometry import BBox, bbox_intersection, bbox_union, box_ious
+from .records import ActivityInstance, CubeTable, ScoredCube
 
 __all__ = [
     "SegmentCube",
@@ -166,17 +167,16 @@ def select_group(groups: Sequence[Sequence[SegmentCube]]) -> List[SegmentCube]:
     raise AssertionError("unreachable")
 
 
-def _chain_partitions(cubes: List[Tuple[int, ScoredCube]]) -> Dict[int, List[int]]:
-    """Spatial IoU chains of the (index, cube) pairs lacking a track, under
-    negative ids so they never collide with tracker output."""
+def _chain_partitions(table: CubeTable, rows: List[int]) -> Dict[int, List[int]]:
+    """Spatial IoU chains of the table's seedless ``rows``, under negative
+    ids so they never collide with tracker output."""
     partitions: Dict[int, List[int]] = {}
-    ordered = sorted(((i, sc) for i, sc in cubes if sc.cube.seed_track is None),
-                     key=lambda ic: (ic[1].cube.t0, ic[1].cube.bbox.x0,
-                                     ic[1].cube.bbox.y0, ic[0]))
-    rows = box_rows(sc.cube.bbox for _, sc in ordered)
-    last_boxes = np.empty_like(rows)  # the first n rows are the chains' last boxes
+    rows = np.array(rows, dtype=np.intp)
+    boxes = table.boxes[rows]
+    order = np.lexsort((rows, boxes[:, 2], boxes[:, 0], [table.t0[i] for i in rows]))
+    last_boxes = np.empty_like(boxes)  # the first n rows are the chains' last boxes
     n = 0
-    for (i, _), row in zip(ordered, rows):
+    for i, row in zip(rows[order].tolist(), boxes[order]):
         # the first chain whose last box overlaps enough, else a new one
         hits = np.flatnonzero(box_ious(row, last_boxes[:n]) >= CHAIN_IOU)
         c = int(hits[0]) if hits.size else n
@@ -186,38 +186,41 @@ def _chain_partitions(cubes: List[Tuple[int, ScoredCube]]) -> Dict[int, List[int
     return partitions
 
 
-def _iter_partitions(scored_cubes: Sequence[ScoredCube], ids: Iterable[int]
+def _iter_partitions(table: CubeTable, ids: Iterable[int]
                      ) -> Iterator[Tuple[str, int, Tuple[int, ...]]]:
-    """(video, partition id, member indices) per partition of the cubes at
-    ascending ``ids``, both ids in sorted order; seedless cubes go to
+    """(video, partition id, member rows) per partition of the table's rows
+    at ascending ``ids``, both ids in sorted order; seedless cubes go to
     negative-id spatial chains."""
-    by_video: Dict[str, List[Tuple[int, ScoredCube]]] = {}
+    by_video: Dict[str, List[int]] = {}
     for i in ids:
-        sc = scored_cubes[i]
-        by_video.setdefault(sc.cube.video_id, []).append((i, sc))
+        by_video.setdefault(table.video_ids[i], []).append(i)
+    seeds = table.seed_tracks
     for video_id in sorted(by_video):
         tracked: Dict[int, List[int]] = {}
-        for i, sc in by_video[video_id]:
-            if sc.cube.seed_track is not None:
-                tracked.setdefault(sc.cube.seed_track, []).append(i)
-        tracked.update(_chain_partitions(by_video[video_id]))
+        for i in by_video[video_id]:
+            tracked.setdefault(seeds[i], []).append(i)
+        seedless = tracked.pop(None, None)
+        if seedless:
+            tracked.update(_chain_partitions(table, seedless))
         for partition_id in sorted(tracked):
             yield video_id, partition_id, tuple(tracked[partition_id])
 
 
-def _partition_instances(video_id: str, partition_id: int,
-                         members: Sequence[ScoredCube],
+def _partition_instances(video_id: str, partition_id: int, table: CubeTable,
+                         members: Sequence[int],
                          config: PipelineConfig) -> List[ActivityInstance]:
     """One partition's instances: split/merge/select per non-zero class."""
-    members = sorted(members, key=lambda sc: (sc.cube.t0, sc.cube.t1))
-    overlapping = any(a.cube.t1 > b.cube.t0
-                      for a, b in zip(members, members[1:]))
+    members = sorted(members, key=lambda i: (table.t0[i], table.t1[i]))
+    t0, t1 = [table.t0[i] for i in members], [table.t1[i] for i in members]
+    overlapping = any(map(gt, t1, t0[1:]))
+    scores = table.scores[members]
+    bboxes = None
     instances = []
     for class_idx, activity_class in enumerate(config.activity_classes):
-        if not any(sc.scores[class_idx] for sc in members):
+        if not scores[:, class_idx].any():
             continue
-        run = [SegmentCube(sc.cube.t0, sc.cube.t1, sc.scores[class_idx],
-                           sc.cube.bbox) for sc in members]
+        bboxes = bboxes or table.bboxes(members)
+        run = list(map(SegmentCube, t0, t1, scores[:, class_idx].tolist(), bboxes))
         if overlapping:
             segments = split_segments(run, config.d_prop, config.s_prop)
             run = select_group(merge_groups(segments, config.d_prop,
@@ -234,36 +237,33 @@ def _instance_order(a: ActivityInstance) -> tuple:
     return (a.video_id, a.activity_class, a.t0, a.t1, a.seed_track or 0)
 
 
-def _check_scores(scored_cubes: Sequence[ScoredCube],
-                  classes: Sequence[str]) -> None:
+def _check_scores(table: CubeTable, classes: Sequence[str]) -> None:
     """Raise unless classes are set and every cube scores each class."""
     if not classes:
         raise ValueError("activity_classes must be configured for dedup")
-    for sc in scored_cubes:
-        if len(sc.scores) != len(classes):
-            raise ValueError(
-                f"score vector of length {len(sc.scores)} for {sc.key}, "
-                f"expected {len(classes)}"
-            )
+    width = 0 if table.scores is None else table.scores.shape[1]
+    if len(table) and width != len(classes):
+        raise ValueError(f"score vector of length {width} for {table.keys()[0]}, "
+                         f"expected {len(classes)}")
 
 
 def deduplicate_subsets(scored_cubes: Sequence[ScoredCube],
                         subsets: Iterable[Iterable[int]],
                         config: PipelineConfig) -> List[List[ActivityInstance]]:
     """:func:`deduplicate` of each subset of ascending indices into
-    ``scored_cubes``. A partition recurring with the same members is
-    deduplicated once, keyed by (video, partition id, member indices): the
-    chain ids of seedless cubes can shift between subsets."""
-    _check_scores(scored_cubes, config.activity_classes)
+    ``scored_cubes`` (a scored :class:`CubeTable` or ScoredCubes). A
+    partition recurring with the same members is deduplicated once, keyed by
+    (video, partition id, member indices): the chain ids of seedless cubes
+    can shift between subsets."""
+    table = CubeTable.from_records(scored_cubes)
+    _check_scores(table, config.activity_classes)
     done: Dict[tuple, List[ActivityInstance]] = {}
     out = []
     for subset in subsets:
         instances: List[ActivityInstance] = []
-        for key in _iter_partitions(scored_cubes, subset):
+        for key in _iter_partitions(table, subset):
             if key not in done:
-                video, pid, members = key
-                done[key] = _partition_instances(
-                    video, pid, [scored_cubes[i] for i in members], config)
+                done[key] = _partition_instances(*key[:2], table, key[2], config)
             instances += done[key]
         out.append(sorted(instances, key=_instance_order))
     return out

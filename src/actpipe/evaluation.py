@@ -306,7 +306,8 @@ def proposal_quality(proposals: Sequence[Cube],
     order of :data:`QUALITY_LEVELS`; after ``write_records`` the JSON keys
     are ``str(level)``, for example ``"0.0"``.
 
-    The proposals are oracle-scored once, and one call of the dedup body,
+    The proposals (a :class:`~actpipe.records.CubeTable` or cubes) are
+    oracle-scored once, and one call of the dedup body,
     :func:`~actpipe.dedup.deduplicate_subsets`, serves all 20 level subsets.
     """
     classes = _classes_for(annotations, config)

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .config import ConfigError, PipelineConfig
-from .geometry import BBox, Cube
-from .records import FrameOrder, MaskFrame, _float, read_records
+from .geometry import Cube
+from .records import CubeTable, FrameOrder, MaskFrame, _float, read_records
 
 __all__ = [
     "SENTINEL_THRESHOLD",
@@ -36,34 +37,35 @@ __all__ = [
 SENTINEL_THRESHOLD = float("-inf")
 
 
-def _cells(bbox: BBox) -> Tuple[slice, slice]:
-    """Rows and columns of the cells fully inside ``bbox``. Stops clamp at 0,
-    so a box above or left of the mask slices nothing rather than counting
-    from the far edge; numpy clips them to the mask, so they fit every size."""
-    return (slice(max(0, math.ceil(bbox.y0)), max(0, math.floor(bbox.y1))),
-            slice(max(0, math.ceil(bbox.x0)), max(0, math.floor(bbox.x1))))
-
-
 def score_foreground(cubes: Sequence[Cube],
-                     masks: Iterable[MaskFrame]) -> List[Cube]:
-    """The cubes with their foreground scores, from one pass over the masks.
+                     masks: Iterable[MaskFrame]) -> CubeTable:
+    """The cubes' table with their foreground scores, from one pass over
+    the masks.
 
     The mask stream must be frame-ordered with contiguous videos and no
     repeated frame, as mask files are. Each mask is decoded once, and every
     cube whose window covers its frame adds its set and total cell counts
     there. Raises when no mask frame falls in a cube's window.
     """
-    order = list(cubes)
+    table = CubeTable.from_records(cubes)
+    t0, t1 = table.t0, table.t1
     pending: Dict[str, List[int]] = {}
-    for i, cube in enumerate(order):
-        pending.setdefault(cube.video_id, []).append(i)
+    for i, video_id in enumerate(table.video_ids):
+        pending.setdefault(video_id, []).append(i)
     for ids in pending.values():
-        ids.sort(key=lambda i: order[i].t0)
+        ids.sort(key=t0.__getitem__)
 
-    cells = [_cells(cube.bbox) for cube in order]
-    ones = [0] * len(order)
-    counts = [0] * len(order)
-    seen = [False] * len(order)
+    # rows [ceil y0, floor y1) and columns [ceil x0, floor x1) of the cells
+    # fully inside each box; bounds clamp at 0, so a box above or left of the
+    # mask slices nothing rather than counting from the far edge, and numpy
+    # clips them to the mask, so they fit every size
+    b = table.boxes
+    bounds = np.clip(np.column_stack((np.ceil(b[:, 2]), np.floor(b[:, 3]), np.ceil(b[:, 0]),
+                                      np.floor(b[:, 1]))), 0, 2.0**62).astype(np.int64)
+    cells = [(slice(y0, y1), slice(x0, x1)) for y0, y1, x0, x1 in bounds.tolist()]
+    ones = [0] * len(table)
+    counts = [0] * len(table)
+    seen = [False] * len(table)
 
     frame_order = FrameOrder("mask stream", strict=True)
     video = None
@@ -78,9 +80,9 @@ def score_foreground(cubes: Sequence[Cube],
             ptr = 0
             active = []
 
-        while ptr < len(queue) and order[queue[ptr]].t0 <= mask.frame:
+        while ptr < len(queue) and t0[queue[ptr]] <= mask.frame:
             i = queue[ptr]
-            heapq.heappush(active, (order[i].t1, i))
+            heapq.heappush(active, (t1[i], i))
             ptr += 1
         while active and active[0][0] <= mask.frame:
             heapq.heappop(active)
@@ -94,27 +96,25 @@ def score_foreground(cubes: Sequence[Cube],
             counts[i] += patch.size
             seen[i] = True
 
-    scored = []
-    for i, cube in enumerate(order):
-        if not seen[i]:
-            raise ValueError(
-                f"no masks inside [{cube.t0}, {cube.t1}) for video {cube.video_id!r}"
-            )
-        # exact integer counts; int() keeps the score a plain float
-        score = int(ones[i]) / counts[i] if counts[i] else 0.0
-        scored.append(Cube(cube.video_id, cube.bbox, cube.t0, cube.t1,
-                           cube.seed_track, cube.object_class, score, cube.labels))
-    return scored
+    if not all(seen):
+        i = seen.index(False)
+        raise ValueError(f"no masks inside [{t0[i]}, {t1[i]}) for video "
+                         f"{table.video_ids[i]!r}")
+    # exact integer counts; int() keeps the score a plain float
+    return replace(table, fg_scores=[int(o) / c if c else 0.0
+                                     for o, c in zip(ones, counts)])
 
 
 def collect_positive_scores(cubes: Iterable[Cube]) -> Dict[str, List[float]]:
     """Foreground scores of positively labeled cubes, per object class."""
+    table = CubeTable.from_records(cubes)
     out: Dict[str, List[float]] = {}
-    for cube in cubes:
-        if cube.labels:
-            if cube.fg_score is None:
+    for found, object_class, fg_score in zip(table.labels, table.object_classes,
+                                             table.fg_scores):
+        if found:
+            if fg_score is None:
                 raise ValueError("cube lacks a foreground score")
-            out.setdefault(cube.object_class, []).append(cube.fg_score)
+            out.setdefault(object_class, []).append(fg_score)
     return out
 
 
@@ -138,19 +138,21 @@ def calibrate_threshold(positive_scores: Mapping[str, Sequence[float]],
 
 
 def filter_proposals(cubes: Iterable[Cube],
-                     thresholds: Mapping[str, float]) -> List[Cube]:
+                     thresholds: Mapping[str, float]) -> CubeTable:
     """Keep cubes scoring strictly above their class threshold, order kept."""
-    out: List[Cube] = []
-    for cube in cubes:
-        if cube.fg_score is None:
+    table = CubeTable.from_records(cubes)
+    kept = []
+    for i, (fg_score, object_class) in enumerate(zip(table.fg_scores,
+                                                     table.object_classes)):
+        if fg_score is None:
             raise ValueError("cube lacks a foreground score; score masks first")
-        if cube.object_class not in thresholds:
+        if object_class not in thresholds:
             raise ValueError(
-                f"no filter threshold for object class {cube.object_class!r}"
+                f"no filter threshold for object class {object_class!r}"
             )
-        if cube.fg_score > thresholds[cube.object_class]:
-            out.append(cube)
-    return out
+        if fg_score > thresholds[object_class]:
+            kept.append(i)
+    return table.take(kept)
 
 
 def load_thresholds(path: Union[str, Path]) -> Dict[str, Optional[float]]:
@@ -172,13 +174,13 @@ def load_thresholds(path: Union[str, Path]) -> Dict[str, Optional[float]]:
 def filter_stage(proposals: Sequence[Cube], masks: Iterable[MaskFrame],
                  config: PipelineConfig,
                  thresholds: Optional[Mapping[str, Optional[float]]] = None
-                 ) -> Tuple[List[Cube], dict]:
+                 ) -> Tuple[CubeTable, dict]:
     """The filter stage: kept cubes and thresholds report. Thresholds are
     calibrated on the positives unless given (a report's table, None for the
     sentinel); other classes keep the sentinel.
     """
     scored = score_foreground(proposals, masks)
-    table = {c.object_class: SENTINEL_THRESHOLD for c in scored}
+    table = dict.fromkeys(scored.object_classes, SENTINEL_THRESHOLD)
     for cls in config.object_classes:
         table.setdefault(cls, SENTINEL_THRESHOLD)
     if thresholds is None:

@@ -28,6 +28,7 @@ __all__ = [
     "bbox_union",
     "bbox_intersection",
     "bbox_enlarge",
+    "box_enlarge",
     "tube_arrays",
     "window_unions",
 ]
@@ -127,18 +128,23 @@ def bbox_enlarge(b: BBox, rate: float, frame: Tuple[float, float]) -> BBox:
     ``frame`` is the (width, height) of the image; the result never leaves
     [0, width] x [0, height].
     """
+    return BBox(*box_enlarge(box_rows([b]), rate, frame)[0].tolist())
+
+
+def box_enlarge(rows: np.ndarray, rate: float, frame: Tuple[float, float]) -> np.ndarray:
+    """:func:`bbox_enlarge` of each row; raises on a degenerate result."""
     if rate < 0:
         raise ValueError(f"enlarge rate {rate} must be >= 0")
     width, height = frame
     # margin form of scaling by (1 + rate) about the center; exact at rate 0
-    mx = (b.x1 - b.x0) * rate / 2.0
-    my = (b.y1 - b.y0) * rate / 2.0
-    return BBox(
-        max(0.0, b.x0 - mx),
-        min(float(width), b.x1 + mx),
-        max(0.0, b.y0 - my),
-        min(float(height), b.y1 + my),
-    )
+    margins = (rows[:, 1::2] - rows[:, 0::2]) * rate / 2.0  # x, then y
+    out = np.empty_like(rows)
+    out[:, 0::2] = np.maximum(0.0, rows[:, 0::2] - margins)
+    out[:, 1::2] = np.minimum([float(width), float(height)], rows[:, 1::2] + margins)
+    bad = ~((out[:, 0] < out[:, 1]) & (out[:, 2] < out[:, 3]))
+    if bad.any():
+        raise ValueError(f"degenerate box {tuple(out[bad.argmax()].tolist())}")
+    return out
 
 
 def tube_arrays(frames: Sequence, boxes: Sequence) -> Tuple[np.ndarray, np.ndarray]:

@@ -6,14 +6,17 @@ the proposals: ground-truth cubes are :class:`Cube` objects whose
 against ground-truth cubes in the same temporal window by spatial IoU and
 assigned one or more positive labels, a negative label, or nothing,
 following the two-threshold scheme used for region-proposal training. The
-outcome lives on ``Cube.labels``: a non-empty set when positive, an empty
-set when negative, ``None`` when unassigned.
+outcome is the proposals' ``labels`` column (:class:`CubeTable`): a
+non-empty set when positive, an empty set when negative, ``None`` when
+unassigned.
 """
 
 from __future__ import annotations
 
 import bisect
 from collections import Counter
+from dataclasses import replace
+from operator import sub
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -22,7 +25,7 @@ from .config import PipelineConfig
 from .geometry import BBox, Cube, box_areas, box_intersections, box_ious, \
     box_rows, window_unions
 from .proposals import sample_windows
-from .records import ActivityAnnotation
+from .records import ActivityAnnotation, CubeTable
 
 __all__ = [
     "temporal_iou",
@@ -73,21 +76,22 @@ def gt_to_cubes(annotation: ActivityAnnotation, d_prop: int,
 
 def same_window_blocks(proposals: Sequence[Cube], gt_cubes: Sequence[Cube]
                        ) -> Iterator[Tuple[np.ndarray, ...]]:
-    """Per distinct GT-cube window, the proposals of the same video at
-    temporal IoU >= 0.5: proposal indices (ascending), GT indices, and the
-    IoU and GT-coverage (intersection over the GT box's area) matrices, both
-    from one :func:`box_intersections` block.
+    """Per distinct GT-cube window, the proposals (a :class:`CubeTable` or
+    cubes) of the same video at temporal IoU >= 0.5: proposal indices
+    (ascending), GT indices, and the IoU and GT-coverage (intersection over
+    the GT box's area) matrices, both from one :func:`box_intersections`
+    block.
     """
+    table = CubeTable.from_records(proposals)
     windows: Dict[str, Dict[Tuple[int, int], List[int]]] = {}
-    for i, p in enumerate(proposals):
-        windows.setdefault(p.video_id, {}).setdefault((p.t0, p.t1), []).append(i)
+    for i, (video_id, t0, t1) in enumerate(zip(table.video_ids, table.t0, table.t1)):
+        windows.setdefault(video_id, {}).setdefault((t0, t1), []).append(i)
     keys = {video_id: sorted(ws) for video_id, ws in windows.items()}
     # a window starting the longest duration before another cannot overlap it
-    max_dur = max((p.t1 - p.t0 for p in proposals), default=0)
+    max_dur = max(map(sub, table.t1, table.t0), default=0)
     gt_groups: Dict[Tuple[str, int, int], List[int]] = {}
     for g, gt in enumerate(gt_cubes):
         gt_groups.setdefault((gt.video_id, gt.t0, gt.t1), []).append(g)
-    prop_boxes = box_rows(p.bbox for p in proposals)
     gt_boxes = box_rows(gt.bbox for gt in gt_cubes)
     for (video_id, t0, t1), g_idx in gt_groups.items():
         near = keys.get(video_id, [])
@@ -98,14 +102,14 @@ def same_window_blocks(proposals: Sequence[Cube], gt_cubes: Sequence[Cube]
                                 for i in windows[video_id][w]), dtype=np.int64)
         if not p_idx.size:
             continue
-        p, g = prop_boxes[p_idx, None], gt_boxes[g_idx]
+        p, g = table.boxes[p_idx, None], gt_boxes[g_idx]
         inter = box_intersections(p, g)
         yield (p_idx, np.array(g_idx), box_ious(p, g, inter),
                inter / box_areas(g))
 
 
 def assign_labels(proposals: Sequence[Cube], gt_cubes: Sequence[Cube],
-                  s_high: float, s_low: float) -> List[Cube]:
+                  s_high: float, s_low: float) -> CubeTable:
     """Two-threshold label assignment between proposals and GT cubes.
 
     Only pairs in the same video whose windows overlap with temporal IoU of
@@ -114,11 +118,12 @@ def assign_labels(proposals: Sequence[Cube], gt_cubes: Sequence[Cube],
     additionally labels its best proposal strictly above ``s_low`` (ties to
     the lower proposal index); proposals whose scores all sit at or below
     ``s_low`` are negative (empty labels), the rest stay unassigned
-    (``None``). Returns the proposals with these labels, in order.
+    (``None``). Returns the proposals' table with these labels.
     """
-    labels = [frozenset()] * len(proposals)
-    best_iou = np.zeros(len(proposals))
-    for p_idx, g_idx, iou, _ in same_window_blocks(proposals, gt_cubes):
+    table = CubeTable.from_records(proposals)
+    labels = [frozenset()] * len(table)
+    best_iou = np.zeros(len(table))
+    for p_idx, g_idx, iou, _ in same_window_blocks(table, gt_cubes):
         best_iou[p_idx] = np.maximum(best_iou[p_idx], iou.max(axis=1))
         for r, c in zip(*np.nonzero(iou > s_high)):
             labels[p_idx[r]] |= gt_cubes[g_idx[c]].labels
@@ -127,9 +132,8 @@ def assign_labels(proposals: Sequence[Cube], gt_cubes: Sequence[Cube],
         above = iou[best, np.arange(len(g_idx))] > s_low
         for r, g in zip(best[above], g_idx[above]):
             labels[p_idx[r]] |= gt_cubes[g].labels
-    return [Cube(p.video_id, p.bbox, p.t0, p.t1, p.seed_track, p.object_class,
-                 p.fg_score, found or (frozenset() if best <= s_low else None))
-            for p, found, best in zip(proposals, labels, best_iou.tolist())]
+    return replace(table, labels=[found or (frozenset() if best <= s_low else None)
+                                  for found, best in zip(labels, best_iou.tolist())])
 
 
 def proposal_stats(labeled: Sequence[Cube]) -> dict:
@@ -139,8 +143,8 @@ def proposal_stats(labeled: Sequence[Cube]) -> dict:
     two, and three or more labels.
     """
     # cubes by label count: None when unassigned, 0 when negative, 3 for 3+
-    counts = Counter(None if c.labels is None else min(len(c.labels), 3)
-                     for c in labeled)
+    counts = Counter(None if found is None else min(len(found), 3)
+                     for found in CubeTable.from_records(labeled).labels)
     total, positive = len(labeled), counts[1] + counts[2] + counts[3]
     single, two, many = (counts[n] / positive if positive else 0.0 for n in (1, 2, 3))
     return {"total": total, "positive": positive, "negative": counts[0],
@@ -152,7 +156,7 @@ def proposal_stats(labeled: Sequence[Cube]) -> dict:
 
 def label_stage(proposals: Sequence[Cube],
                 annotations: Iterable[ActivityAnnotation],
-                config: PipelineConfig) -> Tuple[List[Cube], dict]:
+                config: PipelineConfig) -> Tuple[CubeTable, dict]:
     """The assign-labels stage: labeled proposals and their statistics."""
     gt_cubes = [gt for a in annotations
                 for gt in gt_to_cubes(a, config.d_prop, config.s_prop)]

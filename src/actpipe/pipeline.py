@@ -39,8 +39,8 @@ from .filtering import filter_stage, load_thresholds
 from .geometry import BBox
 from .labeling import label_stage
 from .proposals import generate_proposals
-from .records import (ReportRecord, _formatter, _header, read_detections, read_records,
-                      write_records)
+from .records import (CubeTable, ReportRecord, _formatter, _header, read_detections,
+                      read_proposals, read_records, write_records)
 from .scoring import load_fuse_weights, score_stage
 from .synth import ActivitySpec, ObjectSpec, SceneSpec, generate_scene
 from .tracking import Track, greedy_iou_track, tracks_from_records
@@ -171,8 +171,13 @@ OUTPUT_FILES = {
 
 
 def read_input(path: Path, kind: str):
-    """A stage's input file: detections as per-video batches, else records."""
-    return read_detections(path) if kind == "detections" else read_records(path, kind)
+    """A stage's input file: detections as per-video batches, proposals of
+    either kind as one table, else records."""
+    if kind == "detections":
+        return read_detections(path)
+    if kind in ("proposals", "scored-proposals"):
+        return read_proposals(path, kind)
+    return read_records(path, kind)
 
 
 @dataclass
@@ -247,7 +252,7 @@ def run_stage(stage: str, records: Iterable, run: StageRun
     if stage == "track":
         tracked = greedy_iou_track(records, max_gap=config.s_det)
         return len(tracked), {"track": tracked}
-    items = list(records)
+    items = records if isinstance(records, CubeTable) else list(records)
 
     if stage == "assign-labels":
         labeled, stats = label_stage(items, run.annotations, config)
@@ -280,13 +285,13 @@ def run_stage(stage: str, records: Iterable, run: StageRun
 
     # evaluate
     annotations = run.annotations
-    proposals = (list(read_records(run.proposals, "proposals"))
-                 if run.proposals else [])
+    proposals = (read_proposals(run.proposals, "proposals") if run.proposals
+                 else CubeTable.from_records(()))
+    ends = [(r.video_id, r.t1) for r in chain(annotations, items)]
+    ends += zip(proposals.video_ids, proposals.t1)
     # in a run, only videos that no track named can still lack a length here
-    run.video_lengths = infer_video_lengths(run.video_lengths, (
-        (r.video_id, r.t1) for r in chain(annotations, items, proposals)))
-    unnamed = set(run.inputs.video_lengths).difference(
-        r.video_id for r in chain(annotations, items, proposals))
+    run.video_lengths = infer_video_lengths(run.video_lengths, ends)
+    unnamed = set(run.inputs.video_lengths).difference(v for v, _ in ends)
     if unnamed:
         logger.warning("explicit lengths for %s, which no evaluated record "
                        "names: their frames count as activity-free in every "

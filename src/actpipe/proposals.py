@@ -15,7 +15,8 @@ from typing import List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .config import PipelineConfig
-from .geometry import BBox, Cube, bbox_enlarge, window_unions
+from .geometry import box_enlarge, window_unions
+from .records import CubeTable
 from .tracking import Track
 
 __all__ = [
@@ -83,7 +84,7 @@ def _seed_pairs(windows: Sequence[Window], tracks: Sequence[Track],
 
 def generate_video_proposals(video_id: str, tracks: Sequence[Track],
                              video_len: int, frame_size: Tuple[float, float],
-                             config: PipelineConfig) -> List[Cube]:
+                             config: PipelineConfig) -> CubeTable:
     """All cube proposals for one video, ordered by (t0, seed_track).
 
     A track seeds a window when it has an in-window box within ``s_det / 2``
@@ -97,26 +98,27 @@ def generate_video_proposals(video_id: str, tracks: Sequence[Track],
     usable = sorted((t for t in tracks if not allowed or t.object_class in allowed),
                     key=lambda t: t.track_id)
     if not usable:
-        return []
+        return CubeTable.from_records(())
     windows = sample_windows(video_len, config.d_prop, config.s_prop)
     w_idx, k_idx, lo, hi = _seed_pairs(windows, usable, config.s_det)
     unions = window_unions(np.concatenate([t.boxes for t in usable]), lo, hi)
-    return [Cube(video_id=video_id,
-                 bbox=bbox_enlarge(BBox(*union), config.r_enl, frame_size),
-                 t0=windows[w][0], t1=windows[w][1], seed_track=usable[k].track_id,
-                 object_class=usable[k].object_class)
-            for w, k, union in zip(w_idx.tolist(), k_idx.tolist(), unions.tolist())]
+    seeds = [usable[k] for k in k_idx.tolist()]
+    t0, t1 = zip(*[windows[w] for w in w_idx.tolist()]) if seeds else ((), ())
+    return CubeTable([video_id] * len(seeds), list(t0), list(t1),
+                     box_enlarge(unions, config.r_enl, frame_size), None,
+                     [t.track_id for t in seeds], [t.object_class for t in seeds],
+                     [None] * len(seeds), [None] * len(seeds))
 
 
 def generate_proposals(tracks_by_video: Mapping[str, Sequence[Track]],
                        video_lengths: Mapping[str, int],
                        frame_sizes: Mapping[str, Tuple[float, float]],
-                       config: PipelineConfig) -> List[Cube]:
+                       config: PipelineConfig) -> CubeTable:
     """Corpus-level proposal generation, videos in sorted id order.
 
     Every video needs a length, and no track may end at or past it.
     """
-    cubes: List[Cube] = []
+    tables = []
     for video_id in sorted(tracks_by_video):
         if video_id not in video_lengths:
             raise ValueError(f"no video length for {video_id!r}")
@@ -126,6 +128,6 @@ def generate_proposals(tracks_by_video: Mapping[str, Sequence[Track]],
             raise ValueError(
                 f"track {late[0].track_id} of video {video_id!r} reaches frame "
                 f"{int(late[0].frames[-1])}, past the video's length of {length}")
-        cubes.extend(generate_video_proposals(video_id, tracks, length,
-                                              frame_sizes[video_id], config))
-    return cubes
+        tables.append(generate_video_proposals(video_id, tracks, length,
+                                               frame_sizes[video_id], config))
+    return CubeTable.concat(tables)

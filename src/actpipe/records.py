@@ -3,19 +3,21 @@
 Each file is UTF-8 JSON lines with a header line naming the record kind and
 schema version (``#actpipe/<kind>/v1``). Field names and ordering are
 documented in SCHEMAS.md at the repository root. Readers and writers stream
-one record at a time, but for :func:`read_detections`, which reads a file
-whole into per-video column batches (:class:`Detections`); the pipeline's
-stages hold each stage's records as one list.
+one record at a time, but for detections and both proposal kinds, which are
+read whole into columns (:func:`read_detections` into per-video batches,
+:func:`read_proposals` into a :class:`CubeTable`) and written from them
+with the bytes their records would give; the pipeline's stages hold each
+stage's records as one list or column set.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from itertools import chain, groupby, repeat
+from dataclasses import dataclass, field, replace
+from itertools import chain, groupby, repeat, starmap
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter, lt, mul
+from operator import attrgetter, itemgetter, lt, mul
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
@@ -31,6 +33,7 @@ __all__ = [
     "ActivityAnnotation",
     "MaskFrame",
     "ScoredCube",
+    "CubeTable",
     "ActivityInstance",
     "ReportRecord",
     "rle_encode",
@@ -38,6 +41,7 @@ __all__ = [
     "FrameOrder",
     "read_records",
     "read_detections",
+    "read_proposals",
     "write_records",
     "RECORD_KINDS",
 ]
@@ -207,6 +211,117 @@ class ScoredCube:
         return (c.video_id, c.t0, c.t1, c.seed_track)
 
 
+# a Cube's columns in CubeTable order, the box's coordinates among them
+_CUBE_ATTRS = attrgetter("video_id", "t0", "t1", "bbox.x0", "bbox.x1", "bbox.y0",
+                         "bbox.y1", "seed_track", "object_class", "fg_score", "labels")
+# the per-row list columns of a CubeTable; lines and heads may be None
+_ROW_LISTS = ("video_ids", "t0", "t1", "seed_tracks", "object_classes", "fg_scores",
+              "labels", "lines", "heads")
+
+
+def _pick(column: Optional[list], rows: List[int]) -> Optional[list]:
+    return None if column is None else [column[i] for i in rows]
+
+
+@dataclass(eq=False)
+class CubeTable:
+    """Proposals as columns, in order: the form the propose through dedup
+    stages take, give and write. ``boxes`` are float64 x0, x1, y0, y1 rows;
+    ``coords`` keeps the coordinate columns as given when one is no float
+    (an int stays an int on rewrite), else None; ``scores`` is the (N, C)
+    matrix of scored proposals; ``lines`` are line numbers in ``source``;
+    ``heads`` caches each row's text from ``video_id`` to ``object_class``,
+    which no stage changes. Iterating builds a :class:`Cube` (with scores a
+    :class:`ScoredCube`) per row, for tests and tools."""
+
+    video_ids: list
+    t0: list
+    t1: list
+    boxes: np.ndarray
+    coords: Optional[tuple]
+    seed_tracks: list
+    object_classes: list
+    fg_scores: list
+    labels: list
+    scores: Optional[np.ndarray] = None
+    lines: Optional[list] = None
+    source: str = "proposal stream"
+    heads: Optional[list] = None
+
+    @classmethod
+    def from_records(cls, records: Iterable, lines: Optional[list] = None,
+                     source: str = "proposal stream") -> "CubeTable":
+        """Cubes or ScoredCubes of one score length; a table passes through."""
+        if isinstance(records, CubeTable):
+            return records
+        records = list(records)
+        cubes = [getattr(r, "cube", r) for r in records]
+        scores = None
+        if records and cubes[0] is not records[0]:
+            for r in records:
+                if len(r.scores) != len(records[0].scores):
+                    raise ValueError(f"score vector of length {len(r.scores)} for "
+                                     f"{r.key}, expected {len(records[0].scores)}")
+            scores = np.array([r.scores for r in records]).reshape(len(records), -1)
+        videos, t0, t1, *coords, seeds, classes, fgs, labels = (
+            map(list, zip(*map(_CUBE_ATTRS, cubes))) if cubes else ([] for _ in range(11)))
+        return cls(videos, t0, t1, np.array(coords, dtype=np.float64).T.reshape(-1, 4),
+                   None if set(map(type, chain(*coords))) == {float} else tuple(coords),
+                   seeds, classes, fgs, labels, scores, lines, source)
+
+    @classmethod
+    def concat(cls, tables: Sequence["CubeTable"]) -> "CubeTable":
+        """The rows of tables with float boxes and no scores, in turn."""
+        return cls(**{name: list(chain.from_iterable(getattr(t, name) for t in tables))
+                      for name in _ROW_LISTS[:-2]}, coords=None,
+                   boxes=np.concatenate([np.empty((0, 4)), *(t.boxes for t in tables)]))
+
+    def __len__(self) -> int:
+        return len(self.video_ids)
+
+    def __iter__(self) -> Iterator:
+        cubes = map(Cube, self.video_ids, self.bboxes(range(len(self))), self.t0, self.t1,
+                    self.seed_tracks, self.object_classes, self.fg_scores, self.labels)
+        if self.scores is None:
+            return cubes
+        return map(ScoredCube, cubes, map(tuple, self.scores.tolist()))
+
+    def __getitem__(self, row: int):
+        return next(iter(self.take([row])))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (CubeTable, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def bboxes(self, rows: Iterable[int]) -> List[BBox]:
+        """The box of each of ``rows``, as given."""
+        rows = list(rows)
+        if self.coords is None:
+            return list(starmap(BBox, self.boxes[rows].tolist()))
+        return [BBox(*(c[i] for c in self.coords)) for i in rows]
+
+    def keys(self) -> List[Tuple[str, int, int, Optional[int]]]:
+        """Each row's (video_id, t0, t1, seed_track) join key."""
+        return list(zip(self.video_ids, self.t0, self.t1, self.seed_tracks))
+
+    def take(self, rows: Iterable[int]) -> "CubeTable":
+        """The table of ``rows``, in that order."""
+        rows = list(rows)
+        index = np.array(rows, dtype=np.intp)
+        return replace(self, boxes=self.boxes[index],
+                       scores=None if self.scores is None else self.scores[index],
+                       coords=self.coords and tuple(_pick(c, rows) for c in self.coords),
+                       **{name: _pick(getattr(self, name), rows) for name in _ROW_LISTS})
+
+    def with_scores(self, scores: np.ndarray) -> "CubeTable":
+        """This table with the (N, C) ``scores``, each in [0, 1]."""
+        bad = ~((scores >= 0.0) & (scores <= 1.0))
+        if bad.any():
+            raise ValueError(f"score {float(scores[bad][0])} outside [0, 1]")
+        return replace(self, scores=scores)
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class ActivityInstance(_TubeRecord):
     """Final detection output: class, window, box, confidence, optional tube.
@@ -241,6 +356,7 @@ class ReportRecord:
 # %s (an optional one is "null" or itself), strings by json's ASCII escaper,
 # mask runs and free-form objects by one shared encoder, not a new one a call.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+_scan = json.JSONDecoder().scan_once  # (value, end) of the JSON value at an index
 _NUMBER_TYPES = frozenset((int, float))
 _ZEROS = repeat(0)
 
@@ -520,16 +636,39 @@ def _mask_from_json(obj: dict) -> MaskFrame:
                      tuple(rle))
 
 
-def _cube_line(c: Cube) -> str:
-    b, seed, fg = c.bbox, c.seed_track, c.fg_score
-    _numbers(c.t0, c.t1, b.x0, b.x1, b.y0, b.y1, 0 if seed is None else seed,
-             0 if fg is None else fg)
-    return ('{"video_id":%s,"t0":%r,"t1":%r,"x0":%r,"x1":%r,"y0":%r,"y1":%r,'
-            '"seed_track":%s,"object_class":%s,"fg_score":%s,"labels":%s}\n') % (
-        _quote(c.video_id), c.t0, c.t1, b.x0, b.x1, b.y0, b.y1,
-        "null" if seed is None else seed,
-        _quote(c.object_class), "null" if fg is None else fg,
-        "null" if c.labels is None else "[%s]" % ",".join(map(_quote, sorted(c.labels))))
+_CUBE_HEAD = ('{"video_id":%s,"t0":%r,"t1":%r,"x0":%r,"x1":%r,"y0":%r,"y1":%r,'
+              '"seed_track":%s,"object_class":%s\n')
+
+
+def _cube_text(t: CubeTable, scored: bool) -> str:
+    """A table's lines, its numbers checked once per column; each row's
+    head is formatted once per table and kept in ``t.heads``."""
+    if t.heads is None:
+        coords = t.coords or t.boxes.T.tolist()
+        _numbers(*t.t0, *t.t1, *chain(*coords), *filter(_given, t.seed_tracks))
+        quoted = {name: _quote(name) for name in {*t.video_ids, *t.object_classes}}
+        rows = zip(map(quoted.get, t.video_ids), t.t0, t.t1, *coords,
+                   ["null" if s is None else s for s in t.seed_tracks],
+                   map(quoted.get, t.object_classes))
+        t.heads = (_CUBE_HEAD * len(t) % tuple(chain.from_iterable(rows))).split("\n")[:-1]
+    _numbers(*filter(_given, t.fg_scores))
+    labels = {found: "null" if found is None else "[%s]" % ",".join(map(_quote, sorted(found)))
+              for found in set(t.labels)}
+    scores = t.scores.T.tolist() if scored and len(t) else ()
+    line = '%s,"fg_score":%s,"labels":%s' + (
+        ',"scores":[%s]' % ",".join(["%r"] * len(scores)) if scored else "") + "}\n"
+    return line * len(t) % tuple(chain.from_iterable(zip(
+        t.heads, ["null" if f is None else f for f in t.fg_scores],
+        map(labels.get, t.labels), *scores)))
+
+
+def _given(value) -> bool:
+    return value is not None
+
+
+def _cube_line(record) -> str:
+    """One Cube's or ScoredCube's line, written as a one-row table."""
+    return _cube_text(CubeTable.from_records([record]), isinstance(record, ScoredCube))
 
 
 def _cube_from_json(obj: dict) -> Cube:
@@ -549,15 +688,67 @@ def _cube_from_json(obj: dict) -> Cube:
     )
 
 
-def _scored_line(r: ScoredCube) -> str:
-    # the constructor holds scores as finite Python floats
-    return f'{_cube_line(r.cube)[:-2]},"scores":[{",".join(map(repr, r.scores))}]}}\n'
-
-
 def _scored_from_json(obj: dict) -> ScoredCube:
     return ScoredCube(cube=_cube_from_json(obj),
                       scores=tuple(_float(s, "scores entry")
                                    for s in _list(obj["scores"], "scores")))
+
+
+# what the table reader takes from a proposal line, in CubeTable order
+_CUBE_FIELDS = ("video_id", "t0", "t1", "x0", "x1", "y0", "y1", "seed_track",
+                "object_class", "fg_score", "labels", "scores")
+
+
+def read_proposals(path: Union[str, Path], kind: str = "proposals") -> CubeTable:
+    """The ``proposals`` or ``scored-proposals`` of ``path`` as one table,
+    under the checks and errors of :func:`read_records`, which parses a file
+    with a line that the table does not take as read (an int ``fg_score``,
+    a left-out optional field, ragged scores, ...)."""
+    path, scored = Path(path), kind == "scored-proposals"
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            first = fh.readline()
+            if first and first.rstrip("\n") != _header(kind):
+                raise ValueError(f"not a {kind} header")
+            numbered = [(lineno, line) for lineno, line in enumerate(fh, start=2)
+                        if not line.isspace()]
+        # json.loads without its per-call wrapping: each line's fields, and
+        # the rest of the line after its value, which must be blank
+        fields = itemgetter(*_CUBE_FIELDS[:11 + scored])
+        rows = [(fields(value), line[end:]) for _, line in numbered
+                for value, end in [_scan(line, 0)]]
+        if any(rest.strip() for _, rest in rows):
+            raise ValueError("a line holds more than one value")
+        columns = list(zip(*(row for row, _ in rows)))
+        videos, t0, t1, *coords, seeds, classes, fgs, labels = columns[:11]
+        vectors = columns[11] if scored else ()
+        boxes = np.array(coords, dtype=np.float64).T  # OverflowError past float64
+        x0, x1, y0, y1 = coords  # compared as parsed: ints past 2**53 stay exact
+        if not (set(map(type, chain(videos, classes))) <= {str}
+                and set(map(type, chain(t0, t1))) <= {int} and min(t0) >= 0
+                and set(map(type, chain(*coords))) <= _NUMBER_TYPES
+                and set(map(type, seeds)) <= {int, type(None)}
+                and set(map(type, fgs)) <= {float, type(None)}
+                and set(map(type, labels)) <= {list, type(None)}
+                and set(map(type, chain.from_iterable(filter(None, labels)))) <= {str}
+                and set(map(type, vectors)) <= {list}
+                and set(map(type, chain.from_iterable(vectors))) <= _NUMBER_TYPES
+                and all(map(lt, t0, t1)) and min(filter(_given, seeds), default=0) >= 0
+                and all(0.0 <= f <= 1.0 for f in filter(_given, fgs)) and all(map(
+                    lt, x0, x1)) and all(map(lt, y0, y1)) and np.isfinite(boxes).all()):
+            raise ValueError("proposal fields that a table does not take as read")
+        table = CubeTable(list(videos), list(t0), list(t1), boxes,
+                          None if set(map(type, chain(*coords))) == {float} else coords,
+                          list(seeds), list(classes), list(fgs),
+                          [None if found is None else frozenset(found) for found in labels],
+                          lines=[lineno for lineno, _ in numbered], source=str(path))
+        return table.with_scores(np.array(vectors, dtype=np.float64)) if scored else table
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError,
+            StopIteration):
+        pass  # the record parser raises at the first bad line, or takes the file
+    numbered = list(_numbered_records(path, kind))
+    return CubeTable.from_records([r for _, r in numbered], [n for n, _ in numbered],
+                                  str(path))
 
 
 def _instance_line(r: ActivityInstance) -> str:
@@ -625,7 +816,7 @@ RECORD_KINDS = {
     "annotations": (_annotation_line, _annotation_from_json, None),
     "masks": (_mask_line, _mask_from_json, True),
     "proposals": (_cube_line, _cube_from_json, None),
-    "scored-proposals": (_scored_line, _scored_from_json, None),
+    "scored-proposals": (_cube_line, _scored_from_json, None),
     "instances": (_instance_line, _instance_from_json, None),
     "det-curves": (_curve_line, _curve_from_json, None),
     "reports": (_report_line, _report_from_json, None),
@@ -705,7 +896,7 @@ def _numbered_records(path: Path, kind: str) -> Iterator[Tuple[int, Any]]:
                 record = parser(json.loads(line))
             except RecordError:
                 raise
-            except (ValueError, KeyError, TypeError, OverflowError,
+            except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
                     RecursionError) as exc:
                 raise RecordError(f"{path}:{lineno}: {exc}") from exc
             if order is not None:
@@ -728,6 +919,12 @@ def write_records(records: Iterable, path: Union[str, Path], kind: str) -> int:
         if kind == "detections" and isinstance(records, Detections):
             fh.writelines(map(_detection_text, records.videos))  # in order as built
             return len(records)
+        if line is _cube_line:  # a stream as tables, one per run of a score length
+            tables = [records] if isinstance(records, CubeTable) else [
+                CubeTable.from_records(run) for _, run in
+                groupby(records, key=lambda r: len(getattr(r, "scores", ())))]
+            fh.writelines(_cube_text(t, kind == "scored-proposals") for t in tables)
+            return sum(map(len, tables))
         for record in records:
             if order is not None:
                 order.check(record.video_id, record.frame, count + 2)

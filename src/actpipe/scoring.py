@@ -13,14 +13,15 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
 from .config import ConfigError
 from .geometry import Cube
-from .records import ScoredCube, _float, _list, read_records
+from .records import CubeTable, ScoredCube, _float, _list, read_proposals
 
 __all__ = [
     "WeightVectors",
@@ -115,59 +116,63 @@ def _class_index(activity_classes: Sequence[str]) -> Dict[str, int]:
 
 
 def oracle_scores(cubes: Sequence[Cube],
-                  activity_classes: Sequence[str]) -> List[ScoredCube]:
-    """Perfect-classifier scores from assigned labels.
+                  activity_classes: Sequence[str]) -> CubeTable:
+    """Perfect-classifier scores from assigned labels, as a one-hot matrix.
 
     Positive classes score 1.0, everything else 0.0; negative and
     unassigned cubes get all-zero vectors.
     """
     index = _class_index(activity_classes)
-    out = []
-    for cube in cubes:
-        scores = [0.0] * len(activity_classes)
-        for label in cube.labels or ():
+    table = CubeTable.from_records(cubes)
+    kinds: Dict[Optional[frozenset], int] = {}  # label set -> its one-hot row
+    rows = [kinds.setdefault(found, len(kinds)) for found in table.labels]
+    onehot = np.zeros((len(kinds), len(index)))
+    for found, row in kinds.items():
+        for label in found or ():
             if label not in index:
                 raise ValueError(f"label {label!r} not in activity_classes")
-            scores[index[label]] = 1.0
-        out.append(ScoredCube(cube, tuple(scores)))
-    return out
+            onehot[row, index[label]] = 1.0
+    return table.with_scores(onehot[rows])
 
 
 def load_external_scores(path: Union[str, Path], proposals: Sequence[Cube],
-                         activity_classes: Sequence[str]) -> List[ScoredCube]:
+                         activity_classes: Sequence[str]) -> CubeTable:
     """Join a scored-proposals file onto proposals by their cube keys.
 
     Keys are (video_id, t0, t1, seed_track). Every proposal must appear in
-    the file, and only once; extra keys are ignored with a warning; score
-    vectors must match the class count.
+    the file, and only once, and no two proposals may share a key; extra
+    keys are ignored with a warning; score vectors must match the class
+    count.
     """
     n = len(_class_index(activity_classes))
-    table: Dict[tuple, ScoredCube] = {}
-    for record in read_records(path, "scored-proposals"):
-        if len(record.scores) != n:
-            raise ValueError(
-                f"score vector of length {len(record.scores)} for key "
-                f"{record.key}, expected {n}"
-            )
-        if record.key in table:
-            raise ValueError(f"{path}: duplicate score key {record.key}")
-        table[record.key] = record
+    scored = read_proposals(path, "scored-proposals")
+    keys = scored.keys()
+    if keys and scored.scores.shape[1] != n:
+        raise ValueError(f"score vector of length {scored.scores.shape[1]} for key "
+                         f"{keys[0]}, expected {n}")
+    table: Dict[tuple, int] = {}
+    for row, key in enumerate(keys):
+        if key in table:
+            raise ValueError(f"{path}: duplicate score key {key}")
+        table[key] = row
 
-    out = []
-    missing = []
-    for cube in proposals:
-        key = (cube.video_id, cube.t0, cube.t1, cube.seed_track)
-        record = table.pop(key, None)
-        if record is None:
+    proposals = CubeTable.from_records(proposals)
+    rows, missing, seen = [], [], set()
+    for i, key in enumerate(proposals.keys()):
+        if key in seen:
+            where = f"{proposals.source}:{proposals.lines[i]}: " if proposals.lines else ""
+            raise ValueError(f"{where}repeated proposal key {key}")
+        seen.add(key)
+        row = table.pop(key, None)
+        if row is None:
             missing.append(key)
-        else:
-            out.append(ScoredCube(cube, record.scores))
+        rows.append(row)
     if missing:
         shown = ", ".join(map(str, missing[:5]))
         raise ValueError(f"{len(missing)} proposals missing scores: {shown}")
     if table:
         logger.warning("ignoring %d extra score keys in %s", len(table), path)
-    return out
+    return proposals.with_scores(scored.scores[rows] if rows else np.zeros((0, n)))
 
 
 def _sum_to_one(weights: np.ndarray) -> np.ndarray:
@@ -176,8 +181,9 @@ def _sum_to_one(weights: np.ndarray) -> np.ndarray:
 
 
 def fuse_scores(score_sets: Sequence[Sequence[ScoredCube]],
-                weights: Optional[np.ndarray] = None) -> List[ScoredCube]:
-    """Action-wise late fusion of several score sets over identical proposals.
+                weights: Optional[np.ndarray] = None) -> CubeTable:
+    """Action-wise late fusion of several score sets over identical proposals,
+    as one weighted sum over the stacked score matrices.
 
     Sets are fused by position, so they must hold the same cubes in the same
     order (as :func:`load_external_scores` returns them for one proposal
@@ -186,9 +192,10 @@ def fuse_scores(score_sets: Sequence[Sequence[ScoredCube]],
     """
     if not score_sets:
         raise ValueError("need at least one score set")
-    first = list(score_sets[0])
-    n_classes = len(first[0].scores) if first else 0
-    m = len(score_sets)
+    tables = [CubeTable.from_records(s) for s in score_sets]
+    first = tables[0]
+    n_classes = 0 if first.scores is None else first.scores.shape[1]
+    m = len(tables)
     if weights is None:
         weights = np.full((m, n_classes), 1.0 / m)
     weights = np.asarray(weights, dtype=np.float64)
@@ -199,17 +206,15 @@ def fuse_scores(score_sets: Sequence[Sequence[ScoredCube]],
     if not _sum_to_one(weights).all():
         raise ValueError(f"per-class weights must sum to 1, got {weights.sum(axis=0)}")
 
-    cubes = [sc.cube for sc in first]
-    for s, score_set in enumerate(score_sets):
-        if [sc.cube for sc in score_set] != cubes:
+    cubes = attrgetter("video_ids", "t0", "t1", "seed_tracks", "object_classes",
+                       "fg_scores", "labels")
+    for s, table in enumerate(tables):
+        if cubes(table) != cubes(first) or not np.array_equal(table.boxes, first.boxes):
             raise ValueError(f"score set {s} covers different proposals")
-
-    out = []
-    for members in zip(*score_sets):
-        vectors = np.array([sc.scores for sc in members])
-        fused = (weights * vectors).sum(axis=0)
-        out.append(ScoredCube(members[0].cube, tuple(float(x) for x in fused)))
-    return out
+    if not len(first):
+        return first
+    stacked = np.stack([table.scores for table in tables])
+    return first.with_scores((weights[:, None, :] * stacked).sum(axis=0))
 
 
 def load_fuse_weights(path: Union[str, Path], activity_classes: Sequence[str],
@@ -239,7 +244,7 @@ def load_fuse_weights(path: Union[str, Path], activity_classes: Sequence[str],
 
 def score_stage(proposals: Sequence[Cube], activity_classes: Sequence[str],
                 scores: Sequence[Union[str, Path]] = (),
-                weights: Optional[np.ndarray] = None) -> List[ScoredCube]:
+                weights: Optional[np.ndarray] = None) -> CubeTable:
     """The score stage: oracle scores when ``scores`` is empty, else each
     external file joined onto the proposals, fused when there are several."""
     if not scores:

@@ -2,9 +2,10 @@
 plain per-``BBox`` reference versions of the box overlap kernel, the
 array-backed proposal, labeling and tube steps and box coverage, the
 per-pair greedy tracker, the outcome-counting label statistics, the
-per-class dedup and per-level proposal-quality sweep, the coverage-counter
-DET sweep, the per-pair tube-IoU mAP, the per-cube foreground score and the
-dict-and-``json.dumps`` record line, for differential tests."""
+per-class dedup and per-level proposal-quality sweep, the per-cube oracle
+and fused scores, the coverage-counter DET sweep, the per-pair tube-IoU
+mAP, the per-cube foreground score and the dict-and-``json.dumps`` record
+line, for differential tests."""
 
 import bisect
 import json
@@ -22,8 +23,8 @@ from actpipe.geometry import BBox, Cube, bbox_enlarge, bbox_intersection, \
 from actpipe.labeling import SAME_WINDOW_TIOU, gt_to_cubes, \
     same_window_blocks, temporal_iou
 from actpipe.proposals import sample_windows
-from actpipe.records import ActivityAnnotation, ActivityInstance, DetectionRecord
-from actpipe.scoring import oracle_scores
+from actpipe.records import ActivityAnnotation, ActivityInstance, DetectionRecord, \
+    ScoredCube
 from actpipe.synth import ActivitySpec, ObjectSpec, SceneSpec
 from actpipe.tracking import IOU_GATE, Track
 
@@ -616,7 +617,7 @@ def ref_proposal_quality(proposals, annotations, config, video_lengths,
         best_cov[p_idx] = np.maximum(best_cov[p_idx], cov.max(axis=1))
 
     def mean_naudc(subset):
-        instances = ref_deduplicate(oracle_scores(subset, classes),
+        instances = ref_deduplicate(ref_oracle_scores(subset, classes),
                                     dedup_config)
         if level_instances is not None:
             level_instances.append(instances)
@@ -640,6 +641,35 @@ def ref_proposal_quality(proposals, annotations, config, video_lengths,
         "coverage": {"average": sum(cov_levels.values()) / len(cov_levels),
                      "levels": cov_levels},
     }
+
+
+# ---------------------------------------------------------------------------
+# score references: one ScoredCube per cube, one fused vector per proposal
+
+
+def ref_oracle_scores(cubes, activity_classes):
+    """1.0 for each assigned label's class, 0.0 elsewhere, cube by cube."""
+    index = {c: i for i, c in enumerate(activity_classes)}
+    out = []
+    for cube in cubes:
+        scores = [0.0] * len(activity_classes)
+        for label in cube.labels or ():
+            if label not in index:
+                raise ValueError(f"label {label!r} not in activity_classes")
+            scores[index[label]] = 1.0
+        out.append(ScoredCube(cube, tuple(scores)))
+    return out
+
+
+def ref_fuse_scores(score_sets, weights):
+    """Each proposal's (models x classes) scores weighted and summed over
+    the models, proposal by proposal."""
+    out = []
+    for members in zip(*score_sets):
+        vectors = np.array([sc.scores for sc in members])
+        fused = (weights * vectors).sum(axis=0)
+        out.append(ScoredCube(members[0].cube, tuple(float(x) for x in fused)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -34,15 +34,17 @@ from actpipe.labeling import (SAME_WINDOW_TIOU, assign_labels, gt_to_cubes,
 from actpipe.proposals import generate_video_proposals, sample_windows
 from actpipe.tracking import IOU_GATE, greedy_iou_track
 from actpipe.records import (RECORD_KINDS, ActivityAnnotation, ActivityInstance,
-                             DetectionRecord, MaskFrame, RecordError, ReportRecord,
-                             ScoredCube, _formatter, read_detections, read_records,
-                             write_records)
+                             CubeTable, DetectionRecord, MaskFrame, RecordError,
+                             ReportRecord, ScoredCube, _formatter, read_detections,
+                             read_proposals, read_records, write_records)
+from actpipe.scoring import fuse_scores, oracle_scores
 from helpers import (block_tube_iou, make_track, ref_assign_labels, ref_bbox_iou,
                      ref_box_area, ref_coverage, ref_deduplicate, ref_det_curve,
                      ref_frame_boxes, ref_generate_video_proposals,
                      ref_greedy_iou_track, ref_intersection_area, ref_gt_to_cubes,
-                     ref_map_3diou, ref_proposal_quality, ref_proposal_stats,
-                     ref_record_line, ref_tube_iou_3d, tube_record)
+                     ref_fuse_scores, ref_map_3diou, ref_oracle_scores,
+                     ref_proposal_quality, ref_proposal_stats, ref_record_line,
+                     ref_tube_iou_3d, tube_record)
 
 # a few fixed boxes make exact IoU ties (and an IoU of exactly 0.5) likely
 FIXED_BOXES = (BBox(0, 2, 0, 1), BBox(0, 1, 0, 1), BBox(1, 2, 0, 1),
@@ -964,6 +966,24 @@ class TestRecordLines:
         templated = set(RECORD_KINDS) - {"det-curves", "reports"}
         assert raised >= templated if type(value) not in (int, float) else not raised
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["proposals", "scored-proposals"]))
+    def test_table_lines_match_json_dumps_reference(self, data, kind):
+        # a table's lines, and again once its kept heads meet new labels
+        width = data.draw(st.integers(0, 4))
+        records = data.draw(st.lists(records_of(kind), min_size=1, max_size=6))
+        records = [replace(r, scores=r.scores[:width] + (0.5,) * (width - len(r.scores)))
+                   if kind == "scored-proposals" else r for r in records]
+        table = CubeTable.from_records(records)
+        assert written(table, kind).decode("ascii").splitlines(True)[1:] == \
+            [ref_record_line(kind, r) for r in records]
+        found = data.draw(st.lists(labels, min_size=len(records), max_size=len(records)))
+        relabeled = replace(table, labels=found)
+        assert written(relabeled, kind) == written(list(relabeled), kind)
+        assert list(relabeled) == [replace(r, labels=f) if kind == "proposals" else
+                                   replace(r, cube=replace(r.cube, labels=f))
+                                   for r, f in zip(records, found)]
+
     def test_a_rejected_record_writes_no_line(self, tmp_path):
         good = DetectionRecord("v", 2, "person", BBox(0.5, 2.5, 0.5, 2.5), 0.5)
         path = tmp_path / "d.jsonl"
@@ -1093,3 +1113,158 @@ class TestDetectionColumns:
             with pytest.raises(RecordError) as want:
                 list(read_records(path, "detections"))
             assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# proposals as one table: the table reader against the record parser
+
+PROPOSAL_KINDS = ["proposals", "scored-proposals"]
+# (field, value) pairs that break a proposal line; DEGENERATE copies the
+# lower edge onto the upper one
+BROKEN_CUBE_FIELDS = [
+    ("video_id", 5), ("video_id", None), ("object_class", ["p"]), ("t0", -1),
+    ("t0", 2.5), ("t0", "4"), ("t0", True), ("t1", None), ("t1", 0),
+    ("x0", "1"), ("x0", True), ("x0", float("nan")), ("y1", float("-inf")),
+    ("x1", 10**400), ("x1", DEGENERATE), ("y1", DEGENERATE), ("seed_track", -2),
+    ("seed_track", 1.5), ("seed_track", True), ("fg_score", 1.5), ("fg_score", -0.5),
+    ("fg_score", "0.5"), ("fg_score", float("nan")), ("labels", "walk"),
+    ("labels", [1]), ("labels", {"walk": 1}), ("scores", [1.5]), ("scores", ["0.5"]),
+    ("scores", [True]), ("scores", 0.5), ("scores", [[0.5]]), ("scores", [10**400])]
+CUBE_BREAKS = [("field", field) for field in BROKEN_CUBE_FIELDS] + [
+    (how, None) for how in ("missing", "not an object", "two values")]
+
+
+@st.composite
+def proposal_objects(draw, kind):
+    """The objects of a valid proposal file: int and float coordinates,
+    null or int seed tracks, null, [] or listed labels, null or float
+    foreground scores and non-ASCII names, with one score width. In half of
+    the files, which the table reader then leaves to the record parser, a
+    window edge may be an integral float, a foreground score an int, and an
+    optional field left out."""
+    irregular = draw(st.booleans())
+    width = draw(st.integers(0, 3))
+    objs = []
+    for _ in range(draw(st.integers(1, 6))):
+        t0, t1 = draw(windows())
+        b = draw(record_boxes())
+        fg = draw(st.none() | (unit_numbers if irregular else st.floats(0, 1)))
+        obj = {"video_id": draw(names),
+               "t0": float(t0) if irregular and draw(st.booleans()) else t0, "t1": t1,
+               "x0": b.x0, "x1": b.x1, "y0": b.y0, "y1": b.y1,
+               "seed_track": draw(optional_counts), "object_class": draw(names),
+               "fg_score": fg, "labels": draw(st.none() | st.lists(names, max_size=3))}
+        if kind == "scored-proposals":
+            obj["scores"] = draw(st.lists(unit_numbers, min_size=width, max_size=width))
+        if irregular and draw(st.booleans()):
+            del obj[draw(st.sampled_from(["seed_track", "object_class", "fg_score",
+                                          "labels"]))]
+        objs.append(obj)
+    return objs
+
+
+def proposal_file(draw, kind, lines):
+    """Write ``lines`` with blank lines drawn in between; their line numbers."""
+    path = Path(OUT_DIR.name) / "proposals.jsonl"
+    text, numbers = [f"#actpipe/{kind}/v1"], []
+    for line in lines:
+        text += draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=2))
+        numbers.append(len(text) + 1)
+        text.append(line)
+    path.write_text("\n".join(text) + "\n", encoding="utf-8")
+    return path, numbers
+
+
+def dumps(draw, obj):
+    return json.dumps(obj, ensure_ascii=draw(st.booleans()))
+
+
+class TestProposalColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(PROPOSAL_KINDS))
+    def test_valid_lines_read_and_write_as_records(self, data, kind):
+        objs = data.draw(proposal_objects(kind))
+        path, numbers = proposal_file(data.draw, kind, [dumps(data.draw, o) for o in objs])
+        want = list(read_records(path, kind))
+        got = read_proposals(path, kind)
+        assert len(got) == len(want) and list(got) == want
+        assert got.lines == numbers and got.source == str(path)
+        assert written(got, kind) == written(want, kind)
+
+    @pytest.mark.parametrize("kind", PROPOSAL_KINDS)
+    def test_empty_and_header_only_files(self, tmp_path, kind):
+        path = tmp_path / "p.jsonl"
+        for text in ("", f"#actpipe/{kind}/v1\n"):
+            path.write_text(text)
+            assert len(read_proposals(path, kind)) == 0
+            assert written(read_proposals(path, kind), kind) == f"#actpipe/{kind}/v1\n".encode()
+
+    @pytest.mark.parametrize("how, field", CUBE_BREAKS, ids=[
+        how if field is None else f"{how}-{field[0]}-{i}"
+        for i, (how, field) in enumerate(CUBE_BREAKS)])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(PROPOSAL_KINDS))
+    def test_broken_line_raises_on_the_record_parsers_line(self, data, how, field,
+                                                          kind):
+        objs = data.draw(proposal_objects(kind))
+        lines = [json.dumps(obj) for obj in objs]
+        k = data.draw(st.integers(0, len(objs) - 1))
+        obj = objs[k]
+        if how == "field":
+            name, value = field
+            if name == "scores" and kind == "proposals":
+                name, value = "fg_score", 2.0  # proposals hold no scores
+            lines[k] = json.dumps({**obj, name: obj[name.replace("1", "0")]
+                                   if value is DEGENERATE else value})
+        elif how == "missing":
+            name = data.draw(st.sampled_from(sorted(set(obj) & {
+                "video_id", "t0", "t1", "x0", "x1", "y0", "y1", "scores"})))
+            lines[k] = json.dumps({key: v for key, v in obj.items() if key != name})
+        elif how == "not an object":
+            lines[k] = data.draw(st.sampled_from(NOT_OBJECTS))
+        else:
+            lines[k] = lines[k] + " " + lines[k]
+        path, numbers = proposal_file(data.draw, kind, lines)
+        with pytest.raises(RecordError) as want:
+            list(read_records(path, kind))
+        assert str(want.value).startswith(f"{path}:{numbers[k]}: ")
+        with pytest.raises(RecordError) as got:
+            read_proposals(path, kind)
+        assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# scores as matrices: the one-hot and fused matrices against per-cube vectors
+
+SCORE_CLASSES = ["walk", "carry", "ride", "load"]
+WEIGHTS = [0.0, 0.1, 0.2, 1 / 3, 0.5, 0.7, 1.5, -0.25]
+
+
+class TestScoreMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_hot_and_fused_match_per_cube_reference(self, data):
+        classes = data.draw(st.permutations(SCORE_CLASSES))[:data.draw(st.integers(1, 4))]
+        cubes = [Cube("v", data.draw(record_boxes()), t, t + 8, data.draw(optional_counts),
+                      "person", None,
+                      data.draw(st.none() | st.frozensets(st.sampled_from(classes))))
+                 for t in range(data.draw(st.integers(1, 5)))]
+        got, want = oracle_scores(cubes, classes), ref_oracle_scores(cubes, classes)
+        assert list(got) == want
+        assert written(got, "scored-proposals") == written(want, "scored-proposals")
+        # 1-4 sets over the same cubes, each class weighted unevenly
+        m = data.draw(st.integers(1, 4))
+        sets = [[ScoredCube(c, tuple(data.draw(st.lists(
+            unit_numbers, min_size=len(classes), max_size=len(classes)))))
+            for c in cubes] for _ in range(m)]
+        weights = np.array([data.draw(st.lists(st.sampled_from(WEIGHTS), min_size=m - 1,
+                                               max_size=m - 1)) for _ in classes]).T
+        weights = np.vstack([weights.reshape(m - 1, len(classes)),
+                             1.0 - weights.sum(axis=0)])
+        got = outcome(fuse_scores, sets, weights)
+        want = outcome(ref_fuse_scores, sets, weights)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert list(got) == want
+            assert written(got, "scored-proposals") == written(want, "scored-proposals")

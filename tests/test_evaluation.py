@@ -294,10 +294,10 @@ class TestProposalQualityWork:
                 partitions_seen.append(part)
                 yield part
 
-        def counting_partition_instances(video, pid, members, cfg):
-            index = {id(sc): i for i, sc in enumerate(scored_calls[0])}
-            keys.append((video, pid, tuple(index[id(m)] for m in members)))
-            return partition_instances(video, pid, members, cfg)
+        def counting_partition_instances(video, pid, table, members, cfg):
+            assert table is scored_calls[0]
+            keys.append((video, pid, tuple(members)))
+            return partition_instances(video, pid, table, members, cfg)
 
         monkeypatch.setattr(evaluation, "oracle_scores", counting_oracle_scores)
         monkeypatch.setattr(dedup, "_iter_partitions", counting_iter_partitions)

@@ -11,17 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from actpipe import pipeline
+from actpipe import evaluation, labeling, pipeline
 from actpipe.cli import build_parser, main
 from actpipe.config import PipelineConfig
 from actpipe.evaluation import QUALITY_LEVELS
 from actpipe.geometry import BBox, Cube
-from actpipe.pipeline import (DEFAULT_FRAME_SIZE, PipelineInputs,
+from actpipe.pipeline import (CANONICAL_STAGES, DEFAULT_FRAME_SIZE, PipelineInputs,
                               infer_video_lengths, run_pipeline, track_ends)
 from actpipe.records import (ActivityAnnotation, ActivityInstance,
                              DetectionRecord, MaskFrame, ReportRecord,
-                             ScoredCube, read_detections, read_records,
-                             write_records)
+                             ScoredCube, read_detections, read_proposals,
+                             read_records, write_records)
 from actpipe.synth import generate_corpus
 from actpipe.tracking import tracks_from_records
 from helpers import closure_scenes
@@ -36,7 +36,7 @@ CLI_CHAIN_OUTPUTS = (
 
 def record_reads(monkeypatch, reads):
     """Append the path of every record file an actpipe module reads, by
-    either reader, to ``reads``."""
+    any reader, to ``reads``."""
     def recording(reader):
         def read(path, *kind):
             reads.append(Path(path))
@@ -44,7 +44,7 @@ def record_reads(monkeypatch, reads):
         return read
 
     for name, module in list(sys.modules.items()):
-        for reader in (read_records, read_detections):
+        for reader in (read_records, read_detections, read_proposals):
             if name.startswith("actpipe") and hasattr(module, reader.__name__):
                 monkeypatch.setattr(module, reader.__name__, recording(reader))
 
@@ -209,6 +209,47 @@ class TestRunPipeline:
         assert built == []
         next(read_records(tracked, "detections"))
         assert len(built) == 1  # the counter sees records built elsewhere
+
+    def test_stage_path_builds_no_cube_per_proposal(self, tmp_path, closure_corpus,
+                                                     monkeypatch):
+        # proposals go from propose through score as one table, in a run and
+        # through the subcommands' files: the only cubes built are the
+        # ground-truth cubes of the label stage and the quality report
+        inputs, paths = closure_corpus
+        built, gt_cubes = [], []
+        check, resample = Cube.__post_init__, labeling.gt_to_cubes
+
+        def counting(cube):
+            built.append(cube)
+            check(cube)
+
+        def counted_gt_cubes(*args):
+            cubes = resample(*args)
+            gt_cubes.extend(cubes)
+            return cubes
+
+        monkeypatch.setattr(Cube, "__post_init__", counting)
+        for module in (labeling, evaluation):
+            monkeypatch.setattr(module, "gt_to_cubes", counted_gt_cubes)
+        out = tmp_path / "out"
+        run_pipeline(CONFIG, inputs, out, stages=CANONICAL_STAGES[:5])
+        files = {name: tmp_path / f"{name}.jsonl" for name in (
+            "labeled", "filtered", "scored", "instances", "ev", "curves")}
+        for argv in (
+                ["assign-labels", out / "proposals.jsonl", "-o", files["labeled"],
+                 "--annotations", paths["annotations"]],
+                ["filter", files["labeled"], "-o", files["filtered"],
+                 "--masks", paths["masks"]],
+                ["score", files["filtered"], "-o", files["scored"], "--oracle",
+                 "--set", "activity_classes=walk"],
+                ["dedup", files["scored"], "-o", files["instances"],
+                 "--set", "activity_classes=walk"],
+                ["evaluate", files["instances"], "-o", files["ev"], "--curves",
+                 files["curves"], "--annotations", paths["annotations"],
+                 "--proposals", files["labeled"]]):
+            assert main([str(arg) for arg in argv]) == 0
+        assert gt_cubes and len(built) == len(gt_cubes)
+        assert files["scored"].read_bytes() == (out / "proposals_scored.jsonl").read_bytes()
 
     def test_timings_cover_work_before_the_first_stage(self, tmp_path,
                                                       closure_corpus,

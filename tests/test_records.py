@@ -11,7 +11,8 @@ from actpipe.geometry import BBox, Cube
 from actpipe.records import (ActivityAnnotation, ActivityInstance,
                              DetectionRecord, MaskFrame, RecordError,
                              ReportRecord, ScoredCube, read_detections,
-                             read_records, rle_decode, rle_encode, write_records)
+                             read_proposals, read_records, rle_decode, rle_encode,
+                             write_records)
 from helpers import tube_pairs
 
 
@@ -554,14 +555,22 @@ JSON_TYPES = {
                                              max_size=3),
 }
 FIELDS = [(kind, name) for kind in sorted(SCHEMAS) for name in SCHEMAS[kind][1]]
+# the kinds read into a CubeTable
+TABLE_KINDS = ("proposals", "scored-proposals")
 
 
 class TestReaderFuzz:
+    """Every field of every kind, present, left out or of a forbidden type;
+    the table reader of the proposal kinds takes and rejects what the record
+    parser does, with its error text."""
+
     @pytest.mark.parametrize("kind", sorted(SCHEMAS))
     def test_valid_records_read(self, tmp_path, kind):
         path = tmp_path / "valid.jsonl"
         path.write_text(f"#actpipe/{kind}/v1\n{json.dumps(SCHEMAS[kind][0])}\n")
         assert len(list(read_records(path, kind))) == 1
+        if kind in TABLE_KINDS:
+            assert list(read_proposals(path, kind)) == list(read_records(path, kind))
 
     @pytest.mark.parametrize("kind, name", FIELDS,
                              ids=[f"{kind}-{name}" for kind, name in FIELDS])
@@ -578,5 +587,9 @@ class TestReaderFuzz:
         path = Path(FUZZ_DIR.name) / "broken.jsonl"
         for line in map(json.dumps, broken):
             path.write_text(f"#actpipe/{kind}/v1\n\n{line}\n", encoding="utf-8")
-            with pytest.raises(RecordError, match=rf"^{re.escape(str(path))}:3: "):
+            with pytest.raises(RecordError, match=rf"^{re.escape(str(path))}:3: ") as want:
                 list(read_records(path, kind))
+            if kind in TABLE_KINDS:
+                with pytest.raises(RecordError) as got:
+                    read_proposals(path, kind)
+                assert str(got.value) == str(want.value)

@@ -1,13 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from actpipe.geometry import BBox, Cube
-from actpipe.records import ScoredCube, write_records
+from actpipe.records import ScoredCube, read_proposals, write_records
 from actpipe.scoring import (WeightVectors, fuse_scores, load_external_scores,
                              oracle_scores, wbce_loss, wbce_weights)
+from helpers import ref_record_line
 
 
 def cube(seed=1, labels=None, t0=0, t1=64):
@@ -161,6 +163,23 @@ class TestExternalScores:
         with pytest.raises(ValueError,
                            match=r"dup\.jsonl: duplicate score key \('v', 0, 64, 1\)"):
             load_external_scores(path, proposals, self.classes)
+
+
+    def test_repeated_proposal_key_rejected(self, tmp_path):
+        # the scores file holds the key; the second proposal repeats it
+        proposals = [cube(seed=1), cube(seed=1)]
+        path = tmp_path / "s.jsonl"
+        self.write_scores(path, [ScoredCube(proposals[0], (0.1, 0.2))])
+        with pytest.raises(ValueError,
+                           match=r"^repeated proposal key \('v', 0, 64, 1\)$"):
+            load_external_scores(path, proposals, self.classes)
+        # read from a file, the error names the repeat's line
+        props = tmp_path / "p.jsonl"
+        props.write_text("#actpipe/proposals/v1\n\n"
+                         + "".join(ref_record_line("proposals", c) for c in proposals))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(props))}:4: repeated "
+                                             r"proposal key \('v', 0, 64, 1\)$"):
+            load_external_scores(path, read_proposals(props), self.classes)
 
 
 class TestFusion:
