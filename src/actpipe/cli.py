@@ -15,6 +15,7 @@ precondition), 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from pathlib import Path
@@ -172,7 +173,9 @@ def _stage_parser(sub, stage: str, help: str, input_help: Optional[str] = None,
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``actpipe`` parser, built once per process: parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="actpipe",
         description="Streaming activity detection with overlapping cube "

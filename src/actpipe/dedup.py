@@ -64,6 +64,29 @@ class SegmentCube:
             raise ValueError(f"bad segment window [{self.t0}, {self.t1})")
 
 
+def _runs(items: Sequence, period: int = 0, phase: int = 0) -> Iterator[list]:
+    """The maximal runs of ``items`` (sorted by time, none overlapping) in
+    which each item begins where the one before it ends. A gap begins a new
+    run, and so does, given a ``period``, an item whose ``t0`` is ``phase``
+    modulo it."""
+    run: list = []
+    for item in items:
+        if run and (item.t0 != run[-1].t1 or period and (item.t0 - phase) % period == 0):
+            yield run
+            run = []
+        run.append(item)
+    if run:
+        yield run
+
+
+def _union(run: Sequence) -> BBox:
+    """The union of a run's boxes, folded from left to right."""
+    bbox = run[0].bbox
+    for item in run[1:]:
+        bbox = bbox_union(bbox, item.bbox)
+    return bbox
+
+
 def split_segments(cubes: Sequence[SegmentCube], d_prop: int,
                    s_prop: int) -> List[SegmentCube]:
     """Split overlapping cubes into duration-``s_prop`` segment cubes.
@@ -122,34 +145,13 @@ def merge_groups(segments: Sequence[SegmentCube], d_prop: int,
             raise ValueError(f"duplicate segment at index {index}")
         by_index[index] = seg
 
-    indices = sorted(by_index)
-    groups: List[List[SegmentCube]] = []
+    segments = [by_index[index] for index in sorted(by_index)]
+    groups = []
     for g in range(r):
-        merged: List[SegmentCube] = []
-        run: List[SegmentCube] = []
-
-        def flush():
-            if run:
-                score = sum(s.score for s in run) / len(run)
-                bbox = run[0].bbox
-                for seg in run[1:]:
-                    bbox = bbox_union(bbox, seg.bbox)
-                merged.append(SegmentCube(run[0].t0, run[-1].t1, score, bbox))
-                run.clear()
-
-        run_id = None
-        prev_index = None
-        for index in indices:
-            if index < g:
-                continue
-            rid = (index - g) // r
-            if rid != run_id or (prev_index is not None and index != prev_index + 1):
-                flush()
-                run_id = rid
-            run.append(by_index[index])
-            prev_index = index
-        flush()
-        groups.append(merged)
+        runs = _runs([s for s in segments if s.t0 >= g * s_prop], d_prop, g * s_prop)
+        groups.append([SegmentCube(run[0].t0, run[-1].t1,
+                                   sum(s.score for s in run) / len(run), _union(run))
+                       for run in runs])
     return groups
 
 
@@ -309,37 +311,17 @@ def merge_adjacent(instances: Sequence[ActivityInstance], s_merg: float,
                     f"overlapping instances [{prev.t0}, {prev.t1}) and "
                     f"[{cur.t0}, {cur.t1}) in partition {key}"
                 )
-        run: List[ActivityInstance] = []
-
-        def flush():
-            if not run:
-                return
+        high = [m for m in members if not m.score <= s_merg]  # NaN is not at the bar
+        for run in _runs(high):
             t0, t1 = run[0].t0, run[-1].t1
             if t1 - t0 <= l_merg:
-                run.clear()
-                return
+                continue
             weight = sum(m.t1 - m.t0 for m in run)
             score = sum(m.score * (m.t1 - m.t0) for m in run) / weight
-            bbox = run[0].bbox
-            for m in run:
-                bbox = bbox_union(bbox, m.bbox)
             frames, boxes = zip(*(m.frame_boxes() for m in run))
-            out.append(
-                ActivityInstance(run[0].video_id, run[0].activity_class,
-                                 t0, t1, bbox, score,
-                                 seed_track=run[0].seed_track,
-                                 frames=np.concatenate(frames),
-                                 boxes=np.concatenate(boxes))
-            )
-            run.clear()
-
-        for inst in members:
-            if inst.score <= s_merg:
-                flush()
-                continue
-            if run and inst.t0 != run[-1].t1:
-                flush()
-            run.append(inst)
-        flush()
+            out.append(ActivityInstance(run[0].video_id, run[0].activity_class, t0, t1,
+                                        _union(run), score, seed_track=run[0].seed_track,
+                                        frames=np.concatenate(frames),
+                                        boxes=np.concatenate(boxes)))
     out.sort(key=_instance_order)
     return out

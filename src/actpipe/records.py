@@ -251,17 +251,20 @@ class CubeTable:
     @classmethod
     def from_records(cls, records: Iterable, lines: Optional[list] = None,
                      source: str = "proposal stream") -> "CubeTable":
-        """Cubes or ScoredCubes of one score length; a table passes through."""
+        """Cubes or ScoredCubes of one score length, else a ValueError naming
+        the first other row's key (and, given ``lines``, its ``source:line``);
+        a table passes through."""
         if isinstance(records, CubeTable):
             return records
         records = list(records)
         cubes = [getattr(r, "cube", r) for r in records]
         scores = None
         if records and cubes[0] is not records[0]:
-            for r in records:
+            for i, r in enumerate(records):
                 if len(r.scores) != len(records[0].scores):
-                    raise ValueError(f"score vector of length {len(r.scores)} for "
-                                     f"{r.key}, expected {len(records[0].scores)}")
+                    where = f"{source}:{lines[i]}: " if lines else ""
+                    raise ValueError(f"{where}score vector of length {len(r.scores)} "
+                                     f"for {r.key}, expected {len(records[0].scores)}")
             scores = np.array([r.scores for r in records]).reshape(len(records), -1)
         videos, t0, t1, *coords, seeds, classes, fgs, labels = (
             map(list, zip(*map(_CUBE_ATTRS, cubes))) if cubes else ([] for _ in range(11)))
@@ -530,6 +533,21 @@ class Detections:
                                       confidence, None if track < 0 else track)
 
 
+def _values(fh) -> Iterator[Tuple[int, Any]]:
+    """Each non-blank line's number (from 2, after the header) and JSON value,
+    by json.loads without its per-call wrapping; a line holding anything but
+    one value and blanks is a ValueError."""
+    for lineno, line in enumerate(fh, start=2):
+        if not line.isspace():
+            try:
+                value, end = _scan(line, 0)
+            except StopIteration:
+                raise ValueError("a line that starts with no value") from None
+            if line[end:].strip():
+                raise ValueError("a line holds more than one value")
+            yield lineno, value
+
+
 # what the column reader takes from a line, in DetectionRecord order
 _DETECTION_FIELDS = itemgetter("video_id", "frame", "object_class", "x0", "x1", "y0",
                                "y1", "confidence", "track_id")
@@ -571,8 +589,7 @@ def read_detections(path: Union[str, Path]) -> Detections:
             first = fh.readline()
             if first and first.rstrip("\n") != _header("detections"):
                 raise ValueError("not a detections header")
-            rows = ((lineno, _DETECTION_FIELDS(json.loads(line))) for lineno, line
-                    in enumerate(fh, start=2) if not line.isspace())
+            rows = ((lineno, _DETECTION_FIELDS(value)) for lineno, value in _values(fh))
             for video, group in groupby(rows, key=lambda row: row[1][0]):
                 if type(video) is not str or video in seen:
                     raise ValueError("a video id that is no string or reappears")
@@ -710,16 +727,9 @@ def read_proposals(path: Union[str, Path], kind: str = "proposals") -> CubeTable
             first = fh.readline()
             if first and first.rstrip("\n") != _header(kind):
                 raise ValueError(f"not a {kind} header")
-            numbered = [(lineno, line) for lineno, line in enumerate(fh, start=2)
-                        if not line.isspace()]
-        # json.loads without its per-call wrapping: each line's fields, and
-        # the rest of the line after its value, which must be blank
-        fields = itemgetter(*_CUBE_FIELDS[:11 + scored])
-        rows = [(fields(value), line[end:]) for _, line in numbered
-                for value, end in [_scan(line, 0)]]
-        if any(rest.strip() for _, rest in rows):
-            raise ValueError("a line holds more than one value")
-        columns = list(zip(*(row for row, _ in rows)))
+            numbered = list(_values(fh))
+        columns = list(zip(*map(itemgetter(*_CUBE_FIELDS[:11 + scored]),
+                                (value for _, value in numbered))))
         videos, t0, t1, *coords, seeds, classes, fgs, labels = columns[:11]
         vectors = columns[11] if scored else ()
         boxes = np.array(coords, dtype=np.float64).T  # OverflowError past float64
@@ -743,8 +753,7 @@ def read_proposals(path: Union[str, Path], kind: str = "proposals") -> CubeTable
                           [None if found is None else frozenset(found) for found in labels],
                           lines=[lineno for lineno, _ in numbered], source=str(path))
         return table.with_scores(np.array(vectors, dtype=np.float64)) if scored else table
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError,
-            StopIteration):
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
         pass  # the record parser raises at the first bad line, or takes the file
     numbered = list(_numbered_records(path, kind))
     return CubeTable.from_records([r for _, r in numbered], [n for n, _ in numbered],
@@ -919,12 +928,12 @@ def write_records(records: Iterable, path: Union[str, Path], kind: str) -> int:
         if kind == "detections" and isinstance(records, Detections):
             fh.writelines(map(_detection_text, records.videos))  # in order as built
             return len(records)
-        if line is _cube_line:  # a stream as tables, one per run of a score length
-            tables = [records] if isinstance(records, CubeTable) else [
-                CubeTable.from_records(run) for _, run in
-                groupby(records, key=lambda r: len(getattr(r, "scores", ())))]
-            fh.writelines(_cube_text(t, kind == "scored-proposals") for t in tables)
-            return sum(map(len, tables))
+        if line is _cube_line:  # a stream as one table
+            table, scored = CubeTable.from_records(records), kind == "scored-proposals"
+            if scored and len(table) and table.scores is None:
+                raise ValueError(f"no scores for {table.keys()[0]} in a {kind} stream")
+            fh.write(_cube_text(table, scored))
+            return len(table)
         for record in records:
             if order is not None:
                 order.check(record.video_id, record.frame, count + 2)

@@ -601,6 +601,60 @@ def ref_deduplicate(scored_cubes, config):
     return instances
 
 
+def ref_merge_adjacent(instances, s_merg, l_merg):
+    """Merge-adjacent as a state machine: each partition's members walk in
+    time order, and a gap or a member at or below the bar flushes the run."""
+    partitions = {}
+    for inst in instances:
+        key = (inst.video_id, inst.activity_class, inst.seed_track)
+        partitions.setdefault(key, []).append(inst)
+
+    out = []
+    for key in sorted(partitions, key=lambda k: (k[0], k[1], k[2] or 0)):
+        members = sorted(partitions[key], key=lambda a: a.t0)
+        for prev, cur in zip(members, members[1:]):
+            if cur.t0 < prev.t1:
+                raise ValueError(
+                    f"overlapping instances [{prev.t0}, {prev.t1}) and "
+                    f"[{cur.t0}, {cur.t1}) in partition {key}"
+                )
+        run = []
+
+        def flush():
+            if not run:
+                return
+            t0, t1 = run[0].t0, run[-1].t1
+            if t1 - t0 <= l_merg:
+                run.clear()
+                return
+            weight = sum(m.t1 - m.t0 for m in run)
+            score = sum(m.score * (m.t1 - m.t0) for m in run) / weight
+            bbox = run[0].bbox
+            for m in run:
+                bbox = bbox_union(bbox, m.bbox)
+            frames, boxes = zip(*(m.frame_boxes() for m in run))
+            out.append(
+                ActivityInstance(run[0].video_id, run[0].activity_class,
+                                 t0, t1, bbox, score,
+                                 seed_track=run[0].seed_track,
+                                 frames=np.concatenate(frames),
+                                 boxes=np.concatenate(boxes))
+            )
+            run.clear()
+
+        for inst in members:
+            if inst.score <= s_merg:
+                flush()
+                continue
+            if run and inst.t0 != run[-1].t1:
+                flush()
+            run.append(inst)
+        flush()
+    out.sort(key=lambda a: (a.video_id, a.activity_class, a.t0, a.t1,
+                            a.seed_track or 0))
+    return out
+
+
 def ref_proposal_quality(proposals, annotations, config, video_lengths,
                          level_instances=None):
     """The quality report with fresh oracle scores and dedup per level;

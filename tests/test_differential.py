@@ -42,9 +42,9 @@ from helpers import (block_tube_iou, make_track, ref_assign_labels, ref_bbox_iou
                      ref_box_area, ref_coverage, ref_deduplicate, ref_det_curve,
                      ref_frame_boxes, ref_generate_video_proposals,
                      ref_greedy_iou_track, ref_intersection_area, ref_gt_to_cubes,
-                     ref_fuse_scores, ref_map_3diou, ref_oracle_scores,
-                     ref_proposal_quality, ref_proposal_stats, ref_record_line,
-                     ref_tube_iou_3d, tube_record)
+                     ref_fuse_scores, ref_map_3diou, ref_merge_adjacent,
+                     ref_oracle_scores, ref_proposal_quality, ref_proposal_stats,
+                     ref_record_line, ref_tube_iou_3d, tube_record)
 
 # a few fixed boxes make exact IoU ties (and an IoU of exactly 0.5) likely
 FIXED_BOXES = (BBox(0, 2, 0, 1), BBox(0, 1, 0, 1), BBox(1, 2, 0, 1),
@@ -495,6 +495,43 @@ def abutting_runs(draw):
     return run
 
 
+@st.composite
+def merge_cases(draw):
+    """Shuffled instances of a few (video, class, track) partitions, the
+    score bar and the length bar. Each partition mixes runs that abut or
+    gap, members above, at and below the bar, members exactly ``l_merg``
+    long and, now and then, one overlapping its predecessor."""
+    s_merg = draw(st.sampled_from([0.0, 0.5, 0.75]))
+    l_merg = draw(st.sampled_from([0, 16, 40]))
+    pick = draw(box_picker())
+    scores = st.sampled_from([s_merg, s_merg, 0.0, 0.25, 0.3, 0.5, 0.75, 0.8, 0.9, 1.0])
+    lengths = st.one_of(st.sampled_from([l_merg or 1, l_merg + 1]), st.integers(1, 50))
+    steps = st.sampled_from([0, 0, 0, 1, 9, -1] if draw(st.booleans()) else [0, 0, 3])
+    keys = st.tuples(st.sampled_from("vw"), st.sampled_from(["walk", "ride"]),
+                     st.sampled_from([None, 0, 2, -1]))
+    instances = []
+    for video, activity, track in draw(st.lists(keys, min_size=1, max_size=4,
+                                                unique=True)):
+        t = draw(st.sampled_from([0, 7, 1020]))
+        for i in range(draw(st.integers(1, 7))):
+            t0 = t + draw(steps) if i else t
+            t1 = t0 + draw(lengths)
+            frames, boxes = draw(tubes(t0, t1))
+            instances.append(ActivityInstance(video, activity, t0, t1, pick(),
+                                              draw(scores), seed_track=track,
+                                              frames=frames, boxes=boxes))
+            t = t1
+    return draw(st.permutations(instances)), s_merg, l_merg
+
+
+def outcome_text(fn, *args):
+    """Result of ``fn``, or the type and text of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 class TestMergeAdjacent:
     @settings(max_examples=150, deadline=None)
     @given(run=abutting_runs())
@@ -506,6 +543,16 @@ class TestMergeAdjacent:
                                     tube=pairs)
         assert merged == expected
         assert written([merged], "instances") == written([expected], "instances")
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=merge_cases())
+    def test_matches_state_machine_reference(self, case):
+        instances, s_merg, l_merg = case
+        got, want = (outcome_text(fn, instances, s_merg, l_merg)
+                     for fn in (merge_adjacent, ref_merge_adjacent))
+        assert got == want  # instance equality compares the tube arrays
+        if isinstance(want, list):
+            assert written(got, "instances") == written(want, "instances")
 
 
 DEDUP_CLASSES = ("walk", "ride", "sit")
@@ -913,7 +960,8 @@ def _number_swaps(value):
                                                         "fg_score")]
     cubes += [replace(cube, bbox=b) for b in boxes]
     yield from (("proposals", c) for c in cubes)
-    yield from (("scored-proposals", ScoredCube(c, (0.5,))) for c in cubes)
+    # two scores each: a file's score vectors all have one length
+    yield from (("scored-proposals", ScoredCube(c, (0.5, 0.5))) for c in cubes)
     yield "scored-proposals", ScoredCube(cube, (0.5, value))
     instance = ActivityInstance("v", "walk", 0, 4, box, 0.5, 3)
     for name in ("t0", "t1", "score", "seed_track"):

@@ -596,6 +596,38 @@ class TestCli:
         # their 60 frames join the 30 negatives of v
         assert curve.points[0].tfa == 30 / 90
 
+    def test_one_parser_per_process_keeps_no_values(self, tmp_path):
+        """Two calls build the parser once, and the second sees none of the
+        first call's repeated --video-frames."""
+        box = BBox(0, 10, 0, 10)
+        write_records([ActivityAnnotation.with_static_box("v", "walk", 0, 50, box)],
+                      tmp_path / "ann.jsonl", "annotations")
+        write_records([ActivityInstance("v", "walk", 40, 80, box, 0.9)],
+                      tmp_path / "inst.jsonl", "instances")
+        argv = ("evaluate", tmp_path / "inst.jsonl", "--annotations",
+                tmp_path / "ann.jsonl", "-o", tmp_path / "rep.jsonl",
+                "--curves", tmp_path / "cur.jsonl", "--video-frames", "v=80")
+        build_parser.cache_clear()
+        assert self.run(*argv, "--video-frames", "blank=10") == 0
+        (curve,) = read_records(tmp_path / "cur.jsonl", "det-curves")
+        assert curve.points[0].tfa == 30 / 40
+        assert self.run(*argv) == 0
+        (curve,) = read_records(tmp_path / "cur.jsonl", "det-curves")
+        assert curve.points[0].tfa == 30 / 30
+        assert build_parser.cache_info().misses == 1
+
+    def test_ragged_scores_name_file_and_line(self, tmp_path, capsys):
+        line = ('{"video_id":"v","t0":%d,"t1":8,"x0":0,"x1":2,"y0":0,"y1":2,'
+                '"seed_track":1,"object_class":"person","fg_score":null,'
+                '"labels":null,"scores":%s}\n')
+        rag = tmp_path / "rag.jsonl"
+        rag.write_text("#actpipe/scored-proposals/v1\n" + line % (0, "[0.5]")
+                       + line % (4, "[0.5,0.25]"))
+        assert self.run("dedup", rag, "-o", tmp_path / "out.jsonl",
+                        "--set", "activity_classes=a") == 1
+        assert capsys.readouterr().err == (
+            f"error: {rag}:3: score vector of length 2 for ('v', 4, 8, 1), expected 1\n")
+
     def test_propose_rejects_track_past_video_length(self, tmp_path, capsys):
         detections = [DetectionRecord("v", f, "person", BBox(0, 10, 0, 10), 0.9, 1)
                       for f in range(0, 57, 8)]

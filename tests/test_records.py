@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actpipe.geometry import BBox, Cube
-from actpipe.records import (ActivityAnnotation, ActivityInstance,
+from actpipe.records import (ActivityAnnotation, ActivityInstance, CubeTable,
                              DetectionRecord, MaskFrame, RecordError,
                              ReportRecord, ScoredCube, read_detections,
                              read_proposals, read_records, rle_decode, rle_encode,
@@ -426,6 +427,27 @@ class TestReaderErrors:
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ValueError, match="unknown record kind"):
             write_records([], tmp_path / "x.jsonl", "nope")
+
+
+class TestCubeStreams:
+    """A Cube or ScoredCube stream is written as one table."""
+
+    CUBE = Cube("v", BBox(0, 2, 0, 2), 0, 8, 1, "person")
+
+    def test_ragged_scores_raise_naming_the_key(self, tmp_path):
+        stream = [ScoredCube(self.CUBE, (0.5,)),
+                  ScoredCube(replace(self.CUBE, t0=4, t1=12), (0.5, 0.25))]
+        with pytest.raises(ValueError, match=re.escape(
+                "score vector of length 2 for ('v', 4, 12, 1), expected 1")):
+            write_records(stream, tmp_path / "s.jsonl", "scored-proposals")
+
+    @pytest.mark.parametrize("table", [False, True], ids=["cubes", "table"])
+    def test_scored_kind_needs_scores(self, tmp_path, table):
+        records = CubeTable.from_records([self.CUBE]) if table else [self.CUBE]
+        with pytest.raises(ValueError, match=re.escape(
+                "no scores for ('v', 0, 8, 1) in a scored-proposals stream")):
+            write_records(records, tmp_path / "s.jsonl", "scored-proposals")
+        assert write_records([], tmp_path / "s.jsonl", "scored-proposals") == 0
 
 
 class TestWriterNumbers:
