@@ -3,15 +3,16 @@
 A proposal's foreground score is the share of set cells among the integer
 pixel cells ``[i, i+1)`` fully inside its box, counted over the mask frames
 sampled within its window; a box too thin to hold a full cell scores 0.
-:func:`score_foreground` scores every cube in one pass over a frame-ordered
-mask stream. Per object class, the filter threshold is calibrated so that
-at most a ``p_pos`` fraction of true (positively labeled) proposals falls
-at or below it.
+:func:`score_foreground` scores every cube in one pass over the masks: a
+mask's cubes are the windows of its video that hold its frame. The stream's
+strict frame order is its contract, and a repeated frame would count twice;
+the search does not need it. Per object class, the filter threshold is
+calibrated so that at most a ``p_pos`` fraction of true (positively
+labeled) proposals falls at or below it.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -35,25 +36,29 @@ __all__ = [
 
 # below-domain sentinel: every score is strictly above it, so nothing filters
 SENTINEL_THRESHOLD = float("-inf")
+_INT64_MAX = 2**63 - 1
+_NO_WINDOWS = (np.empty(0, dtype=np.int64),) * 3  # a video without cubes
 
 
 def score_foreground(cubes: Sequence[Cube],
                      masks: Iterable[MaskFrame]) -> CubeTable:
-    """The cubes' table with their foreground scores, from one pass over
-    the masks.
+    """The cubes' table with their foreground scores, from one pass over the masks.
 
-    The mask stream must be frame-ordered with contiguous videos and no
-    repeated frame, as mask files are. Each mask is decoded once, and every
-    cube whose window covers its frame adds its set and total cell counts
-    there. Raises when no mask frame falls in a cube's window.
+    A mask's cubes are the windows of its video that hold its frame; the
+    mask is decoded once and each adds its set and total cell counts there.
+    The stream must be frame-ordered with contiguous videos and no repeated
+    frame, as mask files are, for the contract and the repeated-frame rule,
+    not the search. Raises when no mask frame falls in a cube's window.
     """
     table = CubeTable.from_records(cubes)
     t0, t1 = table.t0, table.t1
-    pending: Dict[str, List[int]] = {}
+    # each video's rows and windows; a bound clamps at int64's top, which moves
+    # no smaller frame in or out of a window, and larger frames take the bounds
+    lo, hi = (np.array([min(t, _INT64_MAX) for t in ts], dtype=np.int64) for ts in (t0, t1))
+    rows: Dict[str, List[int]] = {}
     for i, video_id in enumerate(table.video_ids):
-        pending.setdefault(video_id, []).append(i)
-    for ids in pending.values():
-        ids.sort(key=t0.__getitem__)
+        rows.setdefault(video_id, []).append(i)
+    windows = {video_id: (np.array(ids), lo[ids], hi[ids]) for video_id, ids in rows.items()}
 
     # rows [ceil y0, floor y1) and columns [ceil x0, floor x1) of the cells
     # fully inside each box; bounds clamp at 0, so a box above or left of the
@@ -63,34 +68,19 @@ def score_foreground(cubes: Sequence[Cube],
     bounds = np.clip(np.column_stack((np.ceil(b[:, 2]), np.floor(b[:, 3]), np.ceil(b[:, 0]),
                                       np.floor(b[:, 1]))), 0, 2.0**62).astype(np.int64)
     cells = [(slice(y0, y1), slice(x0, x1)) for y0, y1, x0, x1 in bounds.tolist()]
-    ones = [0] * len(table)
-    counts = [0] * len(table)
-    seen = [False] * len(table)
+    ones, counts, seen = [0] * len(table), [0] * len(table), [False] * len(table)
 
     frame_order = FrameOrder("mask stream", strict=True)
-    video = None
-    queue: List[int] = []
-    ptr = 0
-    active: List[Tuple[int, int]] = []
     for n, mask in enumerate(masks, start=1):
         frame_order.check(mask.video_id, mask.frame, n)
-        if mask.video_id != video:
-            video = mask.video_id
-            queue = pending.get(video, [])
-            ptr = 0
-            active = []
-
-        while ptr < len(queue) and t0[queue[ptr]] <= mask.frame:
-            i = queue[ptr]
-            heapq.heappush(active, (t1[i], i))
-            ptr += 1
-        while active and active[0][0] <= mask.frame:
-            heapq.heappop(active)
-        if not active:
+        ids, starts, ends = windows.get(mask.video_id, _NO_WINDOWS)
+        active = ids[(starts <= mask.frame) & (mask.frame < ends) if mask.frame < _INT64_MAX
+                     else [t0[i] <= mask.frame < t1[i] for i in ids.tolist()]]
+        if not len(active):
             continue
 
         raster = mask.decode()
-        for _, i in active:
+        for i in active.tolist():
             patch = raster[cells[i]]
             ones[i] += np.count_nonzero(patch)
             counts[i] += patch.size

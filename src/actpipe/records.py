@@ -207,13 +207,14 @@ class ScoredCube:
 
     @property
     def key(self) -> Tuple[str, int, int, Optional[int]]:
-        c = self.cube
-        return (c.video_id, c.t0, c.t1, c.seed_track)
+        return _CUBE_KEY(self.cube)
 
 
 # a Cube's columns in CubeTable order, the box's coordinates among them
 _CUBE_ATTRS = attrgetter("video_id", "t0", "t1", "bbox.x0", "bbox.x1", "bbox.y0",
                          "bbox.y1", "seed_track", "object_class", "fg_score", "labels")
+# a Cube's (video_id, t0, t1, seed_track) join key
+_CUBE_KEY = attrgetter("video_id", "t0", "t1", "seed_track")
 # the per-row list columns of a CubeTable; lines and heads may be None
 _ROW_LISTS = ("video_ids", "t0", "t1", "seed_tracks", "object_classes", "fg_scores",
               "labels", "lines", "heads")
@@ -258,14 +259,16 @@ class CubeTable:
             return records
         records = list(records)
         cubes = [getattr(r, "cube", r) for r in records]
-        scores = None
-        if records and cubes[0] is not records[0]:
-            for i, r in enumerate(records):
-                if len(r.scores) != len(records[0].scores):
-                    where = f"{source}:{lines[i]}: " if lines else ""
-                    raise ValueError(f"{where}score vector of length {len(r.scores)} "
-                                     f"for {r.key}, expected {len(records[0].scores)}")
-            scores = np.array([r.scores for r in records]).reshape(len(records), -1)
+        # None for a Cube: a stream is scored or not from its first row on
+        lengths = [None if c is r else len(r.scores) for c, r in zip(cubes, records)]
+        for i, length in enumerate(lengths):
+            if length != lengths[0]:
+                where = f"{source}:{lines[i]}: " if lines else ""
+                got = "no scores" if length is None else f"score vector of length {length}"
+                raise ValueError(f"{where}{got} for {_CUBE_KEY(cubes[i])}, expected "
+                                 f"{'no scores' if lengths[0] is None else lengths[0]}")
+        scores = (np.array([r.scores for r in records]).reshape(len(records), -1)
+                  if records and lengths[0] is not None else None)
         videos, t0, t1, *coords, seeds, classes, fgs, labels = (
             map(list, zip(*map(_CUBE_ATTRS, cubes))) if cubes else ([] for _ in range(11)))
         return cls(videos, t0, t1, np.array(coords, dtype=np.float64).T.reshape(-1, 4),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,6 +132,17 @@ class TestForegroundScore:
         masks = [mask(8, np.ones((4, 4))), mask(0, np.ones((4, 4)))]
         with pytest.raises(ValueError, match="frame 0 out of order in video 'v'"):
             score_foreground([cube(0, 16)], masks)
+
+    def test_window_past_int64_holds_no_mask(self):
+        with pytest.raises(ValueError, match=re.escape(
+                f"no masks inside [{2**70}, {2**70 + 4}) for video 'v'")):
+            score_foreground([cube(2**70, 2**70 + 4)], [mask(0, np.ones((4, 4)))])
+
+    def test_frames_past_int64_meet_their_windows(self):
+        cubes = [cube(5, 2**70), cube(2**64, 2**64 + 1, seed=2), cube(2**65, 2**66, seed=3)]
+        masks = [mask(2**64, np.ones((20, 20))), mask(2**65 + 1, np.zeros((20, 20)))]
+        assert [c.fg_score for c in score_foreground(cubes, masks)] == \
+            [ref_foreground_score(c, masks) for c in cubes] == [0.5, 1.0, 0.0]
 
     def test_batched_rejects_a_repeated_frame(self):
         # a second mask on frame 1 would weigh that frame twice: 1/3, not 1/2

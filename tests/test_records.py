@@ -441,6 +441,21 @@ class TestCubeStreams:
                 "score vector of length 2 for ('v', 4, 12, 1), expected 1")):
             write_records(stream, tmp_path / "s.jsonl", "scored-proposals")
 
+    def test_a_cube_in_a_scored_stream_raises_naming_its_row(self, tmp_path):
+        stream = [ScoredCube(self.CUBE, (0.5,)), replace(self.CUBE, t0=4, t1=12)]
+        with pytest.raises(ValueError, match=re.escape(
+                "no scores for ('v', 4, 12, 1), expected 1")):
+            write_records(stream, tmp_path / "s.jsonl", "scored-proposals")
+        with pytest.raises(ValueError, match=re.escape(
+                "s.jsonl:7: no scores for ('v', 4, 12, 1), expected 1")):
+            CubeTable.from_records(stream, [3, 7], "s.jsonl")
+
+    def test_scores_after_a_cube_raise_rather_than_drop(self, tmp_path):
+        stream = [self.CUBE, ScoredCube(replace(self.CUBE, t0=4, t1=12), (0.5,))]
+        with pytest.raises(ValueError, match=re.escape(
+                "score vector of length 1 for ('v', 4, 12, 1), expected no scores")):
+            write_records(stream, tmp_path / "p.jsonl", "proposals")
+
     @pytest.mark.parametrize("table", [False, True], ids=["cubes", "table"])
     def test_scored_kind_needs_scores(self, tmp_path, table):
         records = CubeTable.from_records([self.CUBE]) if table else [self.CUBE]
