@@ -1,11 +1,11 @@
 """Pipeline configuration: flat key=value files with strict key checking."""
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Mapping, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
+
+from .records import _not_utf8
 
 __all__ = ["ConfigError", "PipelineConfig", "parse_config", "parse_overrides"]
 
@@ -98,35 +98,32 @@ class PipelineConfig:
         return replace(self, **kwargs) if kwargs else self
 
 
-_INT_KEYS = {"s_det", "d_prop", "s_prop", "s_bg", "l_merg",
-             "min_temporal_overlap"}
-_FLOAT_KEYS = {"r_enl", "p_pos", "s_high", "s_low", "s_merg", "video_fps",
-               "naudc_limit"}
-_STR_LIST_KEYS = {"object_classes", "activity_classes"}
-_FLOAT_LIST_KEYS = {"pmiss_budgets", "map_iou_thresholds"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_LIST_KEYS | _FLOAT_LIST_KEYS
+_TYPE_PARSERS = {
+    int: int, Optional[int]: int, float: float,
+    Tuple[str, ...]: lambda raw: tuple(s.strip() for s in raw.split(",") if s.strip()),
+    Tuple[float, ...]: lambda raw: tuple(float(s) for s in raw.split(",") if s.strip()),
+}
+# annotations are not postponed, so f.type is a type; one without a parser fails here
+_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(PipelineConfig)}
 
 
-def _parse_value(key: str, raw: str, where: str):
-    """The value of a known key (:func:`_build` rejects the others)."""
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _STR_LIST_KEYS:
-            return tuple(s.strip() for s in raw.split(",") if s.strip())
-        return tuple(float(s) for s in raw.split(",") if s.strip())  # float lists
-    except ValueError as exc:
-        raise ConfigError(f"{where}: bad value for {key!r}: {raw!r}") from exc
-
-
-def _build(pairs: Mapping[str, str], where: str) -> dict:
+def _values(items: Iterable[Tuple[str, str]]) -> dict:
+    """The parsed value of each ``(where, "key=value")`` item; every error
+    names the ``where`` of its item."""
     values = {}
-    for key, raw in pairs.items():
-        if key not in _ALL_KEYS:
+    for where, item in items:
+        key, eq, raw = item.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if not eq:
+            raise ConfigError(f"{where}: expected 'key = value'")
+        if key not in _PARSERS:
             raise ConfigError(f"{where}: unknown config key {key!r}")
-        values[key] = _parse_value(key, raw, where)
+        if key in values:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        try:
+            values[key] = _PARSERS[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad value for {key!r}: {raw!r}") from exc
     return values
 
 
@@ -134,35 +131,23 @@ def parse_config(path: Union[str, Path]) -> PipelineConfig:
     """Load a flat ``key = value`` config file; absent keys take defaults.
 
     Blank lines and full-line ``#`` comments are ignored. Unknown keys are
-    errors so typos fail loudly.
+    errors so typos fail loudly. Every error names ``path:line``; a value
+    that breaks a :class:`PipelineConfig` rule names ``path`` and the rule.
     """
     path = Path(path)
-    pairs = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key in pairs:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            pairs[key] = raw.strip()
-    return PipelineConfig(**_build(pairs, str(path)))
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            lines = [(f"{path}:{n}", line.strip()) for n, line in enumerate(fh, start=1)]
+    except UnicodeDecodeError:
+        raise ConfigError(_not_utf8(path)) from None
+    values = _values((where, line) for where, line in lines
+                     if line and not line.startswith("#"))
+    try:
+        return PipelineConfig(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def parse_overrides(base: PipelineConfig, items) -> PipelineConfig:
     """Apply ``key=value`` override strings (CLI ``--set``) to a config."""
-    pairs = {}
-    for item in items:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r}: expected key=value")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key in pairs:
-            raise ConfigError(f"override {item!r}: duplicate key {key!r}")
-        pairs[key] = raw.strip()
-    values = _build(pairs, "override")
-    return replace(base, **values)
+    return replace(base, **_values((f"override {item!r}", item) for item in items))

@@ -27,7 +27,6 @@ __all__ = [
     "box_ious",
     "bbox_union",
     "bbox_intersection",
-    "bbox_enlarge",
     "box_enlarge",
     "tube_arrays",
     "window_unions",
@@ -122,17 +121,10 @@ def bbox_intersection(a: BBox, b: BBox) -> Optional[BBox]:
     return BBox(x0, x1, y0, y1)
 
 
-def bbox_enlarge(b: BBox, rate: float, frame: Tuple[float, float]) -> BBox:
-    """Scale a box by (1 + rate) per axis about its center, clamped to the frame.
-
-    ``frame`` is the (width, height) of the image; the result never leaves
-    [0, width] x [0, height].
-    """
-    return BBox(*box_enlarge(box_rows([b]), rate, frame)[0].tolist())
-
-
 def box_enlarge(rows: np.ndarray, rate: float, frame: Tuple[float, float]) -> np.ndarray:
-    """:func:`bbox_enlarge` of each row; raises on a degenerate result."""
+    """Each row scaled by (1 + rate) per axis about its center, clamped to
+    [0, width] x [0, height] for ``frame = (width, height)``; raises on a
+    degenerate result."""
     if rate < 0:
         raise ValueError(f"enlarge rate {rate} must be >= 0")
     width, height = frame

@@ -891,29 +891,46 @@ def _numbered_records(path: Path, kind: str) -> Iterator[Tuple[int, Any]]:
     """The records of :func:`read_records`, each with its line number."""
     _, parser, strict = RECORD_KINDS[kind]
     order = None if strict is None else FrameOrder(str(path), strict)
-    with path.open("r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
-            return
-        if first.rstrip("\n") != _header(kind):
-            raise RecordError(
-                f"{path}:1: expected header {_header(kind)!r}, "
-                f"got {first.rstrip()!r}"
-            )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            first = fh.readline()
+            if not first:
+                return
+            if first.rstrip("\n") != _header(kind):
+                raise RecordError(
+                    f"{path}:1: expected header {_header(kind)!r}, "
+                    f"got {first.rstrip()!r}"
+                )
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = parser(json.loads(line))
+                except RecordError:
+                    raise
+                except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
+                        RecursionError) as exc:
+                    raise RecordError(f"{path}:{lineno}: {exc}") from exc
+                if order is not None:
+                    order.check(record.video_id, record.frame, lineno)
+                yield lineno, record
+    except UnicodeDecodeError:
+        raise RecordError(_not_utf8(path)) from None
+
+
+def _not_utf8(path: Path) -> str:
+    """``path:line: not UTF-8 (reason)`` for the first line of ``path`` that
+    does not decode; rereads the file, so call it once a text read failed."""
+    # latin-1 takes every byte and splits lines as the text reader does, and a
+    # line break is never part of a UTF-8 sequence, so lines decode one by one
+    with path.open("r", encoding="latin-1") as fh:
+        for lineno, line in enumerate(fh, start=1):
             try:
-                record = parser(json.loads(line))
-            except RecordError:
-                raise
-            except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
-                    RecursionError) as exc:
-                raise RecordError(f"{path}:{lineno}: {exc}") from exc
-            if order is not None:
-                order.check(record.video_id, record.frame, lineno)
-            yield lineno, record
+                line.encode("latin-1").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return f"{path}:{lineno}: not UTF-8 ({exc.reason})"
+    return f"{path}: not UTF-8"
 
 
 def write_records(records: Iterable, path: Union[str, Path], kind: str) -> int:

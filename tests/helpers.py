@@ -1,11 +1,11 @@
 """Scene builders shared by the pipeline, acceptance and digest tests, plus
-plain per-``BBox`` reference versions of the box overlap kernel, the
-array-backed proposal, labeling and tube steps and box coverage, the
-per-pair greedy tracker, the outcome-counting label statistics, the
-per-class dedup and per-level proposal-quality sweep, the per-cube oracle
-and fused scores, the coverage-counter DET sweep, the per-pair tube-IoU
-mAP, the per-cube foreground score and the dict-and-``json.dumps`` record
-line, for differential tests."""
+plain per-``BBox`` reference versions of the box overlap kernel and the
+one-box enlargement, the array-backed proposal, labeling and tube steps and
+box coverage, the per-pair greedy tracker, the outcome-counting label
+statistics, the per-class dedup and per-level proposal-quality sweep, the
+per-cube oracle and fused scores, the coverage-counter DET sweep, the
+per-pair tube-IoU mAP, the per-cube foreground score and the
+dict-and-``json.dumps`` record line, for differential tests."""
 
 import bisect
 import json
@@ -18,8 +18,8 @@ from actpipe.dedup import CHAIN_IOU, SegmentCube, merge_groups, \
     select_group, split_segments
 from actpipe.evaluation import QUALITY_LEVELS, DetCurve, DetPoint, \
     Map3dResult, _average_precision, _check_videos, _tube_ious, det_curve, naudc
-from actpipe.geometry import BBox, Cube, bbox_enlarge, bbox_intersection, \
-    bbox_union, tube_arrays
+from actpipe.geometry import BBox, Cube, bbox_intersection, bbox_union, \
+    tube_arrays
 from actpipe.labeling import SAME_WINDOW_TIOU, gt_to_cubes, \
     same_window_blocks, temporal_iou
 from actpipe.proposals import sample_windows
@@ -329,6 +329,16 @@ def ref_refine_union(seed, window):
     return out
 
 
+def ref_bbox_enlarge(b, rate, frame):
+    if rate < 0:
+        raise ValueError(f"enlarge rate {rate} must be >= 0")
+    width, height = frame
+    mx = (b.x1 - b.x0) * rate / 2.0
+    my = (b.y1 - b.y0) * rate / 2.0
+    return BBox(max(0.0, b.x0 - mx), min(float(width), b.x1 + mx),
+                max(0.0, b.y0 - my), min(float(height), b.y1 + my))
+
+
 def ref_generate_video_proposals(video_id, tracks, video_len, frame_size, config):
     allowed = set(config.object_classes)
     usable = [t for t in tracks if not allowed or t.object_class in allowed]
@@ -336,8 +346,8 @@ def ref_generate_video_proposals(video_id, tracks, video_len, frame_size, config
     for t0, t1 in sample_windows(video_len, config.d_prop, config.s_prop):
         seeds = ref_central_seeds((t0, t1), usable, config.s_det)
         for seed in sorted(seeds, key=lambda t: t.track_id):
-            bbox = bbox_enlarge(ref_refine_union(seed, (t0, t1)), config.r_enl,
-                                frame_size)
+            bbox = ref_bbox_enlarge(ref_refine_union(seed, (t0, t1)), config.r_enl,
+                                    frame_size)
             cubes.append(
                 Cube(video_id=video_id, bbox=bbox, t0=t0, t1=t1,
                      seed_track=seed.track_id, object_class=seed.object_class)

@@ -164,3 +164,69 @@ def test_every_member_is_read_outside_its_definition(cls):
         if re.search(rf"\.{name}\b", elsewhere) is None:
             unread.append(name)
     assert unread == []
+
+
+# one valid text per key, with the value the constructor takes for it
+KEY_TEXTS = {
+    "s_det": ("4", 4), "d_prop": ("96", 96), "s_prop": ("32", 32), "s_bg": ("2", 2),
+    "r_enl": ("0.25", 0.25), "p_pos": ("0.1", 0.1), "s_high": ("0.75", 0.75),
+    "s_low": ("0.25", 0.25), "s_merg": ("0.9", 0.9), "l_merg": ("16", 16),
+    "object_classes": ("person, car", ("person", "car")),
+    "activity_classes": ("walk,run ,", ("walk", "run")),
+    "min_temporal_overlap": ("12", 12), "video_fps": ("25", 25.0),
+    "naudc_limit": ("1", 1.0), "pmiss_budgets": ("0.1, 0.2", (0.1, 0.2)),
+    "map_iou_thresholds": ("0.3", (0.3,)),
+}
+
+
+class TestEveryKey:
+    def test_texts_cover_every_field(self):
+        assert sorted(KEY_TEXTS) == sorted(f.name for f in fields(PipelineConfig))
+
+    @pytest.mark.parametrize("key", sorted(KEY_TEXTS))
+    def test_file_and_override_parse_as_constructed(self, tmp_path, key):
+        text, value = KEY_TEXTS[key]
+        built = PipelineConfig(**{key: value})
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{key} = {text}\n")
+        for cfg in (parse_config(path),
+                    parse_overrides(PipelineConfig(), [f"{key}={text}"])):
+            assert cfg == built
+            assert type(getattr(cfg, key)) is type(value)
+
+
+class TestErrorLocations:
+    @pytest.mark.parametrize("line, error", [
+        ("dprop = 64", "unknown config key 'dprop'"),
+        ("d_prop = sixty", "bad value for 'd_prop': 'sixty'"),
+        ("d_prop 64", "expected 'key = value'"),
+        ("s_det = 4", "duplicate key 's_det'"),
+    ])
+    def test_file_error_names_line(self, tmp_path, line, error):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"s_det = 8\n{line}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"c.cfg:2: {error}")):
+            parse_config(path)
+
+    def test_file_rule_error_names_file(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("# comment\ns_low = 0.6\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                "c.cfg: s_low=0.6 must not exceed s_high=0.5")):
+            parse_config(path)
+
+    def test_file_not_utf8_names_line(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"s_det = 8\nd_prop = 6\xff4\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                "c.cfg:2: not UTF-8 (invalid start byte)")):
+            parse_config(path)
+
+    @pytest.mark.parametrize("item, error", [
+        ("nope=1", "unknown config key 'nope'"),
+        ("d_prop=sixty", "bad value for 'd_prop': 'sixty'"),
+        ("d_prop", "expected 'key = value'"),
+    ])
+    def test_override_error_names_item(self, item, error):
+        with pytest.raises(ConfigError, match=re.escape(f"override {item!r}: {error}")):
+            parse_overrides(PipelineConfig(), ["s_det=4", item])

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from actpipe.geometry import (BBox, Cube, bbox_enlarge, bbox_intersection,
+from actpipe.geometry import (BBox, Cube, bbox_intersection, box_enlarge,
                               bbox_union, box_areas, box_intersections, box_ious,
                               box_rows)
 from helpers import block_tube_iou, ref_coverage, tube_record
@@ -90,21 +90,24 @@ class TestUnionIntersection:
 
 
 class TestEnlarge:
+    def enlarge(self, b, rate, frame):
+        return BBox(*box_enlarge(rows(b), rate, frame)[0].tolist())
+
     def test_rate_zero_identity(self):
         b = BBox(10, 20, 30, 40)
-        assert bbox_enlarge(b, 0.0, (1920, 1080)) == b
+        assert self.enlarge(b, 0.0, (1920, 1080)) == b
 
     def test_published_rate(self):
-        out = bbox_enlarge(BBox(100, 200, 100, 200), 0.13, (1920, 1080))
+        out = self.enlarge(BBox(100, 200, 100, 200), 0.13, (1920, 1080))
         assert out == BBox(93.5, 206.5, 93.5, 206.5)
 
     def test_clamped_at_frame_edge(self):
-        out = bbox_enlarge(BBox(0, 100, 0, 100), 0.5, (1920, 1080))
+        out = self.enlarge(BBox(0, 100, 0, 100), 0.5, (1920, 1080))
         assert out == BBox(0, 125, 0, 125)
 
     @given(boxes(), st.floats(0, 2, allow_nan=False))
     def test_never_shrinks_before_clamp(self, b, rate):
-        out = bbox_enlarge(b, rate, (10_000, 10_000))
+        out = self.enlarge(b, rate, (10_000, 10_000))
         assert out.x0 <= b.x0 and out.x1 >= b.x1
         assert out.y0 <= b.y0 and out.y1 >= b.y1
 

@@ -504,6 +504,14 @@ class TestCli:
             capsys.readouterr().err
         assert not (tmp_path / "out.jsonl").exists()
 
+    def test_track_input_not_utf8_exits_naming_line(self, tmp_path, capsys):
+        det = tmp_path / "det.jsonl"
+        det.write_bytes(b"#actpipe/detections/v1\n" + 2 * (
+            b'{"video_id":"v\xff","frame":0,"object_class":"p","x0":0,"x1":2,'
+            b'"y0":0,"y1":2,"confidence":0.5,"track_id":null}\n'))
+        assert self.run("track", det, "-o", tmp_path / "tr.jsonl") == 1
+        assert "det.jsonl:2: not UTF-8 (invalid start byte)" in capsys.readouterr().err
+
     def test_filter_threshold_reuse(self, tmp_path):
         spec_path = tmp_path / "scenes.json"
         spec_path.write_text(json.dumps(

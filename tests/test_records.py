@@ -158,6 +158,26 @@ class TestReaderErrors:
         with pytest.raises(RecordError, match=r":5"):
             list(read_records(path, "detections"))
 
+    @pytest.mark.parametrize("kind, read", [
+        ("detections", lambda path, kind: list(read_records(path, kind))),
+        ("detections", lambda path, kind: read_detections(path)),
+        ("proposals", read_proposals), ("scored-proposals", read_proposals),
+    ], ids=["records", "detections", "proposals", "scored"])
+    def test_bytes_not_utf8_name_line(self, tmp_path, kind, read):
+        path = tmp_path / "bad.jsonl"
+        cube = Cube("v", BBox(0, 2, 0, 2), 0, 8, 1, "person")
+        stream = {"detections": make_detections(3, "v"),
+                  "proposals": [replace(cube, t0=t, t1=t + 8) for t in range(3)],
+                  "scored-proposals": [ScoredCube(replace(cube, t0=t, t1=t + 8), (0.5,))
+                                       for t in range(3)]}[kind]
+        write_records(stream, path, kind)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"v"', b'"v\xff"')
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(RecordError, match=re.escape(
+                "bad.jsonl:3: not UTF-8 (invalid start byte)")):
+            read(path, kind)
+
     def test_invariant_violation_names_line(self, tmp_path):
         path = tmp_path / "inv.jsonl"
         path.write_text(
