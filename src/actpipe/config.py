@@ -1,6 +1,7 @@
 """Pipeline configuration: flat key=value files with strict key checking."""
 
 import math
+import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Tuple, Union
@@ -131,21 +132,23 @@ def parse_config(path: Union[str, Path]) -> PipelineConfig:
     """Load a flat ``key = value`` config file; absent keys take defaults.
 
     Blank lines and full-line ``#`` comments are ignored. Unknown keys are
-    errors so typos fail loudly. Every error names ``path:line``; a value
-    that breaks a :class:`PipelineConfig` rule names ``path`` and the rule.
+    errors so typos fail loudly. Every error names ``path:line``, and a broken
+    :class:`PipelineConfig` rule the line of the first key it names that is set.
     """
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8") as fh:
-            lines = [(f"{path}:{n}", line.strip()) for n, line in enumerate(fh, start=1)]
+            items = [(f"{path}:{n}", text) for n, line in enumerate(fh, start=1)
+                     if (text := line.strip()) and not text.startswith("#")]
     except UnicodeDecodeError:
         raise ConfigError(_not_utf8(path)) from None
-    values = _values((where, line) for where, line in lines
-                     if line and not line.startswith("#"))
+    values = _values(items)
     try:
         return PipelineConfig(**values)
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        lines = {item.partition("=")[0].strip(): where for where, item in items}
+        where = next((lines[w] for w in re.findall(r"\w+", str(exc)) if w in lines), path)
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_overrides(base: PipelineConfig, items) -> PipelineConfig:

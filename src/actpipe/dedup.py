@@ -12,13 +12,19 @@ Per activity class and seed track, the three-step procedure:
    taking the union of their boxes;
 3. select the group holding the globally maximal score.
 
-One body, :func:`deduplicate_subsets`, serves the dedup stage (through
-:func:`deduplicate`) and all proposal-quality level subsets in one call.
+:func:`split_segments`, :func:`merge_groups` and :func:`select_group` state
+the steps for one partition and class; composed, they are the tests'
+reference, and no stage calls them. :func:`deduplicate_subsets`, the one body
+of the dedup stage and the proposal-quality subsets, runs them as one array
+pass over every distinct partition of a call, all classes at once, with the
+reference's output bit for bit: sums run left to right from 0, as ``sum``
+adds; box coordinates are selected (the first extreme in fold order, or the
+first nearest cube), never computed, and read as given, so 3 stays 3.
 
-A class scoring 0 on every cube of a partition is skipped. That is exact:
+A partition scoring 0 on every class is dropped first. That is exact:
 scores lie in [0, 1], every segment or merged score is a mean of member
 scores, so all of them are 0, and only instances scoring above 0 are
-emitted.
+emitted. A partition of pairwise non-overlapping cubes passes them through.
 
 Every group blends information from all overlapping classifications, so the
 winner keeps the evidence of the whole run. Adjacent high-confidence
@@ -28,7 +34,7 @@ instances are merged afterwards for the strict setting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import gt
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -37,22 +43,15 @@ from .config import PipelineConfig
 from .geometry import BBox, bbox_intersection, bbox_union, box_ious
 from .records import ActivityInstance, CubeTable, ScoredCube
 
-__all__ = [
-    "SegmentCube",
-    "split_segments",
-    "merge_groups",
-    "select_group",
-    "deduplicate",
-    "deduplicate_subsets",
-    "merge_adjacent",
-]
+__all__ = ["SegmentCube", "split_segments", "merge_groups", "select_group",
+           "deduplicate", "deduplicate_subsets", "merge_adjacent"]
 
 CHAIN_IOU = 0.5
 
 
 @dataclass(frozen=True)
 class SegmentCube:
-    """A single-class scored cube used inside the dedup pipeline."""
+    """A single-class scored cube of the dedup specification functions."""
 
     t0: int
     t1: int
@@ -208,30 +207,112 @@ def _iter_partitions(table: CubeTable, ids: Iterable[int]
             yield video_id, partition_id, tuple(tracked[partition_id])
 
 
-def _partition_instances(video_id: str, partition_id: int, table: CubeTable,
-                         members: Sequence[int],
-                         config: PipelineConfig) -> List[ActivityInstance]:
-    """One partition's instances: split/merge/select per non-zero class."""
-    members = sorted(members, key=lambda i: (table.t0[i], table.t1[i]))
-    t0, t1 = [table.t0[i] for i in members], [table.t1[i] for i in members]
-    overlapping = any(map(gt, t1, t0[1:]))
-    scores = table.scores[members]
-    bboxes = None
-    instances = []
-    for class_idx, activity_class in enumerate(config.activity_classes):
-        if not scores[:, class_idx].any():
-            continue
-        bboxes = bboxes or table.bboxes(members)
-        run = list(map(SegmentCube, t0, t1, scores[:, class_idx].tolist(), bboxes))
-        if overlapping:
-            segments = split_segments(run, config.d_prop, config.s_prop)
-            run = select_group(merge_groups(segments, config.d_prop,
-                                            config.s_prop))
-        instances += (ActivityInstance(video_id, activity_class, cube.t0,
-                                       cube.t1, cube.bbox, cube.score,
-                                       seed_track=partition_id)
-                      for cube in run if cube.score > 0.0)
-    return instances
+def _layout(code: np.ndarray, k: np.ndarray, step: int, cut=False) -> tuple:
+    """Groups of rows sorted by (code, k), begun by a code change, a ``k`` off
+    the previous plus ``step`` or a ``cut``: first rows, counts, padded rows."""
+    begins = np.ones(len(k), bool)
+    begins[1:] = (code[1:] != code[:-1]) | (k[1:] != k[:-1] + step)
+    starts = np.flatnonzero(begins | cut)
+    counts = np.diff(np.append(starts, len(k)))
+    rows = starts[:, None] + np.arange(counts.max())
+    return starts, counts, np.where(rows < (starts + counts)[:, None], rows, len(k))
+
+
+def _cells(values: np.ndarray, layout: tuple, pad: float) -> np.ndarray:
+    """``values`` rows by position in group, then group; ``pad`` past its end."""
+    padded = np.append(values, np.full((1, *values.shape[1:]), pad), axis=0)
+    return padded[layout[2]].swapaxes(0, 1)
+
+
+def _means(values: np.ndarray, layout: tuple) -> np.ndarray:
+    """Per group, its ``values`` rows added by ``sum``, from 0 and left to right
+    as the reference adds (a pad's 0.0 changes no score sum), over their count."""
+    return sum(_cells(values, layout, 0.0)) / layout[1][:, None]
+
+
+def _maxima(values: np.ndarray, layout: tuple) -> tuple:
+    """Per group and column, the maximum of ``values`` and the first row
+    holding it, as a left fold of ``max`` keeps it."""
+    cells = _cells(values, layout, -np.inf)
+    best, first = cells[0], np.zeros(cells.shape[1:], np.intp)
+    for p in range(1, len(cells)):
+        later = cells[p] > best
+        best, first[later] = np.where(later, cells[p], best), p
+    return best, layout[0][:, None] + first
+
+
+def _dedup_partitions(table: CubeTable, parts: Sequence[Tuple[str, int, Tuple[int, ...]]],
+                      config: PipelineConfig) -> List[List[ActivityInstance]]:
+    """The instances of each of the distinct (video, partition id, member
+    rows) ``parts``, from one pass over all of their rows and classes."""
+    if not parts:
+        return []
+    s, r = config.s_prop, config.d_prop // config.s_prop
+    code = np.repeat(np.arange(len(parts)), [len(part[2]) for part in parts])
+    rows = np.fromiter(chain.from_iterable(part[2] for part in parts), np.intp, len(code))
+    live = np.bincount(code, table.scores[rows].any(axis=1), len(parts))[code] > 0
+    t0, t1 = np.array(table.t0)[rows], np.array(table.t1)[rows]
+    order = np.lexsort((t1, t0, code, ~live))[:live.sum()]  # live rows by (code, t0, t1)
+    code, rows, t0, t1 = code[order], rows[order], t0[order], t1[order]
+    overlaps = code[1:][(code[1:] == code[:-1]) & (t1[:-1] > t0[1:])]
+    through = np.bincount(overlaps, minlength=len(parts))[code] == 0
+    # members of overlap-free partitions pass; emitted: (code, class, t0, t1, box rows)
+    member, cls = np.nonzero(table.scores[rows[through]] > 0.0)
+    source = rows[through][member]
+    emitted = [(code[through][member], cls, t0[through][member], t1[through][member],
+                np.repeat(source[:, None], 4, axis=1))]
+    scores = table.scores[source, cls].tolist()
+
+    # split: a member covers the grid segments ceil(t0 / S) <= k < t1 // S
+    code, rows, t0, t1 = code[~through], rows[~through], t0[~through], t1[~through]
+    first = -(-t0 // s)
+    counts = np.maximum(t1 // s - first, 0)
+    member = np.repeat(np.arange(len(rows)), counts)
+    k = np.arange(len(member)) - np.repeat(np.cumsum(counts) - counts - first, counts)
+    order = np.lexsort((k, code[member]))
+    member, k = member[order], k[order]
+    if len(k):
+        split = _layout(code[member], k, 0)
+        means = _means(table.scores[rows[member]], split)
+        # the intersection (x1, y1 negated), else the nearest box, ties to lower t0
+        fold, pick = _maxima(table.boxes[rows[member]] * [1, -1, 1, -1], split)
+        near = _cells(np.abs((t0[member] + t1[member]) / 2 - (k + 0.5) * s), split, np.inf)
+        near = np.where(near == near.min(axis=0), _cells(t0[member], split, 0), np.inf)
+        empty = (fold[:, 0] >= -fold[:, 1]) | (fold[:, 2] >= -fold[:, 3])
+        pick[empty] = (split[0] + near.argmin(axis=0))[empty, None]
+        source, code, k = rows[member][pick], code[member][split[0]], k[split[0]]
+        boxes = table.boxes[source, np.arange(4)]
+
+        # merge: phase g cuts runs at a partition change, a gap and (k - g) % r == 0
+        runs = []
+        for g in range(min(r, k.max() + 1)):
+            at = np.flatnonzero(k >= g)
+            merge = _layout(code[at], k[at], 1, (k[at] - g) % r == 0)
+            pick = at[_maxima(boxes[at] * [-1, 1, -1, 1], merge)[1]]  # the union's rows
+            run_k = k[at][merge[0]]
+            runs.append((np.full(len(run_k), g), code[at][merge[0]], run_k * s,
+                         (run_k + merge[1]) * s, source[pick, np.arange(4)],
+                         _means(means[at], merge)))
+        # select: per (partition, class), the first phase holding the maximum
+        phase, run_code, *run, run_scores = map(np.concatenate, zip(*runs))
+        best = np.full((r, len(parts), run_scores.shape[1]), -np.inf)
+        np.maximum.at(best, (phase, run_code), run_scores)
+        chosen = np.argmax(best == best.max(axis=0), axis=0)
+        i, cls = np.nonzero((run_scores > 0.0) & (chosen[run_code] == phase[:, None]))
+        emitted.append((run_code[i], cls, *(column[i] for column in run)))
+        scores += run_scores[i, cls].tolist()
+
+    # built in the reference's order: by partition, then class, then time
+    code, cls, t0, t1, source = map(np.concatenate, zip(*emitted))
+    order = np.lexsort((t0, cls, code))
+    coords = (table.boxes[source[order], np.arange(4)].tolist() if table.coords is None else
+              [[c[i] for c, i in zip(table.coords, row)] for row in source[order].tolist()])
+    out: List[List[ActivityInstance]] = [[] for _ in parts]
+    columns = (column[order].tolist() for column in (code, cls, t0, t1))
+    for key, c, a, b, i, box in zip(*columns, order.tolist(), coords):
+        out[key].append(ActivityInstance(parts[key][0], config.activity_classes[c], a, b,
+                                         BBox(*box), scores[i], seed_track=parts[key][1]))
+    return out
 
 
 def _instance_order(a: ActivityInstance) -> tuple:
@@ -253,22 +334,18 @@ def deduplicate_subsets(scored_cubes: Sequence[ScoredCube],
                         subsets: Iterable[Iterable[int]],
                         config: PipelineConfig) -> List[List[ActivityInstance]]:
     """:func:`deduplicate` of each subset of ascending indices into
-    ``scored_cubes`` (a scored :class:`CubeTable` or ScoredCubes). A
-    partition recurring with the same members is deduplicated once, keyed by
-    (video, partition id, member indices): the chain ids of seedless cubes
-    can shift between subsets."""
+    ``scored_cubes`` (a scored :class:`CubeTable` or ScoredCubes), from one
+    array pass over the distinct partitions of all subsets. A partition
+    recurring with the same members, keyed by (video, partition id, member
+    indices), is deduplicated once: seedless chain ids can shift by subset."""
     table = CubeTable.from_records(scored_cubes)
     _check_scores(table, config.activity_classes)
-    done: Dict[tuple, List[ActivityInstance]] = {}
-    out = []
-    for subset in subsets:
-        instances: List[ActivityInstance] = []
-        for key in _iter_partitions(table, subset):
-            if key not in done:
-                done[key] = _partition_instances(*key[:2], table, key[2], config)
-            instances += done[key]
-        out.append(sorted(instances, key=_instance_order))
-    return out
+    index: Dict[tuple, int] = {}
+    keys = [[index.setdefault(key, len(index)) for key in _iter_partitions(table, subset)]
+            for subset in subsets]
+    done = _dedup_partitions(table, list(index), config)
+    return [sorted(chain.from_iterable(map(done.__getitem__, subset)), key=_instance_order)
+            for subset in keys]
 
 
 def deduplicate(scored_cubes: Sequence[ScoredCube],
@@ -278,9 +355,8 @@ def deduplicate(scored_cubes: Sequence[ScoredCube],
     Cubes without a track id are chained by spatial IoU instead and get
     negative partition ids. Partitions whose cubes are already pairwise
     non-overlapping have no duplicates to resolve and pass through
-    unchanged, which makes deduplication idempotent. Only instances with a
-    strictly positive score are emitted, so skipping all-zero classes is
-    exact (see the module docstring).
+    unchanged, which makes deduplication idempotent. Only instances scoring
+    above 0 are emitted.
     """
     return deduplicate_subsets(scored_cubes, [range(len(scored_cubes))],
                                config)[0]

@@ -308,7 +308,8 @@ def proposal_quality(proposals: Sequence[Cube],
 
     The proposals (a :class:`~actpipe.records.CubeTable` or cubes) are
     oracle-scored once, and one call of the dedup body,
-    :func:`~actpipe.dedup.deduplicate_subsets`, serves all 20 level subsets.
+    :func:`~actpipe.dedup.deduplicate_subsets`, serves all 20 level subsets
+    in one array pass over their distinct partitions.
     """
     classes = _classes_for(annotations, config)
     gt_cubes = [gt for a in annotations

@@ -286,7 +286,9 @@ class CubeTable:
         return len(self.video_ids)
 
     def __iter__(self) -> Iterator:
-        cubes = map(Cube, self.video_ids, self.bboxes(range(len(self))), self.t0, self.t1,
+        boxes = (starmap(BBox, self.boxes.tolist()) if self.coords is None
+                 else map(BBox, *self.coords))
+        cubes = map(Cube, self.video_ids, boxes, self.t0, self.t1,
                     self.seed_tracks, self.object_classes, self.fg_scores, self.labels)
         if self.scores is None:
             return cubes
@@ -299,13 +301,6 @@ class CubeTable:
         if isinstance(other, (CubeTable, list, tuple)):
             return list(self) == list(other)
         return NotImplemented
-
-    def bboxes(self, rows: Iterable[int]) -> List[BBox]:
-        """The box of each of ``rows``, as given."""
-        rows = list(rows)
-        if self.coords is None:
-            return list(starmap(BBox, self.boxes[rows].tolist()))
-        return [BBox(*(c[i] for c in self.coords)) for i in rows]
 
     def keys(self) -> List[Tuple[str, int, int, Optional[int]]]:
         """Each row's (video_id, t0, t1, seed_track) join key."""

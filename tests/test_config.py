@@ -208,11 +208,15 @@ class TestErrorLocations:
         with pytest.raises(ConfigError, match=re.escape(f"c.cfg:2: {error}")):
             parse_config(path)
 
-    def test_file_rule_error_names_file(self, tmp_path):
+    @pytest.mark.parametrize("text, error", [
+        ("# comment\ns_low = 0.6\n", "c.cfg:2: s_low=0.6 must not exceed s_high=0.5"),
+        ("s_det = 8\n\n# d_prop next\ns_bg = 8\nd_prop = 0\n",
+         "c.cfg:5: d_prop must be a positive frame count"),
+    ], ids=["s_low", "d_prop"])
+    def test_file_rule_error_names_line(self, tmp_path, text, error):
         path = tmp_path / "c.cfg"
-        path.write_text("# comment\ns_low = 0.6\n")
-        with pytest.raises(ConfigError, match=re.escape(
-                "c.cfg: s_low=0.6 must not exceed s_high=0.5")):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(error)):
             parse_config(path)
 
     def test_file_not_utf8_names_line(self, tmp_path):

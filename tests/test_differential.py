@@ -609,6 +609,39 @@ def dedup_case(t0s, scores, d_prop=64, s_prop=16, track=1, boxes=None):
                     for t0, s, box in zip(t0s, scores, boxes)]
 
 
+P, Q = BBox(0, 10, 0, 10), BBox(20, 30, 20, 30)  # disjoint boxes
+
+
+def batch_case(*parts):
+    """Partitions of (video, track, windows, "ride" scores[, boxes]) cubes
+    on the 64/16 grid; "walk" scores 0 on every cube."""
+    config = PipelineConfig(d_prop=64, s_prop=16, activity_classes=("walk", "ride"))
+    cubes = []
+    for video, track, windows, scores, *boxes in parts:
+        boxes = boxes[0] if boxes else [P] * len(windows)
+        cubes += [ScoredCube(Cube(video, box, t0, t1, seed_track=track), (0.0, score))
+                  for (t0, t1), score, box in zip(windows, scores, boxes)]
+    return config, cubes
+
+
+# FIRST covers grid segments 0-5 and NEXT segments 6-9: one run if not cut
+FIRST = ((0, 64), (16, 80), (32, 96))
+NEXT = ((96, 160), (112, 176))
+BATCH_CASES = {
+    "segments_continue_in_next_partition": batch_case(
+        ("v", 1, FIRST, (0.3, 0.6, 0.9)), ("v", 2, NEXT, (0.8, 0.2))),
+    "same_track_in_two_videos": batch_case(
+        ("a", 1, FIRST, (0.3, 0.6, 0.9)), ("b", 1, NEXT, (0.8, 0.2))),
+    "all_zero_partition_between": batch_case(
+        ("v", 1, FIRST, (0.3, 0.6, 0.9)), ("v", 2, ((200, 264), (216, 280)), (0.0, 0.0)),
+        ("v", 3, NEXT, (0.8, 0.2))),
+    # the last segment of partition 1 (64-80) has disjoint boxes; falls back
+    "empty_intersection_at_partition_edge": batch_case(
+        ("v", 1, ((0, 64), (16, 80), (37, 80)), (0.5, 0.7, 0.9), (P, Q, P)),
+        ("v", 2, ((80, 144), (96, 160)), (0.6, 0.4))),
+}
+
+
 class TestDeduplicate:
     @settings(max_examples=300, deadline=None)
     @given(case=scored_partitions())
@@ -640,6 +673,15 @@ class TestDeduplicate:
         want = ref_deduplicate(cubes, config)
         assert got and got == want
         assert {a.activity_class for a in got} == {"ride"}
+        assert written(got, "instances") == written(want, "instances")
+
+    @pytest.mark.parametrize("case", BATCH_CASES.values(), ids=BATCH_CASES.keys())
+    def test_batch_boundary_cases(self, case):
+        # partitions meet in one array pass: runs end where a partition ends
+        config, cubes = case
+        got = deduplicate(cubes, config)
+        want = ref_deduplicate(cubes, config)
+        assert len({(a.video_id, a.seed_track) for a in got}) >= 2 and got == want
         assert written(got, "instances") == written(want, "instances")
 
 
@@ -692,6 +734,12 @@ class TestDeduplicateSubsets:
     @pytest.mark.parametrize("case", [seedless_shift_case(), off_grid_case()])
     def test_named_cases(self, case):
         self.check(*case)
+
+    @pytest.mark.parametrize("case", BATCH_CASES.values(), ids=BATCH_CASES.keys())
+    def test_batch_boundary_cases(self, case):
+        config, cubes = case
+        n = len(cubes)
+        self.check(config, cubes, [range(n), range(1, n), range(n - 1), range(0, n, 2)])
 
 
 QUALITY_CLASSES = ("walk", "ride")

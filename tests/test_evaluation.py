@@ -283,7 +283,7 @@ class TestProposalQualityWork:
         partitions_seen = []
         keys = []
         iter_partitions = dedup._iter_partitions
-        partition_instances = dedup._partition_instances
+        dedup_partitions = dedup._dedup_partitions
 
         def counting_oracle_scores(cubes, classes):
             scored_calls.append(oracle_scores(cubes, classes))
@@ -294,15 +294,14 @@ class TestProposalQualityWork:
                 partitions_seen.append(part)
                 yield part
 
-        def counting_partition_instances(video, pid, table, members, cfg):
+        def counting_dedup_partitions(table, parts, cfg):
             assert table is scored_calls[0]
-            keys.append((video, pid, tuple(members)))
-            return partition_instances(video, pid, table, members, cfg)
+            keys.extend((video, pid, tuple(members)) for video, pid, members in parts)
+            return dedup_partitions(table, parts, cfg)
 
         monkeypatch.setattr(evaluation, "oracle_scores", counting_oracle_scores)
         monkeypatch.setattr(dedup, "_iter_partitions", counting_iter_partitions)
-        monkeypatch.setattr(dedup, "_partition_instances",
-                            counting_partition_instances)
+        monkeypatch.setattr(dedup, "_dedup_partitions", counting_dedup_partitions)
         proposal_quality(proposals, annotations, config, lengths)
 
         assert len(scored_calls) == 1

@@ -14,6 +14,7 @@ import pytest
 from actpipe import evaluation, labeling, pipeline
 from actpipe.cli import build_parser, main
 from actpipe.config import PipelineConfig
+from actpipe.dedup import SegmentCube, deduplicate, deduplicate_subsets
 from actpipe.evaluation import QUALITY_LEVELS
 from actpipe.geometry import BBox, Cube
 from actpipe.pipeline import (CANONICAL_STAGES, DEFAULT_FRAME_SIZE, PipelineInputs,
@@ -24,7 +25,7 @@ from actpipe.records import (ActivityAnnotation, ActivityInstance,
                              read_records, write_records)
 from actpipe.synth import generate_corpus
 from actpipe.tracking import tracks_from_records
-from helpers import closure_scenes
+from helpers import closure_scenes, crowded_scenes
 
 CONFIG = PipelineConfig()
 # the record files one full run writes, by name without ".jsonl"
@@ -250,6 +251,40 @@ class TestRunPipeline:
             assert main([str(arg) for arg in argv]) == 0
         assert gt_cubes and len(built) == len(gt_cubes)
         assert files["scored"].read_bytes() == (out / "proposals_scored.jsonl").read_bytes()
+
+    def test_dedup_builds_no_segment_cube_or_box_per_member(self, tmp_path, monkeypatch):
+        # the dedup stage and the proposal-quality subsets run as array passes
+        # over the scored table: no SegmentCube, and a box per emitted instance
+        config = CONFIG.with_classes(object_classes=("person", "vehicle"),
+                                     activity_classes=("carrying", "loading", "walking"))
+        specs = crowded_scenes(3, seed=7)
+        scenes = generate_corpus(specs, config)
+        for kind in ("detections", "annotations", "masks"):
+            write_records((r for s in scenes for r in getattr(s, kind)),
+                          tmp_path / f"{kind}.jsonl", kind)
+        inputs = PipelineInputs(
+            **{kind: tmp_path / f"{kind}.jsonl"
+               for kind in ("detections", "annotations", "masks")},
+            video_lengths={s.video_id: s.video_len for s in specs},
+            frame_sizes={s.video_id: s.frame_size for s in specs})
+        run_pipeline(config, inputs, tmp_path / "out", stages=CANONICAL_STAGES[:5])
+        table = read_proposals(tmp_path / "out" / "proposals_scored.jsonl",
+                               "scored-proposals")
+        built = Counter()
+        for cls in (SegmentCube, BBox):
+            def counting(obj, cls=cls, check=cls.__post_init__):
+                built[cls] += 1
+                check(obj)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+
+        instances = deduplicate(table, config)
+        assert len(instances) > 10 and built[SegmentCube] == 0
+        assert 0 < built[BBox] <= len(instances)
+        built.clear()
+        n = len(table)
+        levels = deduplicate_subsets(table, [range(n), range(0, n, 2), range(n // 2)], config)
+        assert built[SegmentCube] == 0
+        assert 0 < built[BBox] <= sum(map(len, levels))
 
     def test_timings_cover_work_before_the_first_stage(self, tmp_path,
                                                       closure_corpus,
