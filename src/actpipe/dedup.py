@@ -344,8 +344,20 @@ def deduplicate_subsets(scored_cubes: Sequence[ScoredCube],
     keys = [[index.setdefault(key, len(index)) for key in _iter_partitions(table, subset)]
             for subset in subsets]
     done = _dedup_partitions(table, list(index), config)
-    return [sorted(chain.from_iterable(map(done.__getitem__, subset)), key=_instance_order)
-            for subset in keys]
+    # every distinct instance sorted once; a subset takes its instances in
+    # that order (they tie only inside one partition, which keeps its order)
+    flat = list(chain.from_iterable(done))
+    order = sorted(range(len(flat)), key=lambda i: _instance_order(flat[i]))
+    ranked, rank = [flat[i] for i in order], np.empty(len(flat), dtype=np.intp)
+    rank[order] = np.arange(len(flat))
+    counts = np.array([len(instances) for instances in done], dtype=np.intp)
+    first = np.cumsum(counts) - counts
+    out = []
+    for subset in keys:
+        n = counts[subset]  # the subset's instances sit at first[k]..first[k] + n - 1
+        at = np.arange(n.sum()) + np.repeat(first[subset] - np.cumsum(n) + n, n)
+        out.append([ranked[r] for r in np.sort(rank[at]).tolist()])
+    return out
 
 
 def deduplicate(scored_cubes: Sequence[ScoredCube],

@@ -20,8 +20,8 @@ import numpy as np
 
 from .config import PipelineConfig
 from .dedup import deduplicate, deduplicate_subsets
-from .geometry import Cube, box_areas, box_intersections
-from .labeling import gt_to_cubes, same_window_blocks
+from .geometry import IOU_BLOCK_ELEMENTS, Cube, box_areas, box_intersections
+from .labeling import group_last, gt_to_cubes, same_window_pairs
 from .records import ActivityAnnotation, ActivityInstance
 from .scoring import oracle_scores
 
@@ -39,8 +39,6 @@ __all__ = [
 ]
 
 QUALITY_LEVELS = tuple(round(0.1 * i, 1) for i in range(10))
-# elements (predictions x GTs x frames x 4 coordinates) of one tube-IoU block
-IOU_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -316,9 +314,11 @@ def proposal_quality(proposals: Sequence[Cube],
                 for gt in gt_to_cubes(a, config.d_prop, config.s_prop)]
     best_iou = np.zeros(len(proposals))
     best_cov = np.zeros(len(proposals))
-    for p_idx, _, iou, cov in same_window_blocks(proposals, gt_cubes):
-        best_iou[p_idx] = np.maximum(best_iou[p_idx], iou.max(axis=1))
-        best_cov[p_idx] = np.maximum(best_cov[p_idx], cov.max(axis=1))
+    for p, _, iou, cov in same_window_pairs(proposals, gt_cubes):
+        p, iou, cov = (x[(iou > 0.0) | (cov > 0.0)] for x in (p, iou, cov))
+        for best, values in ((best_iou, iou), (best_cov, cov)):
+            top = group_last(values, p)
+            best[p[top]] = values[top]
     subsets = [np.flatnonzero(values >= level).tolist()
                for values in (best_iou, best_cov) for level in QUALITY_LEVELS]
     level_instances = deduplicate_subsets(

@@ -32,6 +32,9 @@ __all__ = [
     "window_unions",
 ]
 
+# elements of one overlap-kernel block of pair or tube rows, bounding memory
+IOU_BLOCK_ELEMENTS = 1 << 18
+
 
 @dataclass(frozen=True)
 class BBox:

@@ -9,14 +9,18 @@ following the two-threshold scheme used for region-proposal training. The
 outcome is the proposals' ``labels`` column (:class:`CubeTable`): a
 non-empty set when positive, an empty set when negative, ``None`` when
 unassigned.
+
+The comparison is one join per video (:func:`same_window_pairs`): the
+distinct proposal and GT windows meet in one temporal-IoU test, their
+members expand into flat (proposal, GT) pairs, and one overlap-kernel call
+scores all of them. Labels and the proposal-quality report read maxima off
+sorts of those pair arrays (:func:`group_last`).
 """
 
 from __future__ import annotations
 
-import bisect
 from collections import Counter
 from dataclasses import replace
-from operator import sub
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +34,8 @@ from .records import ActivityAnnotation, CubeTable
 __all__ = [
     "temporal_iou",
     "gt_to_cubes",
-    "same_window_blocks",
+    "same_window_pairs",
+    "group_last",
     "assign_labels",
     "proposal_stats",
     "label_stage",
@@ -74,38 +79,55 @@ def gt_to_cubes(annotation: ActivityAnnotation, d_prop: int,
             for (t0, t1), box in zip(windows.tolist(), unions)]
 
 
-def same_window_blocks(proposals: Sequence[Cube], gt_cubes: Sequence[Cube]
-                       ) -> Iterator[Tuple[np.ndarray, ...]]:
-    """Per distinct GT-cube window, the proposals (a :class:`CubeTable` or
-    cubes) of the same video at temporal IoU >= 0.5: proposal indices
-    (ascending), GT indices, and the IoU and GT-coverage (intersection over
-    the GT box's area) matrices, both from one :func:`box_intersections`
-    block.
+def same_window_pairs(proposals: Sequence[Cube], gt_cubes: Sequence[Cube]
+                      ) -> Iterator[Tuple[np.ndarray, ...]]:
+    """Per video, every pair of a proposal (a :class:`CubeTable` or cubes)
+    and a GT cube whose windows have temporal IoU >= 0.5, as flat arrays:
+    proposal indices, GT indices, and the pairs' IoU and GT coverage
+    (intersection over the GT box's area), from one :func:`box_intersections`
+    call. Each distinct pair of windows is tested once, dividing as
+    :func:`temporal_iou` does: in float64 below 2**53, on Python ints past it.
     """
     table = CubeTable.from_records(proposals)
-    windows: Dict[str, Dict[Tuple[int, int], List[int]]] = {}
-    for i, (video_id, t0, t1) in enumerate(zip(table.video_ids, table.t0, table.t1)):
-        windows.setdefault(video_id, {}).setdefault((t0, t1), []).append(i)
-    keys = {video_id: sorted(ws) for video_id, ws in windows.items()}
-    # a window starting the longest duration before another cannot overlap it
-    max_dur = max(map(sub, table.t1, table.t0), default=0)
-    gt_groups: Dict[Tuple[str, int, int], List[int]] = {}
-    for g, gt in enumerate(gt_cubes):
-        gt_groups.setdefault((gt.video_id, gt.t0, gt.t1), []).append(g)
+    by_video: Dict[str, Tuple[list, list]] = {}  # (code, t0, t1) per window
+    members = []  # per side: indices by window code, each code's first and count
+    for side, windows in enumerate((zip(table.video_ids, table.t0, table.t1),
+                                    ((gt.video_id, gt.t0, gt.t1) for gt in gt_cubes))):
+        codes: Dict[tuple, int] = {}
+        code = np.array([codes.setdefault(w, len(codes)) for w in windows], dtype=np.intp)
+        count = np.bincount(code, minlength=len(codes))
+        members.append((np.argsort(code, kind="stable"), np.cumsum(count) - count, count))
+        for (video_id, t0, t1), c in codes.items():
+            by_video.setdefault(video_id, ([], []))[side].append((c, t0, t1))
+    (p_order, p_first, p_count), (g_order, g_first, g_count) = members
     gt_boxes = box_rows(gt.bbox for gt in gt_cubes)
-    for (video_id, t0, t1), g_idx in gt_groups.items():
-        near = keys.get(video_id, [])
-        near = near[bisect.bisect_left(near, (t0 - max_dur,)):
-                    bisect.bisect_left(near, (t1,))]
-        p_idx = np.array(sorted(i for w in near
-                                if temporal_iou(w, (t0, t1)) >= SAME_WINDOW_TIOU
-                                for i in windows[video_id][w]), dtype=np.int64)
-        if not p_idx.size:
+    for p_windows, g_windows in by_video.values():
+        if not (p_windows and g_windows):
             continue
-        p, g = table.boxes[p_idx, None], gt_boxes[g_idx]
-        inter = box_intersections(p, g)
-        yield (p_idx, np.array(g_idx), box_ious(p, g, inter),
-               inter / box_areas(g))
+        big = max(w[2] for w in p_windows + g_windows) >= 2 ** 53
+        a, b = (np.array(w, dtype=object if big else np.int64) for w in (p_windows, g_windows))
+        inter = np.minimum(a[:, None, 2], b[:, 2]) - np.maximum(a[:, None, 1], b[:, 1])
+        union = np.maximum(a[:, None, 2], b[:, 2]) - np.minimum(a[:, None, 1], b[:, 1])
+        i, j = np.nonzero(inter / union >= SAME_WINDOW_TIOU)
+        wp, wg = a[i, 0].astype(np.intp), b[j, 0].astype(np.intp)
+        # every member of window wp against every member of window wg
+        size = p_count[wp] * g_count[wg]
+        pair = np.repeat(np.arange(len(size)), size)
+        k, n_g = np.arange(len(pair)) - (np.cumsum(size) - size)[pair], g_count[wg][pair]
+        p = p_order[p_first[wp][pair] + k // n_g]
+        g = g_order[g_first[wg][pair] + k % n_g]
+        rows, gts = table.boxes[p], gt_boxes[g]
+        inter = box_intersections(rows, gts)
+        yield p, g, box_ious(rows, gts, inter), inter / box_areas(gts)
+
+
+def group_last(*keys: np.ndarray) -> np.ndarray:
+    """Index of the last pair of each ``keys[-1]`` group in the order of
+    ``np.lexsort(keys)``: with a value key first, each group's maximum."""
+    order = np.lexsort(keys)
+    group, last = keys[-1][order], np.ones(len(order), dtype=bool)
+    last[:-1] = group[1:] != group[:-1]
+    return order[last]
 
 
 def assign_labels(proposals: Sequence[Cube], gt_cubes: Sequence[Cube],
@@ -122,18 +144,15 @@ def assign_labels(proposals: Sequence[Cube], gt_cubes: Sequence[Cube],
     """
     table = CubeTable.from_records(proposals)
     labels = [frozenset()] * len(table)
-    best_iou = np.zeros(len(table))
-    for p_idx, g_idx, iou, _ in same_window_blocks(table, gt_cubes):
-        best_iou[p_idx] = np.maximum(best_iou[p_idx], iou.max(axis=1))
-        for r, c in zip(*np.nonzero(iou > s_high)):
-            labels[p_idx[r]] |= gt_cubes[g_idx[c]].labels
-        # argmax takes the first maximum: the lowest proposal index
-        best = iou.argmax(axis=0)
-        above = iou[best, np.arange(len(g_idx))] > s_low
-        for r, g in zip(best[above], g_idx[above]):
-            labels[p_idx[r]] |= gt_cubes[g].labels
-    return replace(table, labels=[found or (frozenset() if best <= s_low else None)
-                                  for found, best in zip(labels, best_iou.tolist())])
+    assigned = np.zeros(len(table), dtype=bool)  # some pair above s_low
+    for p, g, iou, _ in same_window_pairs(table, gt_cubes):
+        p, g, iou = (x[iou > s_low] for x in (p, g, iou))
+        assigned[p] = True
+        best = group_last(-p, iou, g)  # a GT cube's best: ties to the lowest index
+        for r, c in zip(*(np.append(x[iou > s_high], x[best]).tolist() for x in (p, g))):
+            labels[r] |= gt_cubes[c].labels
+    return replace(table, labels=[found or (None if up else frozenset())
+                                  for found, up in zip(labels, assigned.tolist())])
 
 
 def proposal_stats(labeled: Sequence[Cube]) -> dict:

@@ -1,19 +1,25 @@
 """Baseline greedy IoU tracker for detections without track ids.
 
-Per video, frames run in order. Each frame's detections meet the live
-tracks' last boxes in one (detections x live tracks) IoU block from the
-geometry kernel; pairs under the gate or across classes drop out, and the
-rest are taken greedily, best IoU first.
+A live track's last box is the box of the detection that last extended
+it, so every IoU the tracker asks for is between two same-class
+detections at most ``max_gap`` frames apart. Per video, one band of such
+(later, earlier) pairs gets its IoUs from the geometry kernel, one call
+per bounded block of pair rows, and pairs under the gate drop out. Frames
+then run in order: a pair is live while its earlier detection is still
+its track's last one, and the live pairs are taken greedily, best IoU
+first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, Iterable, List
 
 import numpy as np
 
-from .geometry import box_ious
+from .geometry import IOU_BLOCK_ELEMENTS, box_ious
 from .records import DetectionBatch, Detections
 
 __all__ = ["Track", "greedy_iou_track", "tracks_from_records"]
@@ -33,45 +39,45 @@ class Track:
 
 
 def _track_one_video(batch: DetectionBatch, max_gap: int) -> DetectionBatch:
-    n, rows, frames = len(batch.frames), batch.boxes, batch.frames
+    n, frames = len(batch.frames), batch.frames
+    # by frame, then confidence rank: ties by x0, y0 and input order; frames
+    # never decrease, so the detection at position p is on frames[p]
+    ranked = np.lexsort((batch.boxes[:, 2], batch.boxes[:, 0], -batch.confidences, frames))
     _, classes = np.unique(batch.classes, return_inverse=True)
-    # by frame, then confidence rank: ties by x0, y0 and input order
-    ranked = np.lexsort((rows[:, 2], rows[:, 0], -batch.confidences, frames))
-    starts = np.flatnonzero(np.r_[True, np.diff(frames[ranked]) != 0]).tolist()
-
-    # per track, at its id - 1: class, last frame and last box
-    track_class = np.empty(n, dtype=np.int64)
-    last_frame = np.empty(n, dtype=np.int64)
-    last_box = np.empty((n, 4))
-    track_of = np.empty(n, dtype=np.int64)
-    live = np.empty(0, dtype=np.int64)
-    opened = 0
-    for a, b in zip(starts, starts[1:] + [n]):
-        dets = ranked[a:b]  # position in the block is the confidence rank
-        frame = frames[dets[0]]
-        live = live[frame - last_frame[live] <= max_gap]
-        iou = box_ious(rows[dets, None], last_box[live])
-        rank, col = np.nonzero((iou >= IOU_GATE)
-                               & (classes[dets, None] == track_class[live]))
-        matched = [-1] * len(dets)
-        used = set()
-        # greedy over the gated pairs by (-IoU, rank, track id)
-        order = np.lexsort((live[col], rank, -iou[rank, col]))
-        for r, t in zip(rank[order].tolist(), live[col[order]].tolist()):
-            if matched[r] < 0 and t not in used:
-                matched[r] = t
+    rows, classes = batch.boxes[ranked], classes[ranked]
+    # the band: position p against the positions lo[p]..first[p] - 1 of the
+    # max_gap frames before its own, in blocks of later positions [a, b)
+    lo, first = np.searchsorted(frames, frames - max_gap), np.searchsorted(frames, frames)
+    counts = first - lo
+    ends = np.cumsum(counts)
+    before = ends - counts  # pairs of the positions before p
+    pairs, a = [], 0
+    while a < n:
+        b = max(a + 1, int(np.searchsorted(ends, before[a] + IOU_BLOCK_ELEMENTS // 8, "right")))
+        later = np.repeat(np.arange(a, b), counts[a:b])
+        earlier = np.arange(before[a], ends[b - 1]) + np.repeat((lo - before)[a:b], counts[a:b])
+        same = classes[later] == classes[earlier]
+        later, earlier = later[same], earlier[same]
+        iou = box_ious(rows[later], rows[earlier])
+        gated = iou >= IOU_GATE
+        pairs.append((frames[later[gated]], -iou[gated], later[gated], earlier[gated]))
+        a = b
+    # a track's key is its first detection's input index, ordered as its id;
+    # a pair is live while its earlier detection is its track's last one
+    key, went_on = ranked.tolist(), [False] * n
+    for _, block in groupby(zip(*(np.concatenate(c).tolist() for c in zip(*pairs))),
+                            itemgetter(0)):
+        taken, used = set(), set()
+        # greedy over the live pairs by (-IoU, rank, track id)
+        for _, p, t, q in sorted((d, p, key[q], q) for _, d, p, q in block if not went_on[q]):
+            if p not in taken and t not in used:
+                taken.add(p)
                 used.add(t)
-        matched = np.array(matched, dtype=np.int64)
-        track_of[dets] = matched
-        # unmatched detections open tracks in input order
-        fresh = np.sort(dets[matched < 0])
-        track_of[fresh] = np.arange(opened, opened + len(fresh))
-        opened += len(fresh)
-        live = np.concatenate((live, track_of[fresh]))
-        moved = track_of[dets]
-        track_class[moved], last_frame[moved], last_box[moved] = \
-            classes[dets], frame, rows[dets]
-    return replace(batch, track_ids=track_of + 1)
+                key[p], went_on[q] = t, True
+    # unmatched detections open tracks in input order
+    ids = np.empty(n, dtype=np.int64)
+    ids[ranked] = key
+    return replace(batch, track_ids=np.cumsum(ids == np.arange(n))[ids])
 
 
 def greedy_iou_track(detections: Iterable, max_gap: int) -> Detections:
@@ -84,6 +90,8 @@ def greedy_iou_track(detections: Iterable, max_gap: int) -> Detections:
     ignored and reassigned. Takes and gives :class:`Detections` (records
     are grouped as :meth:`Detections.from_records` does); rows keep order.
     """
+    if max_gap < 0:
+        raise ValueError(f"max_gap={max_gap} must be >= 0")
     detections = Detections.from_records(detections)
     return Detections([_track_one_video(b, max_gap) for b in detections.videos],
                       detections.source)

@@ -19,12 +19,11 @@ from actpipe.dedup import CHAIN_IOU, SegmentCube, merge_groups, \
 from actpipe.evaluation import QUALITY_LEVELS, DetCurve, DetPoint, \
     Map3dResult, _average_precision, _check_videos, _tube_ious, det_curve, naudc
 from actpipe.geometry import BBox, Cube, bbox_intersection, bbox_union, \
-    tube_arrays
-from actpipe.labeling import SAME_WINDOW_TIOU, gt_to_cubes, \
-    same_window_blocks, temporal_iou
+    box_areas, box_intersections, box_ious, box_rows, tube_arrays
+from actpipe.labeling import SAME_WINDOW_TIOU, gt_to_cubes, temporal_iou
 from actpipe.proposals import sample_windows
-from actpipe.records import ActivityAnnotation, ActivityInstance, DetectionRecord, \
-    ScoredCube
+from actpipe.records import ActivityAnnotation, ActivityInstance, CubeTable, \
+    DetectionRecord, ScoredCube
 from actpipe.synth import ActivitySpec, ObjectSpec, SceneSpec
 from actpipe.tracking import IOU_GATE, Track
 
@@ -663,6 +662,39 @@ def ref_merge_adjacent(instances, s_merg, l_merg):
     out.sort(key=lambda a: (a.video_id, a.activity_class, a.t0, a.t1,
                             a.seed_track or 0))
     return out
+
+
+def same_window_blocks(proposals, gt_cubes):
+    """Per distinct GT-cube window, the proposals (a :class:`CubeTable` or
+    cubes) of the same video at temporal IoU >= 0.5: proposal indices
+    (ascending), GT indices, and the IoU and GT-coverage (intersection over
+    the GT box's area) matrices, both from one :func:`box_intersections`
+    block; found through a ``bisect`` window index and :func:`temporal_iou`.
+    """
+    table = CubeTable.from_records(proposals)
+    windows = {}
+    for i, (video_id, t0, t1) in enumerate(zip(table.video_ids, table.t0, table.t1)):
+        windows.setdefault(video_id, {}).setdefault((t0, t1), []).append(i)
+    keys = {video_id: sorted(ws) for video_id, ws in windows.items()}
+    # a window starting the longest duration before another cannot overlap it
+    max_dur = max((t1 - t0 for t0, t1 in zip(table.t0, table.t1)), default=0)
+    gt_groups = {}
+    for g, gt in enumerate(gt_cubes):
+        gt_groups.setdefault((gt.video_id, gt.t0, gt.t1), []).append(g)
+    gt_boxes = box_rows(gt.bbox for gt in gt_cubes)
+    for (video_id, t0, t1), g_idx in gt_groups.items():
+        near = keys.get(video_id, [])
+        near = near[bisect.bisect_left(near, (t0 - max_dur,)):
+                    bisect.bisect_left(near, (t1,))]
+        p_idx = np.array(sorted(i for w in near
+                                if temporal_iou(w, (t0, t1)) >= SAME_WINDOW_TIOU
+                                for i in windows[video_id][w]), dtype=np.int64)
+        if not p_idx.size:
+            continue
+        p, g = table.boxes[p_idx, None], gt_boxes[g_idx]
+        inter = box_intersections(p, g)
+        yield (p_idx, np.array(g_idx), box_ious(p, g, inter),
+               inter / box_areas(g))
 
 
 def ref_proposal_quality(proposals, annotations, config, video_lengths,

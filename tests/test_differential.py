@@ -18,19 +18,20 @@ import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from actpipe import evaluation
+from actpipe import evaluation, tracking
 from actpipe.config import PipelineConfig
 from actpipe.dedup import deduplicate, deduplicate_subsets, merge_adjacent
 from actpipe.evaluation import DetCurve, DetPoint, det_curve, proposal_quality
 from actpipe.geometry import BBox, Cube, box_areas, box_intersections, box_ious, \
     box_rows
 from actpipe.labeling import (SAME_WINDOW_TIOU, assign_labels, gt_to_cubes,
-                              proposal_stats, same_window_blocks, temporal_iou)
+                              proposal_stats, same_window_pairs, temporal_iou)
 from actpipe.proposals import generate_video_proposals, sample_windows
 from actpipe.tracking import IOU_GATE, greedy_iou_track
 from actpipe.records import (RECORD_KINDS, ActivityAnnotation, ActivityInstance,
@@ -219,6 +220,50 @@ class TestGreedyTracker:
         assert [d.track_id for d in got] == ids
 
 
+def tracker_case(*frames):
+    """Person detections of video "v", one (frame, box, confidence) each."""
+    return [DetectionRecord("v", f, "person", box, conf) for f, box, conf in frames]
+
+
+class TestBandTracker:
+    """The per-video IoU band against the per-pair reference where a pair's
+    liveness, not its IoU, decides."""
+
+    def check(self, dets, max_gap):
+        got = greedy_iou_track(dets, max_gap)
+        want = ref_greedy_iou_track(dets, max_gap)
+        assert list(got) == want
+        assert written(got, "detections") == written(want, "detections")
+        return [d.track_id for d in got]
+
+    @pytest.mark.parametrize("max_gap, ids", [(2, [1, 2, 2, 3]), (3, [1, 2, 2, 1])])
+    def test_last_detection_ages_out_between_candidate_pairs(self, max_gap, ids):
+        # A's pairs: with C on frame 2 (IoU 1 / 3; C takes E's track at
+        # 0.82) and with F on frame 3 (IoU 0.4), three frames after A
+        a, e = BBox(0, 10, 0, 10), BBox(6, 16, 0, 10)
+        dets = tracker_case((0, a, 0.9), (0, e, 0.9), (2, BBox(5, 15, 0, 10), 0.9),
+                            (3, BBox(0, 4, 0, 10), 0.9))
+        assert self.check(dets, max_gap) == ids
+
+    @pytest.mark.parametrize("max_gap", [2, 5])
+    def test_ties_on_iou_across_frames(self, max_gap):
+        # frame 1: D2 outranks D1 and takes track 2 at IoU 1, D1 takes track
+        # 1 at 0.5; frame 2: C ties at IoU 1 with D1 and D2, which goes to
+        # the lower track id, not the higher-ranked detection, and C's IoU 1
+        # with A2 is no longer live
+        box = BBox(0, 2, 0, 1)
+        dets = tracker_case((0, BBox(1, 2, 0, 1), 0.9), (0, box, 0.9), (1, box, 0.5),
+                            (1, box, 0.9), (2, box, 0.9))
+        assert self.check(dets, max_gap) == [1, 2, 1, 2, 1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=detection_sets(), pair_rows=st.sampled_from([1, 2, 3, 7]))
+    def test_band_block_boundaries(self, case, pair_rows):
+        # blocks of a few pair rows: a frame's pairs split across blocks
+        with patch.object(tracking, "IOU_BLOCK_ELEMENTS", 8 * pair_rows):
+            self.check(*case)
+
+
 class TestProposals:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), video_len=st.integers(1, 200), fmt=formats,
@@ -341,12 +386,14 @@ class TestAssignLabels:
     @given(props=proposals(), gts=gt_cubes())
     def test_blocks_pair_each_same_window_pair_once(self, props, gts):
         pairs = {}
-        for p_idx, g_idx, iou, cov in same_window_blocks(props, gts):
-            assert list(p_idx) == sorted(p_idx)
-            for r, i in enumerate(p_idx.tolist()):
-                for c, g in enumerate(g_idx.tolist()):
-                    assert (i, g) not in pairs
-                    pairs[(i, g)] = (iou[r, c], cov[r, c])
+        for p_idx, g_idx, iou, cov in same_window_pairs(props, gts):
+            assert len(p_idx) == len(g_idx) == len(iou) == len(cov)
+            # one video per block
+            assert len({props[i].video_id for i in p_idx.tolist()}
+                       | {gts[g].video_id for g in g_idx.tolist()}) <= 1
+            for i, g, pair in zip(p_idx.tolist(), g_idx.tolist(), zip(iou, cov)):
+                assert (i, g) not in pairs
+                pairs[(i, g)] = pair
         want = {
             (i, g): (ref_bbox_iou(p.bbox, gt.bbox), ref_coverage(p.bbox, gt.bbox))
             for i, p in enumerate(props) for g, gt in enumerate(gts)
@@ -354,6 +401,55 @@ class TestAssignLabels:
             and temporal_iou((p.t0, p.t1), (gt.t0, gt.t1)) >= SAME_WINDOW_TIOU
         }
         assert pairs == want
+
+
+BIG, HUGE = 2 ** 53, 2 ** 64
+
+
+class TestLabelJoin:
+    """The per-video window join of ``assign_labels`` against the reference
+    on windows the temporal-IoU test and the pair expansion find hard."""
+
+    def check(self, props, gts, s_high=0.5, s_low=0.0):
+        got = assign_labels(props, gts, s_high, s_low)
+        want = ref_assign_labels(props, gts, s_high, s_low)
+        assert got == want
+        assert written(got, "proposals") == written(want, "proposals")
+        return [c.labels for c in got]
+
+    def test_windows_past_2_53_and_2_63(self):
+        box = BBox(0, 10, 0, 10)
+        windows = [((0, 2 ** 56 + 2), (0, 2 ** 55)),  # 0.5 - 2**-56 rounds to 0.5
+                   ((BIG + 1, BIG + 3), (BIG + 2, BIG + 4)),  # 1 / 3; 0.5 on float bounds
+                   ((HUGE, HUGE + 64), (HUGE + 16, HUGE + 80)),  # 48 / 80
+                   ((HUGE, HUGE + 64), (HUGE + 32, HUGE + 96))]  # 32 / 96
+        props = [Cube(f"v{i}", box, *p, seed_track=i) for i, (p, _) in enumerate(windows)]
+        gts = [Cube(f"v{i}", box, *g, labels={"walk"}) for i, (_, g) in enumerate(windows)]
+        walk = frozenset({"walk"})
+        assert self.check(props, gts) == [walk, frozenset(), walk, frozenset()]
+        assert [temporal_iou(*w) >= SAME_WINDOW_TIOU for w in windows] == [
+            True, False, True, False]
+
+    def test_unmatched_windows_and_videos(self):
+        # a GT window no proposal window meets, a GT video with no proposals
+        # and a proposal video with no GT
+        box = BBox(0, 10, 0, 10)
+        props = [Cube("a", box, 0, 64, seed_track=0), Cube("b", box, 0, 64, seed_track=1)]
+        gts = [Cube("a", box, 128, 192, labels={"walk"}), Cube("a", box, 0, 64, labels={"ride"}),
+               Cube("c", box, 0, 64, labels={"sit"})]
+        assert self.check(props, gts) == [frozenset({"ride"}), frozenset()]
+        assert self.check(props[1:], gts) == [frozenset()]
+        assert self.check(props, []) == [frozenset(), frozenset()]
+
+    def test_ties_on_a_gt_cubes_best_proposal(self):
+        # proposals 1 and 2 tie at IoU 1; 2 sits in the first window seen,
+        # and 1, the lower index, takes the GT cube's label
+        box, gt = BBox(0, 10, 0, 10), Cube("a", BBox(0, 10, 0, 10), 0, 64, labels={"walk"})
+        props = [Cube("a", BBox(5, 15, 0, 10), 0, 64, seed_track=0),
+                 Cube("a", box, 16, 80, seed_track=1), Cube("a", box, 0, 64, seed_track=2),
+                 Cube("a", box, 0, 32, seed_track=3)]
+        assert self.check(props, [gt], s_high=1.0, s_low=0.5) == [
+            frozenset(), frozenset({"walk"}), None, None]
 
 
 label_sets = st.one_of(st.none(), st.frozensets(
@@ -717,6 +813,16 @@ def off_grid_case():
     return config, cubes, [[0, 1, 2, 3], [1, 2, 3], [2, 3], [3], [0, 3]]
 
 
+def seed_zero_and_seedless_case():
+    """Cubes of seed track 0 and seedless cubes over the same windows of one
+    video: instances of both partitions meet on (video, class, t0, t1), and
+    ``seed_track or 0`` orders them, the seedless chain's -1 first; ordered
+    once for all subsets, each subset keeps the reference's order."""
+    config, tracked = dedup_case([0, 16, 32], [0.4, 0.8, 0.6], track=0)
+    _, seedless = dedup_case([0, 16, 32], [0.4, 0.8, 0.6], track=None)
+    return config, tracked + seedless, [range(6), [0, 1, 2], [3, 4, 5], [0, 3], [1, 2, 4, 5]]
+
+
 class TestDeduplicateSubsets:
     def check(self, config, cubes, subsets):
         got = deduplicate_subsets(cubes, subsets, config)
@@ -731,7 +837,8 @@ class TestDeduplicateSubsets:
     def test_each_subset_matches_reference(self, case):
         self.check(*case)
 
-    @pytest.mark.parametrize("case", [seedless_shift_case(), off_grid_case()])
+    @pytest.mark.parametrize("case", [seedless_shift_case(), off_grid_case(),
+                                      seed_zero_and_seedless_case()])
     def test_named_cases(self, case):
         self.check(*case)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from actpipe import evaluation, labeling, pipeline
+from actpipe import evaluation, geometry, labeling, pipeline
 from actpipe.cli import build_parser, main
 from actpipe.config import PipelineConfig
 from actpipe.dedup import SegmentCube, deduplicate, deduplicate_subsets
@@ -24,10 +24,27 @@ from actpipe.records import (ActivityAnnotation, ActivityInstance,
                              ScoredCube, read_detections, read_proposals,
                              read_records, write_records)
 from actpipe.synth import generate_corpus
-from actpipe.tracking import tracks_from_records
+from actpipe.tracking import greedy_iou_track, tracks_from_records
 from helpers import closure_scenes, crowded_scenes
 
 CONFIG = PipelineConfig()
+
+
+def crowded_inputs(directory):
+    """A three-video crowded corpus written under ``directory``: its config
+    and pipeline inputs."""
+    config = CONFIG.with_classes(object_classes=("person", "vehicle"),
+                                 activity_classes=("carrying", "loading", "walking"))
+    specs = crowded_scenes(3, seed=7)
+    scenes = generate_corpus(specs, config)
+    for kind in ("detections", "annotations", "masks"):
+        write_records((r for s in scenes for r in getattr(s, kind)),
+                      directory / f"{kind}.jsonl", kind)
+    return config, PipelineInputs(
+        **{kind: directory / f"{kind}.jsonl"
+           for kind in ("detections", "annotations", "masks")},
+        video_lengths={s.video_id: s.video_len for s in specs},
+        frame_sizes={s.video_id: s.frame_size for s in specs})
 # the record files one full run writes, by name without ".jsonl"
 CLI_CHAIN_OUTPUTS = (
     "detections_tracked", "proposals", "proposals_labeled", "label_stats",
@@ -255,18 +272,7 @@ class TestRunPipeline:
     def test_dedup_builds_no_segment_cube_or_box_per_member(self, tmp_path, monkeypatch):
         # the dedup stage and the proposal-quality subsets run as array passes
         # over the scored table: no SegmentCube, and a box per emitted instance
-        config = CONFIG.with_classes(object_classes=("person", "vehicle"),
-                                     activity_classes=("carrying", "loading", "walking"))
-        specs = crowded_scenes(3, seed=7)
-        scenes = generate_corpus(specs, config)
-        for kind in ("detections", "annotations", "masks"):
-            write_records((r for s in scenes for r in getattr(s, kind)),
-                          tmp_path / f"{kind}.jsonl", kind)
-        inputs = PipelineInputs(
-            **{kind: tmp_path / f"{kind}.jsonl"
-               for kind in ("detections", "annotations", "masks")},
-            video_lengths={s.video_id: s.video_len for s in specs},
-            frame_sizes={s.video_id: s.frame_size for s in specs})
+        config, inputs = crowded_inputs(tmp_path)
         run_pipeline(config, inputs, tmp_path / "out", stages=CANONICAL_STAGES[:5])
         table = read_proposals(tmp_path / "out" / "proposals_scored.jsonl",
                                "scored-proposals")
@@ -285,6 +291,30 @@ class TestRunPipeline:
         levels = deduplicate_subsets(table, [range(n), range(0, n, 2), range(n // 2)], config)
         assert built[SegmentCube] == 0
         assert 0 < built[BBox] <= sum(map(len, levels))
+
+    def test_labels_and_tracker_call_the_overlap_kernel_once_per_video(self, tmp_path,
+                                                                    monkeypatch):
+        # the label join and the tracker's IoU band score all of a video's
+        # pairs in one kernel call (a band block holds a whole video here)
+        config, inputs = crowded_inputs(tmp_path)
+        run_pipeline(config, inputs, tmp_path / "out", stages=CANONICAL_STAGES[:2])
+        detections = read_detections(inputs.detections)
+        proposals = read_proposals(tmp_path / "out" / "proposals.jsonl")
+        annotations = list(read_records(inputs.annotations, "annotations"))
+        videos = len(inputs.video_lengths)
+        calls = []
+
+        def counting(*args, kernel=geometry.box_intersections):
+            calls.append(args)
+            return kernel(*args)
+
+        for module in (geometry, labeling):
+            monkeypatch.setattr(module, "box_intersections", counting)
+        tracked = greedy_iou_track(detections, config.s_det)
+        assert len({d.track_id for d in tracked}) > 10 and 0 < len(calls) <= videos
+        calls.clear()
+        labeled, stats = labeling.label_stage(proposals, annotations, config)
+        assert stats["positive"] > 10 and 0 < len(calls) <= videos
 
     def test_timings_cover_work_before_the_first_stage(self, tmp_path,
                                                       closure_corpus,

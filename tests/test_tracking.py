@@ -140,6 +140,18 @@ class TestGreedyTracker:
         assert [d.track_id for d in out if d.video_id == "v2"] == [1]
 
 
+class TestTrackerGap:
+    def test_gap_zero_and_negative(self):
+        # two overlapping boxes one frame apart: a gap of 1 links them, a gap
+        # of 0 never links across frames, and a negative gap is an error
+        box = BBox(0, 10, 0, 10)
+        dets = [det("v", 0, box), det("v", 1, box)]
+        assert [d.track_id for d in greedy_iou_track(dets, max_gap=1)] == [1, 1]
+        assert [d.track_id for d in greedy_iou_track(dets, max_gap=0)] == [1, 2]
+        with pytest.raises(ValueError, match="max_gap=-1"):
+            greedy_iou_track(dets, max_gap=-1)
+
+
 class TestTracksFromRecords:
     def test_empty(self):
         assert tracks_from_records([]) == {}
